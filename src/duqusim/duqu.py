@@ -125,7 +125,10 @@ def decrypt_blob(blob: bytes, key: int) -> bytes:
 
     Involutionary for a fixed key, so the same call encrypts.
     """
-    return bytes(b ^ key ^ (i & 0xFF) for i, b in enumerate(blob))
+    n = len(blob)
+    keystream = bytes(key ^ i for i in range(256)) * (n // 256 + 1)
+    return (int.from_bytes(blob, "little")
+            ^ int.from_bytes(keystream[:n], "little")).to_bytes(n, "little")
 
 
 @dataclass
@@ -187,7 +190,12 @@ class IntegrityMask:
 
     @classmethod
     def from_json(cls, text: str) -> "IntegrityMask":
+        """Parse ``to_json`` output; anything malformed raises ValueError."""
         doc = json.loads(text)
+        if not (isinstance(doc, dict)
+                and all(isinstance(doc.get(k), str) for k in ("mask", "reference"))):
+            raise ValueError('expected a JSON object with hex strings '
+                             '"mask" and "reference"')
         return cls(mask=bytes.fromhex(doc["mask"]),
                    reference=bytes.fromhex(doc["reference"]))
 
@@ -241,9 +249,10 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
             continue
         data = section_data(image, section)
         section_va = base + section.virtual_address
-        for off in range(len(data) - 4):
-            if data[off] != CALL_OPCODE:
-                continue
+        # A near call is 5 bytes, so it can only start before len - 4.
+        call_end = max(len(data) - 4, 0)
+        off = -1
+        while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
             site = section_va + off
             if resolve_near_call(site, data[off:off + 5]) != anchor_va:
                 continue
@@ -252,12 +261,10 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
             push_at = data.find(PUSH_104H, lo, hi)
             if push_at == -1:
                 continue
-            cursor = push_at + len(PUSH_104H)
-            while cursor < hi:
-                if data[cursor] == CALL_OPCODE and cursor + 5 <= len(data):
-                    call_site = section_va + cursor
-                    return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
-                cursor += 1
+            cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H), min(hi, call_end))
+            if cursor != -1:
+                call_site = section_va + cursor
+                return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
     raise PatternNotFound(f"no call/push 104h/call pattern anchored at {anchor_name!r}")
 
 

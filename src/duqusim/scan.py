@@ -6,7 +6,9 @@ Three signatures, all file-level:
 * ZWPROTECT_PATTERN   - the call / push 104h / call train anchored at a
                         named export resolves (requires --anchor-export)
 * OBFUSCATED_PE_CONST - a code dword equals the plain signature constant,
-                        i.e. dword XOR 0xF750F284 == 0xF750B7D4
+                        i.e. dword XOR 0xF750F284 == 0xF750B7D4; that
+                        dword is 0x00004550, the file bytes 50 45 00 00
+                        ("PE" and two NULs); every occurrence is reported
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .peformat import (
 ENTRY_HOOK = "ENTRY_HOOK"
 ZWPROTECT_PATTERN = "ZWPROTECT_PATTERN"
 OBFUSCATED_PE_CONST = "OBFUSCATED_PE_CONST"
+
+# The one dword D with D ^ SIG_XOR_KEY == SIG_XOR_EXPECT, as file bytes.
+PE_CONST = struct.pack("<I", SIG_XOR_KEY ^ SIG_XOR_EXPECT)
 
 
 @dataclass
@@ -87,13 +92,12 @@ def scan_pe(data: bytes, path: str = "<buffer>",
         if not section.executable:
             continue
         blob = section_data(image, section)
-        for i in range(len(blob) - 3):
-            dword = struct.unpack_from("<I", blob, i)[0]
-            if (dword ^ SIG_XOR_KEY) == SIG_XOR_EXPECT:
-                report.findings.append(Finding(
-                    OBFUSCATED_PE_CONST,
-                    image.nt.image_base + section.virtual_address + i,
-                    "code carries the de-obfuscated signature dword"))
+        i = -1
+        while (i := blob.find(PE_CONST, i + 1)) != -1:
+            report.findings.append(Finding(
+                OBFUSCATED_PE_CONST,
+                image.nt.image_base + section.virtual_address + i,
+                "code carries the de-obfuscated signature dword"))
     return report
 
 

@@ -13,10 +13,11 @@ Grammar (one command per line, ``#`` starts a comment):
 ``0x...`` pid literal.  Fixture paths are resolved relative to the
 scenario file.  Driver options:
 
-    sentinel: watch=<name[,name...]> report-only=<true|false>
+    sentinel: watch=<name[,name...]> report-only=<1|0|true|false|yes|no|on|off>
     duqu:     config=<blob> stub1=<pe> stub2=<pe> [mask=<json>]
               [kernel-base=0x...] [window=N]
 
+A malformed option value is a :class:`ScenarioError`.
 ``expect`` lines must match produced log lines as substrings, in order.
 """
 
@@ -26,7 +27,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .duqu import DuquDriver, DuquError, Halted, IntegrityMask
+from .duqu import (
+    DEFAULT_KERNEL_BASE,
+    DEFAULT_SCAN_WINDOW,
+    DuquDriver,
+    DuquError,
+    Halted,
+    IntegrityMask,
+)
 from .peformat import PeError
 from .sentinel import SentinelDriver
 from .simkernel import SimError, SimKernel
@@ -116,17 +124,35 @@ def parse_scenario(text: str) -> list[Command]:
     return commands
 
 
-def _parse_base(options: dict[str, str], line_no: int) -> int | None:
-    if "base" not in options:
-        return None
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_int(options: dict[str, str], key: str, line_no: int,
+               default: int | None = None, radix: int = 10,
+               minimum: int | None = None) -> int | None:
+    """Integer option ``key``, or ``default`` when absent; malformed is an error."""
+    if key not in options:
+        return default
+    value = options[key]
     try:
-        return int(options["base"], 16)
+        number = int(value, radix)
     except ValueError as exc:
-        raise ScenarioError(f"bad base {options['base']!r}", line_no) from exc
+        raise ScenarioError(f"bad {key} {value!r}", line_no) from exc
+    if minimum is not None and number < minimum:
+        raise ScenarioError(f"bad {key} {value!r}: must be >= {minimum}", line_no)
+    return number
 
 
-def _parse_bool(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
+def _parse_bool(options: dict[str, str], key: str, default: bool,
+                line_no: int) -> bool:
+    value = options.get(key)
+    if value is None:
+        return default
+    if value.lower() not in _BOOLS:
+        raise ScenarioError(f"bad {key} {value!r}: use 1/0, true/false, "
+                            f"yes/no or on/off", line_no)
+    return _BOOLS[value.lower()]
 
 
 def _read_fixture(base_dir: Path, rel: str, line_no: int) -> bytes:
@@ -162,7 +188,7 @@ class ScenarioRunner:
             watch = tuple(opts.get("watch", "services.exe").split(","))
             self.drivers[name] = SentinelDriver(
                 self.kernel, watch=watch,
-                report_only=_parse_bool(opts.get("report-only", "false")))
+                report_only=_parse_bool(opts, "report-only", False, cmd.line_no))
             return
         if name == "duqu":
             for key in ("config", "stub1", "stub2"):
@@ -170,17 +196,22 @@ class ScenarioRunner:
                     raise ScenarioError(f"driver duqu needs {key}=<path>", cmd.line_no)
             mask = None
             if "mask" in opts:
-                mask_text = _read_fixture(self.base_dir, opts["mask"], cmd.line_no)
-                mask = IntegrityMask.from_json(mask_text.decode("utf-8"))
-            kernel_base = int(opts["kernel-base"], 16) if "kernel-base" in opts else None
+                mask_bytes = _read_fixture(self.base_dir, opts["mask"], cmd.line_no)
+                try:
+                    mask = IntegrityMask.from_json(mask_bytes.decode("utf-8"))
+                except ValueError as exc:
+                    raise ScenarioError(f"bad mask {opts['mask']!r}: {exc}",
+                                        cmd.line_no) from exc
             driver = DuquDriver(
                 self.kernel,
                 config_blob=_read_fixture(self.base_dir, opts["config"], cmd.line_no),
                 stub1=_read_fixture(self.base_dir, opts["stub1"], cmd.line_no),
                 stub2=_read_fixture(self.base_dir, opts["stub2"], cmd.line_no),
                 mask=mask,
-                **({"kernel_base": kernel_base} if kernel_base is not None else {}),
-                **({"window": int(opts["window"])} if "window" in opts else {}),
+                kernel_base=_parse_int(opts, "kernel-base", cmd.line_no,
+                                       DEFAULT_KERNEL_BASE, radix=16),
+                window=_parse_int(opts, "window", cmd.line_no,
+                                  DEFAULT_SCAN_WINDOW, minimum=0),
             )
             self.drivers[name] = driver
             try:
@@ -221,14 +252,15 @@ class ScenarioRunner:
                     name, fixture = cmd.args
                     image = _read_fixture(self.base_dir, fixture, cmd.line_no)
                     proc = self.kernel.create_process(
-                        name, image, base=_parse_base(cmd.options, cmd.line_no))
+                        name, image, base=_parse_int(cmd.options, "base", cmd.line_no, radix=16))
                     self.pids[name] = proc.pid
                 elif cmd.op == "module":
                     ref, name, fixture = cmd.args
                     pid = self._resolve_pid(ref, cmd.line_no)
                     image = _read_fixture(self.base_dir, fixture, cmd.line_no)
                     self.kernel.load_module(pid, name, image,
-                                            base=_parse_base(cmd.options, cmd.line_no))
+                                            base=_parse_int(cmd.options, "base",
+                                                            cmd.line_no, radix=16))
                 elif cmd.op == "run":
                     self._run_process_entry(self._resolve_pid(cmd.args[0], cmd.line_no))
             except (SimError, PeError, DuquError) as exc:

@@ -88,6 +88,14 @@ class TestCliCommands:
     def test_run_missing_scenario_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.scenario")]) == 2
 
+    def test_run_bad_option_value_exit_two(self, fixture_dir, tmp_path, capsys):
+        scenario = tmp_path / "bad.scenario"
+        scenario.write_text("driver sentinel report-only=ture\n")
+        assert main(["run", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: bad report-only 'ture'")
+        assert err.count("\n") == 1
+
     def test_run_json_format(self, fixture_dir, capsys, monkeypatch):
         monkeypatch.setenv("SENTINEL_LOG_FORMAT", "json")
         assert main(["run", str(fixture_dir / "poc_duqu_attack.scenario")]) == 0

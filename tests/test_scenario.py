@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from duqusim.duqu import IntegrityMask
 from duqusim.scenario import (
     ScenarioError,
     match_expectations,
@@ -126,6 +127,74 @@ class TestRunner:
         path = write_scenario(fixture_dir, "noconfig.scenario", "driver duqu\n")
         with pytest.raises(ScenarioError):
             run_scenario(path)
+
+
+def duqu_line(fixture_dir, extra=""):
+    """A ``driver duqu`` line over the shipped fixtures plus ``extra``."""
+    return (f"driver duqu config={fixture_dir / 'duqu_config.bin'} "
+            f"stub1={fixture_dir / 'stub1.bin'} stub2={fixture_dir / 'stub2.bin'} "
+            f"{extra}\n")
+
+
+class TestDriverOptions:
+    @pytest.mark.parametrize("value", ["abc", "0x40", "-1"])
+    def test_bad_window(self, fixture_dir, tmp_path, value):
+        path = write_scenario(tmp_path, "w.scenario",
+                              duqu_line(fixture_dir, f"window={value}"))
+        with pytest.raises(ScenarioError, match=f"line 1: bad window '{value}'"):
+            run_scenario(path)
+
+    def test_window_zero_accepted(self, fixture_dir, tmp_path):
+        path = write_scenario(tmp_path, "w0.scenario",
+                              duqu_line(fixture_dir, "window=0"))
+        assert run_scenario(path).drivers["duqu"].window == 0
+
+    @pytest.mark.parametrize("value", ["zz", "0x", "4OOOOO"])
+    def test_bad_kernel_base(self, fixture_dir, tmp_path, value):
+        path = write_scenario(tmp_path, "kb.scenario",
+                              duqu_line(fixture_dir, f"kernel-base={value}"))
+        with pytest.raises(ScenarioError, match=f"bad kernel-base '{value}'"):
+            run_scenario(path)
+
+    @pytest.mark.parametrize("value", ["ture", "", "2", "y", "enabled"])
+    def test_bad_report_only(self, tmp_path, value):
+        path = write_scenario(tmp_path, "ro.scenario",
+                              f"driver sentinel report-only={value}\n")
+        with pytest.raises(ScenarioError, match="bad report-only"):
+            run_scenario(path)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("oFF", False)])
+    def test_report_only_spellings(self, tmp_path, value, expected):
+        path = write_scenario(tmp_path, "ro.scenario",
+                              f"driver sentinel report-only={value}\n")
+        assert run_scenario(path).drivers["sentinel"].report_only is expected
+
+    @pytest.mark.parametrize("name, content", [
+        ("latin1.json", b"\xff\xfe{}"),
+        ("text.json", b"not json at all"),
+        ("list.json", b"[1, 2]"),
+        ("nomask.json", json.dumps({"reference": "00" * 32}).encode()),
+        ("noref.json", json.dumps({"mask": "00" * 32}).encode()),
+        ("number.json", json.dumps({"mask": 7, "reference": "00" * 32}).encode()),
+        ("badhex.json", json.dumps({"mask": "zz" * 32, "reference": "00" * 32}).encode()),
+        ("short.json", json.dumps({"mask": "00" * 31, "reference": "00" * 32}).encode()),
+    ])
+    def test_bad_mask_file(self, fixture_dir, tmp_path, name, content):
+        (tmp_path / name).write_bytes(content)
+        path = write_scenario(tmp_path, "mask.scenario",
+                              duqu_line(fixture_dir, f"mask={tmp_path / name}"))
+        with pytest.raises(ScenarioError, match="bad mask") as info:
+            run_scenario(path)
+        assert "\n" not in str(info.value)
+
+    def test_shipped_mask_accepted(self, fixture_dir, tmp_path):
+        mask = fixture_dir / "maskspec.json"
+        path = write_scenario(tmp_path, "okmask.scenario",
+                              duqu_line(fixture_dir, f"mask={mask}"))
+        assert run_scenario(path).drivers["duqu"].mask == \
+            IntegrityMask.from_json(mask.read_text())
 
 
 class TestDeterminism:
