@@ -11,7 +11,7 @@ Grammar (one command per line, ``#`` starts a comment):
 
 ``pid-ref`` is a process name from an earlier ``process`` line or a
 ``0x...`` pid literal.  Fixture paths are resolved relative to the
-scenario file.  Driver options:
+scenario file, and a runner reads each one once.  Driver options:
 
     sentinel: watch=<name[,name...]> report-only=<1|0|true|false|yes|no|on|off>
     duqu:     config=<blob> stub1=<pe> stub2=<pe> [mask=<json>]
@@ -155,19 +155,23 @@ def _parse_bool(options: dict[str, str], key: str, default: bool,
     return _BOOLS[value.lower()]
 
 
-def _read_fixture(base_dir: Path, rel: str, line_no: int) -> bytes:
-    path = base_dir / rel
-    if not path.is_file():
-        raise ScenarioError(f"fixture {rel!r} not found", line_no)
-    return path.read_bytes()
-
-
 class ScenarioRunner:
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
         self.kernel = SimKernel()
         self.pids: dict[str, int] = {}
         self.drivers: dict[str, object] = {}
+        self._fixtures: dict[str, bytes] = {}
+
+    def _read_fixture(self, rel: str, line_no: int) -> bytes:
+        """Bytes of the fixture at ``rel``, read from disk on first use only."""
+        data = self._fixtures.get(rel)
+        if data is None:
+            path = self.base_dir / rel
+            if not path.is_file():
+                raise ScenarioError(f"fixture {rel!r} not found", line_no)
+            data = self._fixtures[rel] = path.read_bytes()
+        return data
 
     def _resolve_pid(self, ref: str, line_no: int) -> int:
         if ref.lower().startswith("0x"):
@@ -196,7 +200,7 @@ class ScenarioRunner:
                     raise ScenarioError(f"driver duqu needs {key}=<path>", cmd.line_no)
             mask = None
             if "mask" in opts:
-                mask_bytes = _read_fixture(self.base_dir, opts["mask"], cmd.line_no)
+                mask_bytes = self._read_fixture(opts["mask"], cmd.line_no)
                 try:
                     mask = IntegrityMask.from_json(mask_bytes.decode("utf-8"))
                 except ValueError as exc:
@@ -204,9 +208,9 @@ class ScenarioRunner:
                                         cmd.line_no) from exc
             driver = DuquDriver(
                 self.kernel,
-                config_blob=_read_fixture(self.base_dir, opts["config"], cmd.line_no),
-                stub1=_read_fixture(self.base_dir, opts["stub1"], cmd.line_no),
-                stub2=_read_fixture(self.base_dir, opts["stub2"], cmd.line_no),
+                config_blob=self._read_fixture(opts["config"], cmd.line_no),
+                stub1=self._read_fixture(opts["stub1"], cmd.line_no),
+                stub2=self._read_fixture(opts["stub2"], cmd.line_no),
                 mask=mask,
                 kernel_base=_parse_int(opts, "kernel-base", cmd.line_no,
                                        DEFAULT_KERNEL_BASE, radix=16),
@@ -250,14 +254,14 @@ class ScenarioRunner:
                     self._make_driver(cmd)
                 elif cmd.op == "process":
                     name, fixture = cmd.args
-                    image = _read_fixture(self.base_dir, fixture, cmd.line_no)
+                    image = self._read_fixture(fixture, cmd.line_no)
                     proc = self.kernel.create_process(
                         name, image, base=_parse_int(cmd.options, "base", cmd.line_no, radix=16))
                     self.pids[name] = proc.pid
                 elif cmd.op == "module":
                     ref, name, fixture = cmd.args
                     pid = self._resolve_pid(ref, cmd.line_no)
-                    image = _read_fixture(self.base_dir, fixture, cmd.line_no)
+                    image = self._read_fixture(fixture, cmd.line_no)
                     self.kernel.load_module(pid, name, image,
                                             base=_parse_int(cmd.options, "base",
                                                             cmd.line_no, radix=16))

@@ -10,13 +10,19 @@ so identical inputs always produce identical event sequences and logs.
 Writes performed by an earlier-registered driver are visible to every
 later-registered driver handling the same event; that asymmetry is the
 whole point of the launch-order experiments.
+
+A kernel parses each distinct image once: repeated loads of the same bytes
+reuse the parsed headers and directories, and only the mapped layout is
+built afresh for every mapping.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .peformat import (
@@ -145,6 +151,9 @@ class MemoryRegion:
         return self.base + len(self.data)
 
 
+_region_base = attrgetter("base")
+
+
 @dataclass
 class Peb:
     image_base_address: int
@@ -157,24 +166,27 @@ class SimProcess:
         self.image_base = 0
         self.peb = Peb(image_base_address=0)
         self.peb_address = peb_address
+        # Sorted by base and pairwise disjoint, so a lookup only has to
+        # look at the region starting last before the probed address.
         self.regions: list[MemoryRegion] = []
         self.modules: list[tuple[str, int]] = []
         self.alive = True
 
     def region_at(self, addr: int) -> Optional[MemoryRegion]:
-        for r in self.regions:
-            if r.base <= addr < r.end:
-                return r
+        i = bisect.bisect_right(self.regions, addr, key=_region_base)
+        if i and addr < self.regions[i - 1].end:
+            return self.regions[i - 1]
         return None
 
     def span_free(self, base: int, size: int) -> bool:
-        end = base + size
-        return all(r.end <= base or r.base >= end for r in self.regions)
+        # Every region starting before the span's end ends no later than the
+        # last of them, so that one alone decides whether the span is free.
+        i = bisect.bisect_left(self.regions, base + size, key=_region_base)
+        return i == 0 or self.regions[i - 1].end <= base
 
     def add_region(self, region: MemoryRegion) -> MemoryRegion:
         assert self.span_free(region.base, len(region.data)), "region overlap"
-        self.regions.append(region)
-        self.regions.sort(key=lambda r: r.base)
+        bisect.insort(self.regions, region, key=_region_base)
         return region
 
 
@@ -198,7 +210,8 @@ class SimKernel:
         self.audit: list[tuple] = []
         self._queue: deque[NotificationEvent] = deque()
         self._dispatching = False
-        self._init_waiters: list[dict] = []
+        self._init_waiters: list[Callable[[], bool]] = []
+        self._images: dict[bytes, PeImage] = {}
         self._next_pid = PID_START
         self._next_peb = PEB_START
 
@@ -242,7 +255,7 @@ class SimKernel:
         ``recheck`` returns True once it is finished (successfully or not)
         and should be dropped from the waiting list.
         """
-        self._init_waiters.append({"recheck": recheck})
+        self._init_waiters.append(recheck)
 
     # ------------------------------------------------------------------
     # processes and modules
@@ -280,7 +293,7 @@ class SimKernel:
         """
         if self._dispatching:
             raise ReentrantCall("create_process called from a notification handler")
-        parsed = parse_pe(image)
+        parsed = self._parse_image(image)
         pid = self._next_pid
         self._next_pid += PID_STEP
         proc = SimProcess(pid, name, self._next_peb)
@@ -302,7 +315,7 @@ class SimKernel:
         if self._dispatching:
             raise ReentrantCall("load_module called from a notification handler")
         proc = self._proc(pid)
-        parsed = parse_pe(image)
+        parsed = self._parse_image(image)
         mapped_base = self._map_image(proc, parsed, name, base)
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Loaded module {name} *")
@@ -410,10 +423,21 @@ class SimKernel:
     # loader internals
     # ------------------------------------------------------------------
 
+    def _parse_image(self, image: bytes) -> PeImage:
+        """Parse ``image`` once per kernel; a failed parse is never stored."""
+        key = bytes(image)
+        parsed = self._images.get(key)
+        if parsed is None:
+            parsed = self._images[key] = parse_pe(key)
+        return parsed
+
     def _map_image(self, proc: SimProcess, image: PeImage, name: str,
                    requested: int | None) -> int:
         size = image.nt.size_of_image
         base = requested if requested is not None else image.nt.image_base
+        if base < 0 or base + size > ADDRESS_LIMIT:
+            raise AddressSpaceExhausted(
+                f"{name} ({size:#x} bytes) at {base:#x} leaves the address space")
         while not proc.span_free(base, size):
             base += REBASE_STEP
             if base + size > ADDRESS_LIMIT:
@@ -468,6 +492,6 @@ class SimKernel:
             self._dispatching = False
 
     def _run_init_waiters(self) -> None:
-        for waiter in list(self._init_waiters):
-            if waiter["recheck"]():
-                self._init_waiters.remove(waiter)
+        for recheck in list(self._init_waiters):
+            if recheck():
+                self._init_waiters.remove(recheck)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,38 @@ class TestRunner:
                               "process a.exe no-such-file.bin\n")
         with pytest.raises(ScenarioError):
             run_scenario(path)
+
+    def test_missing_fixture_names_its_line(self, fixture_dir):
+        path = write_scenario(fixture_dir, "missing-module.scenario",
+                              "process a.exe services.exe\n"
+                              "module a.exe x.dll no-such-file.dll\n")
+        with pytest.raises(ScenarioError, match="^line 2: fixture 'no-such-file.dll'"):
+            run_scenario(path)
+
+    def test_each_fixture_read_once(self, fixture_dir, monkeypatch):
+        reads = []
+        original = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: (reads.append(self.name), original(self))[1])
+        path = write_scenario(fixture_dir, "reuse.scenario",
+                              "process a.exe services.exe\n"
+                              "process b.exe services.exe\n"
+                              "module a.exe k.dll kernel32.dll\n"
+                              "module b.exe k.dll kernel32.dll\n"
+                              "module b.exe k2.dll kernel32.dll\n"
+                              "expect * Loaded module k2.dll *\n")
+        assert run_scenario(path).ok
+        assert sorted(reads) == ["kernel32.dll", "services.exe"]
+
+    @pytest.mark.parametrize("base", ["-10000", "FFFFF000"])
+    def test_base_outside_address_space_logged(self, fixture_dir, base):
+        path = write_scenario(fixture_dir, "outside.scenario",
+                              "process a.exe services.exe\n"
+                              f"module a.exe k.dll kernel32.dll base={base}\n"
+                              "expect ! error: AddressSpaceExhausted: k.dll\n")
+        result = run_scenario(path)
+        assert result.ok, result.text_lines()
+        assert [name for name, _ in result.kernel.process(0x910).modules] == ["a.exe"]
 
     def test_missing_scenario_file(self, fixture_dir):
         with pytest.raises(ScenarioError):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32, reloc_block
-from duqusim.peformat import NotMz, parse_pe
+from duqusim import simkernel
+from duqusim.peformat import NotMz, PeError, parse_pe
 from duqusim.simkernel import (
     PERM_R,
     PERM_RW,
@@ -18,10 +19,12 @@ from duqusim.simkernel import (
     DuplicateName,
     EventKind,
     InvalidAllocation,
+    MemoryRegion,
     NoSuchDevice,
     NoSuchProcess,
     Perm,
     SimKernel,
+    SimProcess,
     SpansRegions,
     UnmappedAddress,
 )
@@ -414,3 +417,157 @@ class TestReadImage:
         from duqusim.peformat import assemble_mapped
         image = parse_pe(fixture_bytes("services.exe"))
         assert kernel.read_image(proc.pid, proc.image_base) == bytes(assemble_mapped(image))
+
+
+def linear_region_at(regions, addr):
+    """Reference lookup: the first region holding ``addr``."""
+    for r in regions:
+        if r.base <= addr < r.end:
+            return r
+    return None
+
+
+def linear_span_free(regions, base, size):
+    """Reference check: no region overlaps ``[base, base + size)``."""
+    end = base + size
+    return all(r.end <= base or r.base >= end for r in regions)
+
+
+class TestRegionLookup:
+    def random_process(self, rng):
+        """A process holding 1-40 random disjoint regions, added out of order."""
+        regions = []
+        cursor = rng.randrange(0, 0x100)
+        for _ in range(rng.randrange(1, 41)):
+            cursor += rng.choice([0, 0, rng.randrange(1, 0x40)])
+            size = rng.randrange(1, 0x40)
+            regions.append(MemoryRegion(base=cursor, data=bytearray(size),
+                                        perms=PERM_R, tag=f"r{cursor:x}"))
+            cursor += size
+        proc = SimProcess(0x910, "a.exe", 0x7FFD5000)
+        for region in rng.sample(regions, len(regions)):
+            proc.add_region(region)
+        assert proc.regions == regions
+        return proc
+
+    def probes(self, rng, regions):
+        addrs = {0, max((r.end for r in regions), default=0) + 1}
+        for r in regions:
+            addrs.update((r.base, r.end - 1, r.end))
+        addrs.update(rng.randrange(0, 0x1000) for _ in range(20))
+        return sorted(addrs)
+
+    def check_against_reference(self, rng, proc):
+        addrs = self.probes(rng, proc.regions)
+        for addr in addrs:
+            assert proc.region_at(addr) is linear_region_at(proc.regions, addr)
+            for size in (0, 1, rng.randrange(1, 0x80)):
+                assert proc.span_free(addr, size) == \
+                    linear_span_free(proc.regions, addr, size)
+        for lo in addrs:
+            hi = rng.choice(addrs)
+            if hi >= lo:
+                assert proc.span_free(lo, hi - lo) == \
+                    linear_span_free(proc.regions, lo, hi - lo)
+
+    def test_bisect_matches_linear_scan(self):
+        rng = random.Random(20140101)
+        for _ in range(300):
+            proc = self.random_process(rng)
+            self.check_against_reference(rng, proc)
+            proc.regions = [r for r in proc.regions if rng.random() < 0.5]
+            self.check_against_reference(rng, proc)
+
+
+def image_regions(proc):
+    return [(r.base, r.perms, r.tag, bytes(r.data)) for r in proc.regions]
+
+
+class TestImageReuse:
+    def test_shared_image_maps_like_fresh_kernels(self):
+        """Preferred base, rebased past an exe at that base, fixed base."""
+        data = dll_fixture()
+        kernel = SimKernel()
+        plain = kernel.create_process("a.exe", exe_fixture())
+        assert kernel.load_module(plain.pid, "x.dll", data) == 0x10000000
+        first = image_regions(plain)
+        blocked = kernel.create_process("b.exe", exe_fixture(base=0x10000000))
+        rebased = kernel.load_module(blocked.pid, "x.dll", data)
+        fixed = kernel.create_process("c.exe", exe_fixture())
+        assert kernel.load_module(fixed.pid, "x.dll", data, base=0x20000000) == 0x20000000
+        assert rebased not in (0x10000000, 0x20000000)
+        assert image_regions(plain) == first
+
+        fresh = SimKernel()
+        proc = fresh.create_process("a.exe", exe_fixture())
+        fresh.load_module(proc.pid, "x.dll", data)
+        assert image_regions(proc) == first
+        fresh = SimKernel()
+        proc = fresh.create_process("b.exe", exe_fixture(base=0x10000000))
+        fresh.load_module(proc.pid, "x.dll", data)
+        assert image_regions(proc) == image_regions(blocked)
+        fresh = SimKernel()
+        proc = fresh.create_process("c.exe", exe_fixture())
+        fresh.load_module(proc.pid, "x.dll", data, base=0x20000000)
+        assert image_regions(proc) == image_regions(fixed)
+
+    def test_each_distinct_image_parsed_once(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(simkernel, "parse_pe",
+                            lambda data: (parsed.append(data), parse_pe(data))[1])
+        kernel = SimKernel()
+        data = dll_fixture()
+        for name in ("a.exe", "b.exe", "c.exe"):
+            proc = kernel.create_process(name, exe_fixture())
+            kernel.load_module(proc.pid, "x.dll", data)
+            kernel.load_module(proc.pid, "y.dll", bytearray(data))
+        assert parsed == [exe_fixture(), data]
+
+    def test_bytearray_image_loads(self):
+        data = dll_fixture()
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", bytearray(exe_fixture()))
+        kernel.load_module(proc.pid, "x.dll", bytearray(data))
+        fresh = SimKernel()
+        expected = fresh.create_process("a.exe", exe_fixture())
+        fresh.load_module(expected.pid, "x.dll", data)
+        assert image_regions(proc) == image_regions(expected)
+
+    def test_malformed_image_fails_every_time(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        bad = dll_fixture()[:0x100]
+        for _ in range(3):
+            with pytest.raises(PeError):
+                kernel.load_module(proc.pid, "bad.dll", bad)
+            with pytest.raises(PeError):
+                kernel.create_process("bad.exe", bad)
+        assert proc.modules == [("a.exe", proc.image_base)]
+
+
+class TestAddressLimit:
+    @pytest.mark.parametrize("base", [0xFFFFF000, -0x10000, -1])
+    def test_requested_base_outside_address_space(self, base, monkeypatch):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        before = image_regions(proc)
+        layouts = []
+        monkeypatch.setattr(simkernel, "assemble_mapped",
+                            lambda image: layouts.append(image))
+        with pytest.raises(AddressSpaceExhausted):
+            kernel.load_module(proc.pid, "x.dll", dll_fixture(), base=base)
+        assert layouts == []
+        assert image_regions(proc) == before
+        assert [name for name, _ in proc.modules] == ["a.exe"]
+
+    def test_preferred_base_outside_address_space(self):
+        kernel = SimKernel()
+        with pytest.raises(AddressSpaceExhausted):
+            kernel.create_process("a.exe", exe_fixture(base=0xFFFFF000))
+
+    def test_image_ending_at_the_limit_maps(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        base = simkernel.ADDRESS_LIMIT - parse_pe(dll_fixture()).nt.size_of_image
+        assert kernel.load_module(proc.pid, "x.dll", dll_fixture(), base=base) == base
+        assert proc.region_at(base + 0x1000).perms == PERM_RX
