@@ -38,11 +38,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sys.stdout.write(rendered)
     if args.log:
         Path(args.log).write_text(rendered, encoding="utf-8")
-    if not result.ok:
-        for pattern in result.unmet:
-            sys.stderr.write(f"unmet expectation: {pattern}\n")
-        return 1
-    return 0
+    for pattern in result.unmet:
+        sys.stderr.write(f"unmet expectation: {pattern}\n")
+    return result.exit_code
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -97,10 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, PeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ScenarioError, PeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

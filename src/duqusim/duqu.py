@@ -8,8 +8,9 @@ stub's restore traffic over the driver's control device.
 
 Stub execution is simulator-native: the byte-level effects (header
 restore, payload mapping, entrypoint restore) are applied to simulated
-memory, but the control flow is host code.  The call-pop self-location
-trick is modeled by handing the stub its own region base.
+memory, but the control flow is host code: ``run_stub``, the code of the
+region the entrypoint hook jumps to.  The call-pop self-location trick is
+modeled by handing the stub its own region base.
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ from typing import Optional
 
 from . import simkernel
 from .peformat import (
+    DEFAULT_SCAN_WINDOW,
+    PatternNotFound,
     PeError,
     PeImage,
     apply_relocations,
     assemble_mapped,
+    encode_entry_hook,
     find_export_by_hash,
     find_export_by_name,
     parse_pe,
-    resolve_near_call,
     restore_headers,
     ror13_hash,
-    section_data,
+    scan_call_push_call,
     strip_headers,
 )
 from .simkernel import (
@@ -58,10 +61,8 @@ KERNEL_FILE_NAMES = ("ntoskrnl.exe", "ntkrnlpa.exe")
 ANCHOR_EXPORT = b"ZwAllocateVirtualMemory"
 HAL_MAX_RETRIES = 200
 DEFAULT_KERNEL_BASE = 0x80000000
-DEFAULT_SCAN_WINDOW = 64
 FUNCTION_TABLE_SIZE = 512
 SAVED_ENTRY_LEN = 12
-HOOK_LEN = 7
 STUB_SHIM_SIZE = 57
 MASK_LEN = 32
 
@@ -79,9 +80,6 @@ DEFAULT_IMPORT_NAMES = (
     "CloseHandle",
     "GetModuleHandleA",
 )
-
-PUSH_104H = bytes([0x68, 0x04, 0x01, 0x00, 0x00])
-CALL_OPCODE = 0xE8
 
 
 class DuquError(Exception):
@@ -113,10 +111,6 @@ class NotStaged(DuquError):
 
 
 class StubFault(DuquError):
-    pass
-
-
-class PatternNotFound(DuquError):
     pass
 
 
@@ -230,42 +224,6 @@ def validate_function(addr: int, first_bytes: bytes, mask: IntegrityMask,
         if (first_bytes[i] & mask.mask[i]) != (mask.reference[i] & mask.mask[i]):
             return False, f"mask byte {i}"
     return True, None
-
-
-def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
-                        window: int = DEFAULT_SCAN_WINDOW,
-                        base: int | None = None) -> tuple[int, int]:
-    """Find the call / push 104h / call pattern in an image's code.
-
-    Scans executable sections for a near call resolving to the anchor
-    export, looks forward up to ``window`` bytes for push 104h, and
-    resolves the next near call after it.  Returns (call site, target).
-    """
-    if base is None:
-        base = image.nt.image_base
-    anchor_va = base + (find_export_by_name(image, anchor_name) - image.nt.image_base)
-    for section in image.sections:
-        if not section.executable:
-            continue
-        data = section_data(image, section)
-        section_va = base + section.virtual_address
-        # A near call is 5 bytes, so it can only start before len - 4.
-        call_end = max(len(data) - 4, 0)
-        off = -1
-        while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
-            site = section_va + off
-            if resolve_near_call(site, data[off:off + 5]) != anchor_va:
-                continue
-            lo = off + 5
-            hi = min(lo + window, len(data))
-            push_at = data.find(PUSH_104H, lo, hi)
-            if push_at == -1:
-                continue
-            cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H), min(hi, call_end))
-            if cursor != -1:
-                call_site = section_va + cursor
-                return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
-    raise PatternNotFound(f"no call/push 104h/call pattern anchored at {anchor_name!r}")
 
 
 def locate_unexported(image: PeImage, anchor_name: bytes | str,
@@ -446,7 +404,7 @@ class DuquDriver:
         if self.kernel.version not in self.versions:
             raise VersionUnsupported(f"version {self.kernel.version} not supported")
         pid = event.pid
-        peb = self.kernel.peb(pid)
+        peb = self.kernel.process(pid).peb
         if peb.image_base_address != event.base:
             raise PebMismatch(
                 f"PEB base {peb.image_base_address:#010x} != {event.base:#010x}")
@@ -459,7 +417,8 @@ class DuquDriver:
 
         stub2_base = kernel.allocate_memory(pid, len(self.stub2), PERM_RWX)
         kernel.write_memory(pid, stub2_base, strip_headers(self.stub2))
-        stub1_base = kernel.allocate_memory(pid, len(self.stub1), PERM_RWX)
+        stub1_base = kernel.allocate_memory(pid, len(self.stub1), PERM_RWX,
+                                            code=self.run_stub)
         kernel.write_memory(pid, stub1_base, strip_headers(self.stub1))
 
         blob = restore_headers(kernel.read_memory(pid, stub1_base, len(self.stub1)))
@@ -505,8 +464,7 @@ class DuquDriver:
             resolved.append((name_hash, event.base + (va - image.nt.image_base)))
         st.kernel32_imports = resolved
         st.saved_entry_bytes = kernel.read_memory(event.pid, st.entry_va, SAVED_ENTRY_LEN)
-        hook = bytes([0xB8]) + struct.pack("<I", st.stub1_base) + bytes([0xFF, 0xD0])
-        kernel.write_memory(event.pid, st.entry_va, hook)
+        kernel.write_memory(event.pid, st.entry_va, encode_entry_hook(st.stub1_base))
         st.hooked = True
         self._log(f"resolved {len(resolved)} kernel32 imports by hash")
         self._log(f"entrypoint hook written at {st.entry_va:#010x} "

@@ -75,7 +75,6 @@ CALL_TRAIN = bytes([
     0xE8, 0x93, 0x96, 0xF1, 0xFF,        # call -> 0x00406882
     0x3B, 0xC3,
 ])
-ANCHOR_CALL_SITE = CALL_TRAIN_VA + 2      # 0x004ED1BE
 PROTECT_CALL_SITE = CALL_TRAIN_VA + 46    # 0x004ED1EA
 
 STUB1_IMAGE_BASE = 0x10000000

@@ -4,7 +4,8 @@ Implements the 32-bit subset the pipeline actually touches: machine 0x014C,
 optional-header magic 0x010B, export directory (index 0) and base-relocation
 directory (index 5), HIGHLOW fixups only.  Everything is plain ``struct``
 over byte buffers; there is no global state, so every function here is safe
-to call concurrently.
+to call concurrently.  The injector, the kernel and the scanner share its
+entrypoint-hook and call / push 104h / call codecs.
 
 Two buffer layouts are understood:
 
@@ -47,6 +48,11 @@ SCN_CNT_INITIALIZED_DATA = 0x00000040
 SCN_MEM_READ = 0x40000000
 SCN_MEM_WRITE = 0x80000000
 SCN_MEM_EXECUTE = 0x20000000
+
+CALL_OPCODE = 0xE8
+PUSH_104H = bytes([0x68, 0x04, 0x01, 0x00, 0x00])
+DEFAULT_SCAN_WINDOW = 64
+HOOK_LEN = 7  # mov eax, imm32 / call eax
 
 _M32 = 0xFFFFFFFF
 
@@ -101,6 +107,10 @@ class AmbiguousHash(PeError):
 
 class NotNearCall(PeError):
     """Byte sequence is not a 5-byte near call."""
+
+
+class PatternNotFound(Exception):
+    """No call / push 104h / call train is anchored at the export."""
 
 
 @dataclass
@@ -204,6 +214,18 @@ def encode_near_call(call_site: int, target: int) -> bytes:
     """Inverse of :func:`resolve_near_call`; used by fixture builders."""
     rel = (target - call_site - 5) & _M32
     return b"\xE8" + struct.pack("<I", rel)
+
+
+def encode_entry_hook(target: int) -> bytes:
+    """The ``mov eax, target / call eax`` bytes written over an entrypoint."""
+    return b"\xB8" + struct.pack("<I", target) + b"\xFF\xD0"
+
+
+def decode_entry_hook(head: bytes) -> int | None:
+    """Target of the entrypoint hook in ``head``, or None if it is not one."""
+    if len(head) != HOOK_LEN or head[0] != 0xB8 or head[5:] != b"\xFF\xD0":
+        return None
+    return struct.unpack_from("<I", head, 1)[0]
 
 
 def _parse_dos(data: bytes) -> DosHeader:
@@ -511,11 +533,6 @@ def emit_pe(image: PeImage) -> bytes:
     return bytes(buf)
 
 
-# Offsets zeroed by strip_headers, relative to (0, e_lfanew):
-#   'MZ' word, signature dword, machine word, optional-header magic word.
-STRIP_SPAN_BYTES = 10
-
-
 def strip_headers(data: bytes) -> bytes:
     """Zero the four identifying constants of a valid PE32 image.
 
@@ -628,3 +645,39 @@ def assemble_mapped(image: PeImage) -> bytearray:
         n = min(len(data), room)
         buf[s.virtual_address:s.virtual_address + n] = data[:n]
     return buf
+
+
+def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
+                        window: int = DEFAULT_SCAN_WINDOW,
+                        base: int | None = None) -> tuple[int, int]:
+    """Find the call / push 104h / call pattern in an image's code.
+
+    Scans executable sections for a near call resolving to the anchor
+    export, looks forward up to ``window`` bytes for push 104h, and
+    resolves the next near call after it.  Returns (call site, target).
+    """
+    if base is None:
+        base = image.nt.image_base
+    anchor_va = base + (find_export_by_name(image, anchor_name) - image.nt.image_base)
+    for section in image.sections:
+        if not section.executable:
+            continue
+        data = section_data(image, section)
+        section_va = base + section.virtual_address
+        # A near call is 5 bytes, so it can only start before len - 4.
+        call_end = max(len(data) - 4, 0)
+        off = -1
+        while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
+            site = section_va + off
+            if resolve_near_call(site, data[off:off + 5]) != anchor_va:
+                continue
+            lo = off + 5
+            hi = min(lo + window, len(data))
+            push_at = data.find(PUSH_104H, lo, hi)
+            if push_at == -1:
+                continue
+            cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H), min(hi, call_end))
+            if cursor != -1:
+                call_site = section_va + cursor
+                return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
+    raise PatternNotFound(f"no call/push 104h/call pattern anchored at {anchor_name!r}")

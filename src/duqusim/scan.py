@@ -2,7 +2,7 @@
 
 Three signatures, all file-level:
 
-* ENTRY_HOOK          - entrypoint bytes match  B8 ?? ?? ?? ?? FF D0
+* ENTRY_HOOK          - entrypoint bytes decode as mov eax, imm32 / call eax
 * ZWPROTECT_PATTERN   - the call / push 104h / call train anchored at a
                         named export resolves (requires --anchor-export)
 * OBFUSCATED_PE_CONST - a code dword equals the plain signature constant,
@@ -17,13 +17,17 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .duqu import DEFAULT_SCAN_WINDOW, PatternNotFound, scan_call_push_call
 from .peformat import (
+    DEFAULT_SCAN_WINDOW,
+    HOOK_LEN,
     SIG_XOR_EXPECT,
     SIG_XOR_KEY,
+    PatternNotFound,
     PeError,
+    decode_entry_hook,
     parse_pe,
     rva_to_offset,
+    scan_call_push_call,
     section_data,
 )
 
@@ -72,13 +76,11 @@ def scan_pe(data: bytes, path: str = "<buffer>",
         off = rva_to_offset(image, entry_rva)
     except PeError:
         off = None
-    if off is not None and off + 7 <= len(data):
-        head = data[off:off + 7]
-        if head[0] == 0xB8 and head[5:7] == b"\xFF\xD0":
-            target = struct.unpack_from("<I", head, 1)[0]
-            report.findings.append(Finding(
-                ENTRY_HOOK, entry_va,
-                f"mov eax, {target:#010x} / call eax at the entrypoint"))
+    target = None if off is None else decode_entry_hook(data[off:off + HOOK_LEN])
+    if target is not None:
+        report.findings.append(Finding(
+            ENTRY_HOOK, entry_va,
+            f"mov eax, {target:#010x} / call eax at the entrypoint"))
     if anchor_export:
         try:
             site, target = scan_call_push_call(image, anchor_export, window=window)

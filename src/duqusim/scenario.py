@@ -29,13 +29,12 @@ from pathlib import Path
 
 from .duqu import (
     DEFAULT_KERNEL_BASE,
-    DEFAULT_SCAN_WINDOW,
     DuquDriver,
     DuquError,
     Halted,
     IntegrityMask,
 )
-from .peformat import PeError
+from .peformat import DEFAULT_SCAN_WINDOW, PeError
 from .sentinel import SentinelDriver
 from .simkernel import SimError, SimKernel
 
@@ -225,22 +224,6 @@ class ScenarioRunner:
             return
         raise ScenarioError(f"unknown driver {name!r}", cmd.line_no)
 
-    def _run_process_entry(self, pid: int) -> None:
-        """Scenario ``run`` step: hand control to the process entrypoint.
-
-        If a registered injector has hooked this process the stub chain
-        runs; otherwise the original entrypoint just executes.
-        """
-        for driver in self.drivers.values():
-            if isinstance(driver, DuquDriver):
-                state = driver.state
-                if state.hooked and state.target_pid == pid:
-                    driver.run_stub(pid)
-                    return
-        name = self.kernel.process_name(pid)
-        self.kernel.log_line("loader", f"* Process {name} pid={pid:#x} runs its "
-                                       f"entrypoint *")
-
     def execute(self, commands: list[Command]) -> ScenarioResult:
         result = ScenarioResult(kernel=self.kernel)
         for cmd in commands:
@@ -266,7 +249,7 @@ class ScenarioRunner:
                                             base=_parse_int(cmd.options, "base",
                                                             cmd.line_no, radix=16))
                 elif cmd.op == "run":
-                    self._run_process_entry(self._resolve_pid(cmd.args[0], cmd.line_no))
+                    self.kernel.run_entrypoint(self._resolve_pid(cmd.args[0], cmd.line_no))
             except (SimError, PeError, DuquError) as exc:
                 # Runtime faults are part of the observable transcript.
                 self.kernel.log_line("runner",

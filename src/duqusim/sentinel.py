@@ -5,8 +5,8 @@ its PEB and mapped headers, the first 12 bytes are hashed and stored.
 Every later module load for that process re-reads and re-hashes those
 bytes; a mismatch means something rewrote the entrypoint between the two
 notifications, and the process is terminated (or merely flagged in
-report-only mode).  An unreadable entrypoint counts as a mismatch: fail
-closed rather than let tampering hide behind a fault.
+report-only mode).  Unreadable headers or entrypoint bytes count as a
+mismatch: fail closed rather than let tampering hide behind a fault.
 """
 
 from __future__ import annotations
@@ -27,14 +27,6 @@ DISPLAY_SPAN = 8    # bytes echoed in log lines
 HEADER_PROBE = 0x400
 
 DEFAULT_WATCH = ("services.exe",)
-
-
-class SentinelError(Exception):
-    pass
-
-
-class PebUnreadable(SentinelError):
-    """Process vanished before its PEB could be examined."""
 
 
 @dataclass
@@ -78,9 +70,9 @@ class SentinelDriver:
         self._log(f"-+* Create process {pid:#x} *+-")
         try:
             proc = self.kernel.process(pid)
-        except SimError as exc:
+        except SimError:  # already gone: nothing left to protect
             self._log(f"ProcessImageInformation: PEB unreadable for {pid:#x}")
-            raise PebUnreadable(str(exc)) from exc
+            return
         base = proc.peb.image_base_address
         self._log(f"ProcessImageInformation: PEB={proc.peb_address:#010x} "
                   f"ImageBaseAddress={base:#010x} UniqueProcessId={pid:#x}")
@@ -94,7 +86,8 @@ class SentinelDriver:
             first = self.kernel.read_memory(pid, entry, HASH_SPAN)
         except (SimError, PeError) as exc:
             self._log(f"ProcessImageInformation: headers unreadable ({exc})")
-            raise PebUnreadable(str(exc)) from exc
+            self._mismatch(pid, proc.name, proc.name)
+            return
         checksum = ror13_hash(first)
         self._log(f"Entrypoint bytes at {entry:#010x}: {_hex_bytes(first[:DISPLAY_SPAN])}")
         self._log(f"CreateProcessNotify: ImageBaseAddress={base:#010x} "
@@ -114,7 +107,7 @@ class SentinelDriver:
         self._log(f"LoadImageNotifyRoutine: ImageBaseAddress={event.base:#010x} "
                   f"ProcessId={event.pid:#x}")
         try:
-            name = self.kernel.process_name(event.pid)
+            name = self.kernel.process(event.pid).name
         except SimError:
             name = f"pid {event.pid:#x}"
         self._log(f"-> Verify {name} process:")

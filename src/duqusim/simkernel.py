@@ -6,6 +6,10 @@ receive process-create / image-load / process-exit notifications in
 registration order.  Dispatch is synchronous and single-threaded: a
 notification emitted while another is being dispatched queues behind it,
 so identical inputs always produce identical event sequences and logs.
+A handler's exception is logged as ``! fault: <driver>: <Type>: <message>``
+and dispatch goes on to the later drivers and queued events.  Control flow
+follows simulated memory: :meth:`SimKernel.run_entrypoint` decodes the
+entrypoint, and a hook there runs the ``code`` of the region it targets.
 
 Writes performed by an earlier-registered driver are visible to every
 later-registered driver handling the same event; that asymmetry is the
@@ -26,10 +30,12 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from .peformat import (
+    HOOK_LEN,
     SCN_MEM_WRITE,
     PeImage,
     apply_relocations,
     assemble_mapped,
+    decode_entry_hook,
     parse_headers,
     parse_pe,
 )
@@ -139,12 +145,17 @@ class ReentrantCall(SimError):
     pass
 
 
+class NotSimulated(SimError):
+    """Control reached a region that has no simulated code."""
+
+
 @dataclass
 class MemoryRegion:
     base: int
     data: bytearray
     perms: Perm
     tag: str
+    code: Optional[Callable[[int], None]] = None  # run with the pid on entry
 
     @property
     def end(self) -> int:
@@ -164,6 +175,7 @@ class SimProcess:
         self.pid = pid
         self.name = name
         self.image_base = 0
+        self.entry_point = 0
         self.peb = Peb(image_base_address=0)
         self.peb_address = peb_address
         # Sorted by base and pairwise disjoint, so a lookup only has to
@@ -191,12 +203,11 @@ class SimProcess:
 
 
 class Driver:
-    """A registered driver: named handler set plus owned devices."""
+    """A registered driver: a name and its notification handlers."""
 
     def __init__(self, name: str):
         self.name = name
         self.handlers: dict[EventKind, Callable[[NotificationEvent], None]] = {}
-        self.devices: list[str] = []
 
 
 class SimKernel:
@@ -241,7 +252,6 @@ class SimKernel:
         if path in self.devices:
             raise DuplicateDevice(f"device {path!r} already exists")
         self.devices[path] = (driver, handler)
-        driver.devices.append(path)
 
     def send_device_request(self, request: DeviceRequest) -> bytes:
         if request.device not in self.devices:
@@ -261,20 +271,11 @@ class SimKernel:
     # processes and modules
     # ------------------------------------------------------------------
 
-    def _proc(self, pid: int) -> SimProcess:
+    def process(self, pid: int) -> SimProcess:
         proc = self.processes.get(pid)
         if proc is None or not proc.alive:
             raise NoSuchProcess(f"no live process {pid:#x}")
         return proc
-
-    def process(self, pid: int) -> SimProcess:
-        return self._proc(pid)
-
-    def peb(self, pid: int) -> Peb:
-        return self._proc(pid).peb
-
-    def process_name(self, pid: int) -> str:
-        return self._proc(pid).name
 
     def find_module(self, names: tuple[str, ...]) -> Optional[tuple[int, str, int]]:
         """First (pid, module name, base) whose basename matches any name."""
@@ -301,6 +302,7 @@ class SimKernel:
         self.processes[pid] = proc
         mapped_base = self._map_image(proc, parsed, name, base)
         proc.image_base = mapped_base
+        proc.entry_point = mapped_base + parsed.nt.entry_point_rva
         proc.peb.image_base_address = mapped_base
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Created process {name} pid={pid:#x} *")
@@ -314,7 +316,7 @@ class SimKernel:
                     base: int | None = None) -> int:
         if self._dispatching:
             raise ReentrantCall("load_module called from a notification handler")
-        proc = self._proc(pid)
+        proc = self.process(pid)
         parsed = self._parse_image(image)
         mapped_base = self._map_image(proc, parsed, name, base)
         proc.modules.append((name, mapped_base))
@@ -324,22 +326,34 @@ class SimKernel:
         return mapped_base
 
     def terminate_process(self, pid: int) -> None:
-        proc = self._proc(pid)
+        proc = self.process(pid)
         proc.alive = False
         self.log_line("loader", f"* Process {proc.name} pid={pid:#x} exited *")
         self._emit(NotificationEvent(EventKind.PROCESS_EXIT, pid))
+
+    def run_entrypoint(self, pid: int) -> None:
+        """Run a process's entrypoint; a hook there runs its target region's code."""
+        proc = self.process(pid)
+        target = decode_entry_hook(self.read_memory(pid, proc.entry_point, HOOK_LEN))
+        if target is None:
+            self.log_line("loader", f"* Process {proc.name} pid={pid:#x} runs its entrypoint *")
+            return
+        region = self._walk_span(proc, target, 1, Perm.EXECUTE)[0][0]
+        if region.code is None:
+            raise NotSimulated(f"no simulated code at {target:#010x}")
+        region.code(pid)
 
     # ------------------------------------------------------------------
     # memory
     # ------------------------------------------------------------------
 
     def read_memory(self, pid: int, addr: int, length: int) -> bytes:
-        proc = self._proc(pid)
+        proc = self.process(pid)
         pieces = self._walk_span(proc, addr, length, Perm.READ)
         return b"".join(bytes(r.data[lo:hi]) for r, lo, hi in pieces)
 
     def write_memory(self, pid: int, addr: int, data: bytes) -> None:
-        proc = self._proc(pid)
+        proc = self.process(pid)
         pieces = self._walk_span(proc, addr, len(data), Perm.WRITE)
         pos = 0
         for r, lo, hi in pieces:
@@ -368,9 +382,9 @@ class SimKernel:
         return pieces
 
     def allocate_memory(self, pid: int, size: int, perms: Perm,
-                        tag: str = "injected") -> int:
+                        code: Callable[[int], None] | None = None) -> int:
         """Fresh zero-filled region at the lowest free address >= the floor."""
-        proc = self._proc(pid)
+        proc = self.process(pid)
         if size <= 0:
             raise InvalidAllocation(f"allocation size {size} must be positive")
         base = ALLOC_FLOOR
@@ -382,13 +396,12 @@ class SimKernel:
             base = region.end
         if base + size > ADDRESS_LIMIT:
             raise AddressSpaceExhausted(f"no room for {size:#x} bytes")
-        region = MemoryRegion(base=base, data=bytearray(size), perms=perms, tag=tag)
-        proc.add_region(region)
+        proc.add_region(MemoryRegion(base, bytearray(size), perms, "injected", code))
         return base
 
     def protect_memory(self, pid: int, addr: int, length: int, perms: Perm) -> Perm:
         """Swap a region's permissions; returns the previous set."""
-        proc = self._proc(pid)
+        proc = self.process(pid)
         region = proc.region_at(addr)
         if region is None:
             raise UnmappedAddress(addr)
@@ -404,7 +417,7 @@ class SimKernel:
         Gaps between mapped regions come back zero-filled, matching what
         the loader laid down.
         """
-        proc = self._proc(pid)
+        proc = self.process(pid)
         header_region = proc.region_at(base)
         if header_region is None:
             raise UnmappedAddress(base)
@@ -450,7 +463,7 @@ class SimKernel:
                                                  image.relocations))
         first_va = min(s.virtual_address for s in image.sections)
         proc.add_region(MemoryRegion(
-            base=base, data=bytearray(mapped[:first_va]),
+            base=base, data=mapped[:first_va],
             perms=PERM_R, tag=f"image:{name}"))
         for s in image.sections:
             span = min(s.virtual_span, size - s.virtual_address)
@@ -464,7 +477,7 @@ class SimKernel:
                 perms = PERM_R
             proc.add_region(MemoryRegion(
                 base=base + s.virtual_address,
-                data=bytearray(mapped[s.virtual_address:s.virtual_address + span]),
+                data=mapped[s.virtual_address:s.virtual_address + span],
                 perms=perms, tag=f"image:{name}"))
         return base
 
@@ -486,8 +499,12 @@ class SimKernel:
                 self._run_init_waiters()
                 for driver in list(self.drivers):
                     handler = driver.handlers.get(event.kind)
-                    if handler is not None:
-                        handler(event)
+                    try:
+                        if handler is not None:
+                            handler(event)
+                    except Exception as exc:  # one driver's fault stops no other
+                        self.log_line(driver.name, f"! fault: {driver.name}: "
+                                                   f"{type(exc).__name__}: {exc}")
         finally:
             self._dispatching = False
 

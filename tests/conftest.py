@@ -27,6 +27,17 @@ def fixture_bytes(fixture_dir):
     return load
 
 
+def small_image() -> bytes:
+    """A valid 0x300-byte PE32 whose image ends before a 0x400-byte header probe."""
+    from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
+
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x200,
+        sections=[SectionDef(".text", 0x200, b"\x90" * 0x100, CODE_SECTION,
+                             virtual_size=0x100)],
+        size_of_image=0x300, section_align=0x100))
+
+
 def boot_kernel(fixture_dir, *, sentinel_first=True, with_sentinel=True,
                 with_duqu=True, mode="normal", duqu_kwargs=None):
     """Kernel with drivers registered and the boot modules loaded."""

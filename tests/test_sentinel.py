@@ -1,3 +1,6 @@
+import pytest
+
+from duqusim.cli import main
 from duqusim.fixtures import SERVICES_ENTRY_BYTES
 from duqusim.sentinel import HASH_SPAN, SentinelDriver
 from duqusim.simkernel import (
@@ -7,7 +10,7 @@ from duqusim.simkernel import (
     SimKernel,
 )
 
-from conftest import boot_kernel
+from conftest import boot_kernel, small_image
 from oracles import ror13_oracle
 
 
@@ -165,3 +168,49 @@ class TestOrderingSensitivity:
         assert ("kernel32.dll", "MISMATCH") in sentinel.verdicts
         assert ("kernel32.dll", "OK") not in sentinel.verdicts
         assert not services.alive
+
+
+class TestFailClosedAtCreation:
+    """Headers the monitor cannot read at creation are a mismatch, not a crash."""
+
+    def create_small(self, **sentinel_kwargs):
+        kernel = SimKernel()
+        sentinel = SentinelDriver(kernel, watch=("tiny.exe",), **sentinel_kwargs)
+        proc = kernel.create_process("tiny.exe", small_image())
+        return kernel, sentinel, proc
+
+    def test_small_image_terminated(self):
+        kernel, sentinel, proc = self.create_small()
+        texts = [t for _, t in kernel.log]
+        assert any(t.startswith("ProcessImageInformation: headers unreadable (")
+                   for t in texts)
+        assert sentinel.verdicts == [("tiny.exe", "MISMATCH")]
+        assert not proc.alive
+        assert sentinel.records == {}
+        assert "-> Terminating tiny.exe" in texts
+
+    def test_small_image_flagged_in_report_only(self):
+        kernel, sentinel, proc = self.create_small(report_only=True)
+        assert sentinel.verdicts == [("tiny.exe", "MISMATCH")]
+        assert proc.alive
+        assert "-> Flagged tiny.exe (report-only)" in [t for _, t in kernel.log]
+
+    def test_vanished_process_is_logged_and_skipped(self):
+        kernel = SimKernel()
+        sentinel = SentinelDriver(kernel)
+        sentinel.on_process_create(NotificationEvent(EventKind.PROCESS_CREATE, 0x999))
+        assert kernel.log[-1] == ("sentinel",
+                                  "ProcessImageInformation: PEB unreadable for 0x999")
+        assert sentinel.verdicts == [] and sentinel.records == {}
+
+    @pytest.mark.parametrize("report_only", ["0", "1"])
+    def test_cli_run_ends_without_traceback(self, tmp_path, capsys, report_only):
+        (tmp_path / "tiny.exe").write_bytes(small_image())
+        scenario = tmp_path / "tiny.scenario"
+        scenario.write_text(f"driver sentinel watch=tiny.exe report-only={report_only}\n"
+                            "process tiny.exe tiny.exe\n"
+                            "expect -> Checksum error !!!!\n")
+        assert main(["run", str(scenario)]) == 0
+        out = capsys.readouterr().out
+        assert "headers unreadable" in out
+        assert ("Flagged tiny.exe" in out) == (report_only == "1")

@@ -4,7 +4,7 @@ import pytest
 
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32, reloc_block
 from duqusim import simkernel
-from duqusim.peformat import NotMz, PeError, parse_pe
+from duqusim.peformat import HOOK_LEN, NotMz, PeError, encode_entry_hook, parse_pe
 from duqusim.simkernel import (
     PERM_R,
     PERM_RW,
@@ -22,6 +22,7 @@ from duqusim.simkernel import (
     MemoryRegion,
     NoSuchDevice,
     NoSuchProcess,
+    NotSimulated,
     Perm,
     SimKernel,
     SimProcess,
@@ -571,3 +572,77 @@ class TestAddressLimit:
         base = simkernel.ADDRESS_LIMIT - parse_pe(dll_fixture()).nt.size_of_image
         assert kernel.load_module(proc.pid, "x.dll", dll_fixture(), base=base) == base
         assert proc.region_at(base + 0x1000).perms == PERM_RX
+
+
+class TestFaultIsolation:
+    def test_raising_handler_neither_stops_dispatch_nor_strands_events(self):
+        kernel = SimKernel()
+        seen = []
+        faulty, killer, recorder = Driver("faulty"), Driver("killer"), Driver("recorder")
+
+        def boom(event):
+            raise ValueError(f"bad {event.kind.value}")
+
+        for kind in EventKind:
+            faulty.handlers[kind] = boom
+            recorder.handlers[kind] = lambda e: seen.append((e.kind, e.module_name))
+        killer.handlers[EventKind.IMAGE_LOAD] = lambda e: kernel.terminate_process(e.pid)
+        for driver in (faulty, killer, recorder):
+            kernel.register_driver(driver)
+        kernel.create_process("a.exe", exe_fixture())
+        assert seen == [(EventKind.PROCESS_CREATE, None),
+                        (EventKind.IMAGE_LOAD, "a.exe"),
+                        (EventKind.PROCESS_EXIT, None)]
+        assert not kernel._queue
+        assert kernel._dispatching is False
+        assert [entry for entry in kernel.log if "! fault:" in entry[1]] == [
+            ("faulty", f"! fault: faulty: ValueError: bad {kind}")
+            for kind in ("PROCESS_CREATE", "IMAGE_LOAD", "PROCESS_EXIT")]
+
+
+class TestRunEntrypoint:
+    def hook_entry(self, kernel, proc, target):
+        entry = proc.entry_point
+        kernel.protect_memory(proc.pid, entry, HOOK_LEN, PERM_RWX)
+        kernel.write_memory(proc.pid, entry, encode_entry_hook(target))
+
+    def test_entry_point_from_headers(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture(entry=0x1040))
+        assert proc.entry_point == 0x01001040
+
+    def test_plain_entrypoint_logs_start(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        kernel.run_entrypoint(proc.pid)
+        assert kernel.log[-1] == ("loader", "* Process a.exe pid=0x910 runs its entrypoint *")
+
+    def test_hook_runs_code_of_target_region(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        calls = []
+        stub = kernel.allocate_memory(proc.pid, 0x40, PERM_RX, code=calls.append)
+        self.hook_entry(kernel, proc, stub + 0x10)
+        log_len = len(kernel.log)
+        kernel.run_entrypoint(proc.pid)
+        assert calls == [proc.pid]
+        assert len(kernel.log) == log_len
+
+    @pytest.mark.parametrize("make_target, error", [
+        (lambda k, p: 0x00010000, UnmappedAddress),
+        (lambda k, p: k.allocate_memory(p.pid, 0x40, PERM_RW, code=print), AccessViolation),
+        (lambda k, p: p.entry_point + 0x20, NotSimulated),
+    ])
+    def test_bad_hook_targets_raise(self, make_target, error):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        self.hook_entry(kernel, proc, make_target(kernel, proc))
+        with pytest.raises(error):
+            kernel.run_entrypoint(proc.pid)
+
+    def test_dead_process_runs_nothing(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        kernel.terminate_process(proc.pid)
+        with pytest.raises(NoSuchProcess):
+            kernel.run_entrypoint(proc.pid)
