@@ -94,10 +94,6 @@ class ConfigDecryptFailed(DuquError):
     pass
 
 
-class HalNeverLoaded(DuquError):
-    pass
-
-
 class VersionUnsupported(DuquError):
     pass
 
@@ -279,8 +275,6 @@ class DuquDriver:
         self.handle = kernel.register_driver(self.driver)
         self.state = SharedState()
         self.initialized = False
-        self.init_error: Optional[DuquError] = None
-        self.last_error: Optional[Exception] = None
         self.functions_valid = False
         self._hal_retries = 0
         self._key = 0
@@ -324,8 +318,6 @@ class DuquDriver:
             self._finish_init()
             return True
         if self._hal_retries >= HAL_MAX_RETRIES:
-            self.init_error = HalNeverLoaded(
-                f"hal.dll still missing after {HAL_MAX_RETRIES} requeues")
             self._log(f"giving up on hal.dll after {HAL_MAX_RETRIES} requeues")
             return True
         return False
@@ -348,7 +340,6 @@ class DuquDriver:
             site, protect_va = scan_call_push_call(image, ANCHOR_EXPORT,
                                                    window=self.window, base=base)
         except (PeError, SimError, PatternNotFound) as exc:
-            self.last_error = exc
             self._log(f"kernel function discovery failed: {exc}")
             return
         self._log(f"anchor export at {alloc_va:#010x}; unexported neighbor "
@@ -373,26 +364,15 @@ class DuquDriver:
 
     def _on_image_load(self, event: NotificationEvent) -> None:
         config = self.state.config
-        if config is None:
-            return
-        try:
-            self.kernel.process(event.pid)
-        except SimError:
+        proc = self.kernel.processes.get(event.pid)
+        if config is None or proc is None or not proc.alive:
             return
         module = (event.module_name or "").rsplit("\\", 1)[-1].lower()
         if module == config.target_process.lower() and self.state.target_pid is None:
-            try:
-                self.on_image_load_first(event)
-            except (DuquError, PeError, SimError) as exc:
-                self.last_error = exc
-                self._log(f"injection aborted: {type(exc).__name__}: {exc}")
+            self.on_image_load_first(event)
         elif (module == "kernel32.dll" and event.pid == self.state.target_pid
               and not self.state.hooked):
-            try:
-                self.on_image_load_second(event)
-            except (DuquError, PeError, SimError) as exc:
-                self.last_error = exc
-                self._log(f"hook aborted: {type(exc).__name__}: {exc}")
+            self.on_image_load_second(event)
 
     def on_image_load_first(self, event: NotificationEvent) -> None:
         """Target-module notification: verify, then stage the injection.
@@ -511,7 +491,6 @@ class DuquDriver:
         except (PeError, SimError) as exc:
             raise StubFault(f"stub aborted: {exc}") from exc
 
-        kernel.mark("PAYLOAD_STARTED", pid)
         kernel.log_line(self.driver.name, f"* PAYLOAD_STARTED pid={pid:#x} *")
         pid_blob = struct.pack("<I", pid)
         kernel.send_device_request(DeviceRequest(CONTROL_DEVICE, RESTORE_ENTRYPOINT,
@@ -534,7 +513,6 @@ class DuquDriver:
             if st.saved_entry_bytes is None or pid != st.target_pid:
                 return b""
             self.kernel.write_memory(pid, st.entry_va, st.saved_entry_bytes)
-            self.kernel.mark("RESTORE_ENTRYPOINT", pid)
             self._log(f"RESTORE_ENTRYPOINT pid={pid:#x} "
                       f"({SAVED_ENTRY_LEN} bytes at {st.entry_va:#010x})")
             return st.saved_entry_bytes
@@ -542,7 +520,6 @@ class DuquDriver:
             if st.saved_perms is None or pid != st.target_pid:
                 return b""
             self.kernel.protect_memory(pid, st.entry_va, SAVED_ENTRY_LEN, st.saved_perms)
-            self.kernel.mark("RESTORE_PROTECTION", pid)
             self._log(f"RESTORE_PROTECTION pid={pid:#x} "
                       f"(perms {st.saved_perms.describe()})")
             return st.saved_perms.describe().encode("ascii")

@@ -53,6 +53,8 @@ CALL_OPCODE = 0xE8
 PUSH_104H = bytes([0x68, 0x04, 0x01, 0x00, 0x00])
 DEFAULT_SCAN_WINDOW = 64
 HOOK_LEN = 7  # mov eax, imm32 / call eax
+# Largest size_of_image parsed: mapping an image allocates that many bytes.
+MAX_IMAGE_SIZE = 0x04000000
 
 _M32 = 0xFFFFFFFF
 
@@ -259,6 +261,8 @@ def _parse_nt(data: bytes, e_lfanew: int) -> tuple[NtHeaders, int]:
     size_of_image = _u32(data, oh + 56)
     if entry_point_rva >= size_of_image:
         raise NotPe("entry point RVA outside the image")
+    if size_of_image > MAX_IMAGE_SIZE:
+        raise NotPe(f"size_of_image {size_of_image:#x} above {MAX_IMAGE_SIZE:#x}")
     dir_count = min(_u32(data, oh + 92), 16)
     dirs = []
     for i in range(dir_count):

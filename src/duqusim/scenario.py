@@ -17,7 +17,8 @@ scenario file, and a runner reads each one once.  Driver options:
     duqu:     config=<blob> stub1=<pe> stub2=<pe> [mask=<json>]
               [kernel-base=0x...] [window=N]
 
-A malformed option value is a :class:`ScenarioError`.
+An option key the command does not read, or a malformed option value,
+is a :class:`ScenarioError`; ``set-mode`` and ``run`` take no options.
 ``expect`` lines must match produced log lines as substrings, in order.
 """
 
@@ -39,6 +40,11 @@ from .sentinel import SentinelDriver
 from .simkernel import SimError, SimKernel
 
 MODES = ("normal", "debug", "failsafe")
+
+# The option keys each command reads; any other key is a ScenarioError.
+OPTION_KEYS = {"set-mode": (), "run": (), "process": ("base",), "module": ("base",),
+               "driver sentinel": ("watch", "report-only"),
+               "driver duqu": ("config", "stub1", "stub2", "mask", "kernel-base", "window")}
 
 
 class ScenarioError(Exception):
@@ -63,7 +69,6 @@ class ScenarioResult:
     lines: list[tuple[str, str]] = field(default_factory=list)
     expectations: list[str] = field(default_factory=list)
     unmet: list[str] = field(default_factory=list)
-    audit: list[tuple] = field(default_factory=list)
     drivers: dict[str, object] = field(default_factory=dict)
     kernel: SimKernel | None = None
 
@@ -119,6 +124,12 @@ def parse_scenario(text: str) -> list[Command]:
                 raise ScenarioError("run takes <pid-ref>", line_no)
         else:
             raise ScenarioError(f"unknown command {op!r}", line_no)
+        # An unknown driver name is left for the runner to report.
+        allowed = OPTION_KEYS.get(f"driver {args[0].lower()}" if op == "driver" else op,
+                                  options)
+        for key in options:
+            if key not in allowed:
+                raise ScenarioError(f"unknown option {key!r}", line_no)
         commands.append(Command(op, args, options, line_no))
     return commands
 
@@ -255,7 +266,6 @@ class ScenarioRunner:
                 self.kernel.log_line("runner",
                                      f"! error: {type(exc).__name__}: {exc}")
         result.lines = list(self.kernel.log)
-        result.audit = list(self.kernel.audit)
         result.drivers = dict(self.drivers)
         result.unmet = match_expectations(result.expectations, result.text_lines())
         return result

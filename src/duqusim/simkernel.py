@@ -6,8 +6,9 @@ receive process-create / image-load / process-exit notifications in
 registration order.  Dispatch is synchronous and single-threaded: a
 notification emitted while another is being dispatched queues behind it,
 so identical inputs always produce identical event sequences and logs.
-A handler's exception is logged as ``! fault: <driver>: <Type>: <message>``
-and dispatch goes on to the later drivers and queued events.  Control flow
+The log is the one record of a run.  Only dispatch turns a handler's
+exception into a line, ``! fault: <driver>: <Type>: <message>``, and then
+goes on to the later drivers and queued events.  Control flow
 follows simulated memory: :meth:`SimKernel.run_entrypoint` decodes the
 entrypoint, and a hook there runs the ``code`` of the region it targets.
 
@@ -218,7 +219,6 @@ class SimKernel:
         self.devices: dict[str, tuple[Driver, Callable[[DeviceRequest], bytes]]] = {}
         self.processes: dict[int, SimProcess] = {}
         self.log: list[tuple[str, str]] = []
-        self.audit: list[tuple] = []
         self._queue: deque[NotificationEvent] = deque()
         self._dispatching = False
         self._init_waiters: list[Callable[[], bool]] = []
@@ -227,14 +227,11 @@ class SimKernel:
         self._next_peb = PEB_START
 
     # ------------------------------------------------------------------
-    # logging / audit
+    # logging
     # ------------------------------------------------------------------
 
     def log_line(self, source: str, text: str) -> None:
         self.log.append((source, text))
-
-    def mark(self, kind: str, pid: int) -> None:
-        self.audit.append((kind, pid))
 
     # ------------------------------------------------------------------
     # drivers and devices
@@ -307,6 +304,8 @@ class SimKernel:
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Created process {name} pid={pid:#x} *")
         self._emit(NotificationEvent(EventKind.PROCESS_CREATE, pid))
+        if not proc.alive:  # a create handler terminated it: nothing was loaded
+            return proc
         self.log_line("loader", f"* Loaded module {name} *")
         self._emit(NotificationEvent(EventKind.IMAGE_LOAD, pid, module_name=name,
                                      base=mapped_base))
@@ -486,7 +485,6 @@ class SimKernel:
     # ------------------------------------------------------------------
 
     def _emit(self, event: NotificationEvent) -> None:
-        self.audit.append((event.kind.value, event.pid, event.module_name, event.base))
         self._queue.append(event)
         if not self._dispatching:
             self._drain()

@@ -96,6 +96,12 @@ class TestCliCommands:
         assert err.startswith("error: line 1: bad report-only 'ture'")
         assert err.count("\n") == 1
 
+    def test_run_unknown_option_key_exit_two(self, tmp_path, capsys):
+        scenario = tmp_path / "typo.scenario"
+        scenario.write_text("driver sentinel reportonly=1\n")
+        assert main(["run", str(scenario)]) == 2
+        assert capsys.readouterr().err == "error: line 1: unknown option 'reportonly'\n"
+
     def test_run_json_format(self, fixture_dir, capsys, monkeypatch):
         monkeypatch.setenv("SENTINEL_LOG_FORMAT", "json")
         assert main(["run", str(fixture_dir / "poc_duqu_attack.scenario")]) == 0

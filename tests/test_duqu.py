@@ -12,14 +12,12 @@ from duqusim.duqu import (
     RESTORE_PROTECTION,
     ConfigDecryptFailed,
     DuquDriver,
-    HalNeverLoaded,
     InjectionConfig,
     IntegrityMask,
     NotStaged,
     PatternNotFound,
     PebMismatch,
     StubFault,
-    VersionUnsupported,
     decode_config,
     decrypt_blob,
     default_mask,
@@ -266,11 +264,13 @@ class TestBootInit:
         proc = kernel.create_process("System",
                                      (fixture_dir / "system.bin").read_bytes())
         module = (fixture_dir / "ntdll.dll").read_bytes()
+        give_up = ("duqu", "DuquDriver: giving up on hal.dll after 200 requeues")
         for i in range(197):
             kernel.load_module(proc.pid, f"mod{i}.dll", module)
-        assert duqu.init_error is None
+        assert duqu._hal_retries == 199
+        assert give_up not in kernel.log
         kernel.load_module(proc.pid, "mod197.dll", module)  # recheck #200
-        assert isinstance(duqu.init_error, HalNeverLoaded)
+        assert kernel.log.count(give_up) == 1
         assert duqu._hal_retries == 200
         assert not duqu.initialized
         assert DEVICE_GPD1 not in kernel.devices
@@ -347,7 +347,9 @@ class TestFirstNotification:
         kernel.create_process("services.exe",
                               (fixture_dir / "services.exe").read_bytes())
         duqu = drivers["duqu"]
-        assert isinstance(duqu.last_error, VersionUnsupported)
+        faults = [t for _, t in kernel.log if t.startswith("! fault:")]
+        assert faults == ["! fault: duqu: VersionUnsupported: "
+                          "version 5.1.2600 not supported"]
         assert duqu.state.target_pid is None
 
 
@@ -406,8 +408,7 @@ class TestSecondNotification:
             dll=True))
         before = kernel.read_memory(services.pid, duqu.state.entry_va, 12)
         kernel.load_module(services.pid, "kernel32.dll", partial, base=0x7C800000)
-        from duqusim.peformat import HashNotFound
-        assert isinstance(duqu.last_error, HashNotFound)
+        assert any(t.startswith("! fault: duqu: HashNotFound: ") for _, t in kernel.log)
         assert not duqu.state.hooked
         assert kernel.read_memory(services.pid, duqu.state.entry_va, 12) == before
 
@@ -433,10 +434,12 @@ class TestRunStub:
     def test_event_order(self, fixture_dir):
         kernel, duqu, services = self.full_chain(fixture_dir)
         duqu.run_stub(services.pid)
-        marks = [a[0] for a in kernel.audit
-                 if a[0] in ("PAYLOAD_STARTED", "RESTORE_ENTRYPOINT",
-                             "RESTORE_PROTECTION")]
-        assert marks == ["PAYLOAD_STARTED", "RESTORE_ENTRYPOINT", "RESTORE_PROTECTION"]
+        pid = services.pid
+        wanted = (f"* PAYLOAD_STARTED pid={pid:#x} *",
+                  f"DuquDriver: RESTORE_ENTRYPOINT pid={pid:#x} ",
+                  f"DuquDriver: RESTORE_PROTECTION pid={pid:#x} ")
+        marks = [w for _, t in kernel.log for w in wanted if t.startswith(w)]
+        assert marks == list(wanted)
 
     def test_entry_bytes_and_perms_fully_restored(self, fixture_dir):
         kernel, duqu, services = self.full_chain(fixture_dir)

@@ -6,6 +6,7 @@ import pytest
 
 from duqusim import peformat
 from duqusim.peformat import (
+    MAX_IMAGE_SIZE,
     AmbiguousHash,
     BadShape,
     HashNotFound,
@@ -22,6 +23,7 @@ from duqusim.peformat import (
     encode_near_call,
     find_export_by_hash,
     find_export_by_name,
+    parse_headers,
     parse_pe,
     resolve_near_call,
     restore_headers,
@@ -37,6 +39,8 @@ from duqusim.pebuild import (
     random_pe32,
     reloc_block,
 )
+from duqusim.scan import scan_pe
+from duqusim.scenario import run_scenario
 
 from oracles import (
     apply_relocations_oracle,
@@ -210,6 +214,36 @@ class TestParseEmit:
             parse_pe(data[:70])
         with pytest.raises(Truncated):
             parse_pe(data[:-1])
+
+
+def oversized_image() -> bytes:
+    return minimal_fixture(size_of_image=MAX_IMAGE_SIZE + 0x1000)
+
+
+class TestImageSizeBound:
+    """A header may claim up to 4 GiB; nothing past MAX_IMAGE_SIZE is parsed."""
+
+    def test_bound_itself_parses(self):
+        data = minimal_fixture(size_of_image=MAX_IMAGE_SIZE)
+        assert parse_pe(data).nt.size_of_image == MAX_IMAGE_SIZE
+
+    def test_parsers_reject_oversized(self):
+        for parse in (parse_pe, parse_headers):
+            with pytest.raises(NotPe, match="size_of_image 0x4001000 above 0x4000000"):
+                parse(oversized_image())
+
+    def test_scan_rejects_oversized(self):
+        with pytest.raises(NotPe):
+            scan_pe(oversized_image())
+
+    def test_process_line_logs_error_and_maps_nothing(self, tmp_path):
+        (tmp_path / "big.exe").write_bytes(oversized_image())
+        scenario = tmp_path / "big.scenario"
+        scenario.write_text("process big.exe big.exe\n"
+                            "expect ! error: NotPe: size_of_image 0x4001000\n")
+        result = run_scenario(scenario)
+        assert result.ok, result.text_lines()
+        assert result.kernel.processes == {}
 
 
 class TestRvaToOffset:

@@ -39,7 +39,6 @@ class TestDoubleRun:
         assert lines.count("* PAYLOAD_STARTED pid=0x914 *") == 1
         assert sum("stub: payload mapped at" in t for t in lines) == 1
         assert lines[-1] == PLAIN_START
-        assert [a[0] for a in result.audit].count("PAYLOAD_STARTED") == 1
         injected = [r for r in result.kernel.process(0x914).regions if r.tag == "injected"]
         assert len(injected) == 4  # stub2, stub1, payload blob, mapped payload
 

@@ -222,6 +222,24 @@ class TestDriverOptions:
             run_scenario(path)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("line, key", [
+        ("set-mode normal quiet=1", "quiet"),
+        ("process a.exe a.bin bse=0x1000", "bse"),
+        ("module a.exe b.dll b.bin base=0x1000 at=0x2000", "at"),
+        ("driver sentinel reportonly=1", "reportonly"),
+        ("driver Sentinel watch=a.exe base=0x1000", "base"),
+        ("driver duqu config=c stub1=a stub2=b kernelbase=0x400000", "kernelbase"),
+        ("run a.exe base=0x1000", "base"),
+    ])
+    def test_unknown_option_key(self, line, key):
+        with pytest.raises(ScenarioError, match=f"^line 2: unknown option '{key}'$"):
+            parse_scenario(f"# first\n{line}\n")
+
+    def test_unknown_driver_still_named(self, tmp_path):
+        path = write_scenario(tmp_path, "nodrv.scenario", "driver spy reportonly=1\n")
+        with pytest.raises(ScenarioError, match="line 1: unknown driver 'spy'"):
+            run_scenario(path)
+
     def test_shipped_mask_accepted(self, fixture_dir, tmp_path):
         mask = fixture_dir / "maskspec.json"
         path = write_scenario(tmp_path, "okmask.scenario",
@@ -237,7 +255,7 @@ class TestDeterminism:
         second = run_scenario(path)
         assert first.render("plain") == second.render("plain")
         assert first.render("json") == second.render("json")
-        assert first.audit == second.audit
+        assert first.lines == second.lines
 
     def test_json_render_shape(self, fixture_dir):
         result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")

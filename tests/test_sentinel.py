@@ -5,6 +5,7 @@ from duqusim.fixtures import SERVICES_ENTRY_BYTES
 from duqusim.sentinel import HASH_SPAN, SentinelDriver
 from duqusim.simkernel import (
     PERM_RWX,
+    Driver,
     EventKind,
     NotificationEvent,
     SimKernel,
@@ -195,6 +196,19 @@ class TestFailClosedAtCreation:
         assert proc.alive
         assert "-> Flagged tiny.exe (report-only)" in [t for _, t in kernel.log]
 
+    def test_terminated_at_creation_is_never_loaded(self):
+        kernel = SimKernel()
+        SentinelDriver(kernel, watch=("tiny.exe",))
+        recorder, seen = Driver("recorder"), []
+        for kind in EventKind:
+            recorder.handlers[kind] = lambda e: seen.append((e.kind, e.pid))
+        kernel.register_driver(recorder)
+        proc = kernel.create_process("tiny.exe", small_image())
+        assert kernel.log[-1] == ("loader", "* Process tiny.exe pid=0x910 exited *")
+        assert "* Loaded module tiny.exe *" not in [t for _, t in kernel.log]
+        assert seen == [(EventKind.PROCESS_CREATE, proc.pid),
+                        (EventKind.PROCESS_EXIT, proc.pid)]
+
     def test_vanished_process_is_logged_and_skipped(self):
         kernel = SimKernel()
         sentinel = SentinelDriver(kernel)
@@ -214,3 +228,27 @@ class TestFailClosedAtCreation:
         out = capsys.readouterr().out
         assert "headers unreadable" in out
         assert ("Flagged tiny.exe" in out) == (report_only == "1")
+
+
+@pytest.mark.parametrize("sentinel_first", [False, True])
+def test_injector_fault_is_logged_once_in_dispatch_order(fixture_dir, fixture_bytes,
+                                                          sentinel_first):
+    """A failing injector stage is one ``! fault:`` line; the monitor still runs."""
+    kernel, drivers = boot_kernel(fixture_dir, sentinel_first=sentinel_first,
+                                  duqu_kwargs={"versions": ("6.1.7601",)})
+    services = kernel.create_process("services.exe", fixture_bytes("services.exe"),
+                                     base=0x01000000)
+    kernel.load_module(services.pid, "kernel32.dll",
+                       fixture_bytes("kernel32.dll"), base=0x7C800000)
+    texts = [t for _, t in kernel.log]
+    faults = [i for i, t in enumerate(texts) if t.startswith("! fault:")]
+    assert len(faults) == 1
+    assert texts[faults[0]].startswith("! fault: duqu: VersionUnsupported: ")
+    # the fault sits on the target's own load, before or after the monitor's check
+    load = texts.index("* Loaded module services.exe *")
+    verify = texts.index("-> Verify services.exe process:", load)
+    assert load < faults[0] < texts.index("* Loaded module kernel32.dll *")
+    assert (verify < faults[0]) == sentinel_first
+    assert drivers["sentinel"].verdicts == [("services.exe", "OK"), ("kernel32.dll", "OK")]
+    assert texts.count("-> OK!") == 2
+    assert services.alive and drivers["duqu"].state.target_pid is None
