@@ -6,6 +6,10 @@ function through the call / push 104h / call opcode pattern, the
 two-notification injection into the configured target, and the injected
 stub's restore traffic over the driver's control device.
 
+Like the original, the driver reads the modules it inspects where they are
+mapped, through simulated memory: ntoskrnl's headers, exports and
+executable sections, the target's headers, kernel32's exports.
+
 Stub execution is simulator-native: the byte-level effects (header
 restore, payload mapping, entrypoint restore) are applied to simulated
 memory, but the control flow is host code: ``run_stub``, the code of the
@@ -32,6 +36,8 @@ from .peformat import (
     find_export_by_hash,
     find_export_by_name,
     parse_pe,
+    read_headers,
+    read_module,
     restore_headers,
     ror13_hash,
     scan_call_push_call,
@@ -307,7 +313,7 @@ class DuquDriver:
         if self._hal_present():
             self._finish_init()
         else:
-            kernel.defer_init(self._recheck_hal)
+            kernel.defer_init(self.driver, self._recheck_hal)
 
     def _hal_present(self) -> bool:
         return self.kernel.find_module(("hal.dll",)) is not None
@@ -335,18 +341,18 @@ class DuquDriver:
             return
         pid, mod_name, base = found
         try:
-            image = parse_pe(self.kernel.read_image(pid, base), layout="mapped")
+            image = read_module(self.kernel.image_reader(pid, base))
             alloc_va = base + (find_export_by_name(image, ANCHOR_EXPORT) - image.nt.image_base)
             site, protect_va = scan_call_push_call(image, ANCHOR_EXPORT,
                                                    window=self.window, base=base)
+            prologues = [self._read_prologue(pid, va) for va in (alloc_va, protect_va)]
         except (PeError, SimError, PatternNotFound) as exc:
             self._log(f"kernel function discovery failed: {exc}")
             return
         self._log(f"anchor export at {alloc_va:#010x}; unexported neighbor "
                   f"{protect_va:#010x} via call site {site:#010x}")
         ok = True
-        for va in (alloc_va, protect_va):
-            first = bytes(image.raw[va - base:va - base + MASK_LEN])
+        for va, first in zip((alloc_va, protect_va), prologues):
             valid, reason = validate_function(va, first, self.mask, self.kernel_base)
             self._log(f"function check {va:#010x}: "
                       + ("valid" if valid else f"rejected ({reason})"))
@@ -354,6 +360,13 @@ class DuquDriver:
         self.functions_valid = ok
         if ok:
             struct.pack_into("<II", self.state.function_table, 0, alloc_va, protect_va)
+
+    def _read_prologue(self, pid: int, va: int) -> bytes:
+        """The bytes the mask checks at ``va``; none if they are unreadable."""
+        try:
+            return self.kernel.read_memory(pid, va, MASK_LEN)
+        except SimError:
+            return b""
 
     # ------------------------------------------------------------------
     # notifications
@@ -392,8 +405,8 @@ class DuquDriver:
             self._log("injection skipped: kernel functions unresolved")
             return
         kernel = self.kernel
-        image = parse_pe(kernel.read_image(pid, event.base), layout="mapped")
-        entry_va = event.base + image.nt.entry_point_rva
+        entry_va = event.base + read_headers(
+            kernel.image_reader(pid, event.base)).nt.entry_point_rva
 
         stub2_base = kernel.allocate_memory(pid, len(self.stub2), PERM_RWX)
         kernel.write_memory(pid, stub2_base, strip_headers(self.stub2))
@@ -437,7 +450,7 @@ class DuquDriver:
         if st.target_pid is None or event.pid != st.target_pid:
             raise NotStaged("no staged injection for this process")
         kernel = self.kernel
-        image = parse_pe(kernel.read_image(event.pid, event.base), layout="mapped")
+        image = read_module(kernel.image_reader(event.pid, event.base))
         resolved = []
         for name_hash in self.import_hashes:
             name, va = find_export_by_hash(image, name_hash)

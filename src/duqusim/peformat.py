@@ -7,10 +7,16 @@ over byte buffers; there is no global state, so every function here is safe
 to call concurrently.  The injector, the kernel and the scanner share its
 entrypoint-hook and call / push 104h / call codecs.
 
-Two buffer layouts are understood:
+An image comes from one of two places:
 
-* ``file``   - raw on-disk image; RVAs translate through the section table.
-* ``mapped`` - loader view; RVAs index the buffer directly.
+* file bytes - :func:`parse_pe` decodes a whole on-disk image; RVAs
+  translate to file offsets through the section table.
+* a module mapped in memory - :func:`read_headers` and :func:`read_module`
+  decode it through a ``read(rva, n)`` callable, reading only the
+  headers, the directories and, on demand, the executable sections.
+
+Both decode the export and relocation directories with the same code,
+through a ``read(rva, n)`` that returns exactly ``n`` bytes or raises.
 
 The signature test is intentionally computed through the XOR pair
 (0xF750F284, 0xF750B7D4) rather than against 'PE\\0\\0' directly; the two
@@ -21,6 +27,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = 0x00004550
@@ -57,6 +65,9 @@ HOOK_LEN = 7  # mov eax, imm32 / call eax
 MAX_IMAGE_SIZE = 0x04000000
 
 _M32 = 0xFFFFFFFF
+
+# read(rva, n): exactly n bytes of an image starting at rva, or an exception.
+Reader = Callable[[int, int], bytes]
 
 
 class PeError(Exception):
@@ -159,6 +170,9 @@ class Section:
 @dataclass
 class ExportTable:
     entries: list[tuple[bytes, int]] = field(default_factory=list)
+    # ror13 hash -> the entries with that hash; built by the first hash lookup.
+    by_hash: dict[int, list[tuple[bytes, int]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -174,8 +188,10 @@ class PeImage:
     sections: list[Section]
     exports: ExportTable | None
     relocations: list[RelocationBlock]
-    raw: bytes
+    raw: bytes  # the whole file, or only the headers of a mapped module
     layout: str = "file"
+    # A mapped module's read(rva, n); section bytes are read through it.
+    read: Reader | None = field(default=None, repr=False, compare=False)
 
 
 def _u16(data: bytes, off: int) -> int:
@@ -305,15 +321,10 @@ def _parse_sections(data: bytes, table_off: int, count: int) -> list[Section]:
 
 
 def rva_to_offset(image: PeImage, rva: int) -> int:
-    """Map an RVA to a buffer offset.
+    """Map an RVA to an offset in a file image's bytes.
 
-    The headers region (below the first section RVA) maps identically; a
-    mapped-layout image maps identically everywhere inside size_of_image.
+    The headers region (below the first section RVA) maps identically.
     """
-    if image.layout == "mapped":
-        if rva >= image.nt.size_of_image:
-            raise OutOfImage(f"rva {rva:#x} beyond size_of_image")
-        return rva
     first_va = min(s.virtual_address for s in image.sections)
     if rva < first_va:
         return rva
@@ -323,63 +334,73 @@ def rva_to_offset(image: PeImage, rva: int) -> int:
     raise OutOfImage(f"rva {rva:#x} in no section")
 
 
-def _read_cstring(data: bytes, off: int) -> bytes:
-    end = data.find(b"\x00", off)
-    if end == -1:
-        raise Truncated(f"unterminated string at {off:#x}")
-    return data[off:end]
+def _read_file(image: PeImage, rva: int, n: int) -> bytes:
+    """The :data:`Reader` of a file image: ``n`` bytes from ``rva``'s offset on."""
+    off = rva_to_offset(image, rva)
+    if off + n > len(image.raw):
+        raise Truncated(f"{n:#x} bytes at rva {rva:#x} past end of buffer")
+    return image.raw[off:off + n]
 
 
-def _parse_exports(image: PeImage) -> ExportTable | None:
-    rva, size = image.nt.directory(DIR_EXPORT)
+def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
+    rva, size = nt.directory(DIR_EXPORT)
     if rva == 0 or size == 0:
         return None
-    data = image.raw
-    off = rva_to_offset(image, rva)
-    if off + EXPORT_DIRECTORY_SIZE > len(data):
-        raise Truncated("export directory past end of buffer")
-    n_names = _u32(data, off + 24)
-    names_rva = _u32(data, off + 32)
-    ordinals_rva = _u32(data, off + 36)
-    functions_rva = _u32(data, off + 28)
+    # One read of the directory's span; in the canonical layout it also
+    # holds the three arrays and every name.
+    span = read(rva, max(size, EXPORT_DIRECTORY_SIZE))
+
+    def at(field_rva: int, n: int) -> bytes:
+        lo = field_rva - rva
+        if 0 <= lo <= len(span) - n:
+            return span[lo:lo + n]
+        return read(field_rva, n) if n else b""
+
+    def cstring(name_rva: int) -> bytes:
+        lo = name_rva - rva
+        end = span.find(b"\x00", lo) if 0 <= lo < len(span) else -1
+        if end != -1:
+            return span[lo:end]
+        name = bytearray()
+        while (byte := read(name_rva + len(name), 1)) != b"\x00":
+            name += byte
+        return bytes(name)
+
+    n_names, functions_rva, names_rva, ordinals_rva = struct.unpack_from("<4I", span, 24)
+    name_rvas = struct.unpack(f"<{n_names}I", at(names_rva, 4 * n_names))
+    ordinals = struct.unpack(f"<{n_names}H", at(ordinals_rva, 2 * n_names))
     entries: list[tuple[bytes, int]] = []
     seen: set[bytes] = set()
-    for i in range(n_names):
-        name_rva = _u32(data, rva_to_offset(image, names_rva) + 4 * i)
-        ordinal = _u16(data, rva_to_offset(image, ordinals_rva) + 2 * i)
-        func_rva = _u32(data, rva_to_offset(image, functions_rva) + 4 * ordinal)
-        name = _read_cstring(data, rva_to_offset(image, name_rva))
+    for name_rva, ordinal in zip(name_rvas, ordinals):
+        func_rva = struct.unpack("<I", at(functions_rva + 4 * ordinal, 4))[0]
+        name = cstring(name_rva)
         if name in seen:
             raise NotPe(f"duplicate export name {name!r}")
-        if func_rva >= image.nt.size_of_image:
+        if func_rva >= nt.size_of_image:
             raise NotPe(f"export {name!r} rva {func_rva:#x} outside the image")
         seen.add(name)
         entries.append((name, func_rva))
     return ExportTable(entries=entries)
 
 
-def _parse_relocations(image: PeImage) -> list[RelocationBlock]:
-    rva, size = image.nt.directory(DIR_BASERELOC)
+def _parse_relocations(read: Reader, nt: NtHeaders) -> list[RelocationBlock]:
+    rva, size = nt.directory(DIR_BASERELOC)
     if rva == 0 or size == 0:
         return []
-    data = image.raw
-    off = rva_to_offset(image, rva)
-    end = off + size
-    if end > len(data):
-        raise Truncated("relocation directory past end of buffer")
+    data = read(rva, size)
     blocks = []
-    while off < end:
-        page_rva = _u32(data, off)
-        block_size = _u32(data, off + 4)
+    off = 0
+    # A tail too short for a block header ends the directory.
+    while off + 8 <= size:
+        page_rva, block_size = struct.unpack_from("<II", data, off)
         if block_size == 0:
             break
-        if block_size < 8 or block_size % 2 or off + block_size > end:
-            raise NotPe(f"malformed relocation block at {off:#x}")
+        if block_size < 8 or block_size % 2 or off + block_size > size:
+            raise NotPe(f"malformed relocation block at rva {rva + off:#x}")
         if page_rva & 0xFFF:
             raise NotPe(f"relocation page {page_rva:#x} not 4KiB-aligned")
         fixups = []
-        for w_off in range(off + 8, off + block_size, 2):
-            word = _u16(data, w_off)
+        for word in struct.unpack_from(f"<{(block_size - 8) // 2}H", data, off + 8):
             ftype, foffset = word >> 12, word & 0xFFF
             if ftype not in (RELOC_ABS, RELOC_HIGHLOW):
                 raise NotPe(f"unsupported relocation type {ftype}")
@@ -389,41 +410,68 @@ def _parse_relocations(image: PeImage) -> list[RelocationBlock]:
     return blocks
 
 
-def parse_pe(data: bytes, layout: str = "file") -> PeImage:
-    """Parse a PE32 buffer into a :class:`PeImage`.
-
-    ``layout="file"`` expects an on-disk image and validates section raw
-    data against the buffer; ``layout="mapped"`` expects a loader view
-    where RVAs index the buffer directly.
-    """
-    if layout not in ("file", "mapped"):
-        raise ValueError(f"unknown layout {layout!r}")
+def _decode_headers(data: bytes, layout: str) -> PeImage:
     dos = _parse_dos(data)
     nt, table_off = _parse_nt(data, dos.e_lfanew)
     sections = _parse_sections(data, table_off, nt.number_of_sections)
-    if layout == "file":
-        for s in sections:
-            if s.raw_offset + s.raw_size > len(data):
-                raise Truncated(f"section {s.name!r} raw data past end of buffer")
-    image = PeImage(dos=dos, nt=nt, sections=sections, exports=None,
-                    relocations=[], raw=bytes(data), layout=layout)
-    image.exports = _parse_exports(image)
-    image.relocations = _parse_relocations(image)
+    return PeImage(dos=dos, nt=nt, sections=sections, exports=None,
+                   relocations=[], raw=bytes(data), layout=layout)
+
+
+def parse_pe(data: bytes) -> PeImage:
+    """Parse PE32 file bytes into a :class:`PeImage`.
+
+    Section raw data is validated against the buffer; the directories are
+    read through the section table.
+    """
+    image = _decode_headers(data, "file")
+    for s in image.sections:
+        if s.raw_offset + s.raw_size > len(data):
+            raise Truncated(f"section {s.name!r} raw data past end of buffer")
+    read = partial(_read_file, image)
+    image.exports = _parse_exports(read, image.nt)
+    image.relocations = _parse_relocations(read, image.nt)
     return image
 
 
 def parse_headers(data: bytes) -> PeImage:
     """Parse only DOS/NT headers and the section table.
 
-    Intended for header pages read out of a mapped module where the rest
+    Intended for header bytes read out of a mapped module where the rest
     of the image is not at hand.  Directories are left undecoded and the
     result uses the mapped layout.
     """
-    dos = _parse_dos(data)
-    nt, table_off = _parse_nt(data, dos.e_lfanew)
-    sections = _parse_sections(data, table_off, nt.number_of_sections)
-    return PeImage(dos=dos, nt=nt, sections=sections, exports=None,
-                   relocations=[], raw=bytes(data), layout="mapped")
+    return _decode_headers(data, "mapped")
+
+
+def read_headers(read: Reader) -> PeImage:
+    """Headers and section table of a module mapped in memory.
+
+    Reads the DOS header, then exactly the NT headers and the section
+    table, each through ``read(rva, n)``, and decodes them with
+    :func:`parse_headers`.  The image keeps ``read`` for
+    :func:`section_data`; its ``raw`` is the header bytes.
+    """
+    head = read(0, E_LFANEW_OFFSET + 4)
+    fh = _parse_dos(head).e_lfanew + 4
+    head += read(len(head), fh + FILE_HEADER_SIZE - len(head))
+    head += read(len(head), _u16(head, fh + 16)
+                 + SECTION_HEADER_SIZE * _u16(head, fh + 2))
+    image = parse_headers(head)
+    image.read = read
+    return image
+
+
+def read_module(read: Reader) -> PeImage:
+    """:func:`read_headers` plus the export and relocation directories.
+
+    Each directory is read where it lives, with the same checks
+    :func:`parse_pe` makes on file bytes.
+    """
+    image = read_headers(read)
+    image.exports = _parse_exports(read, image.nt)
+    image.relocations = _parse_relocations(read, image.nt)
+    return image
 
 
 def encode_export_table(entries: list[tuple[bytes, int]], table_rva: int) -> bytes:
@@ -610,11 +658,16 @@ def find_export_by_hash(image: PeImage, name_hash: int) -> tuple[bytes, int]:
 
     Returns ``(name, virtual address)``.  A collision between two exports
     signals a bad fixture and is reported rather than silently resolved.
+    Each name is hashed once per image, on the first lookup.
     """
-    if image.exports is None:
+    exports = image.exports
+    if exports is None:
         raise NoExportTable("image has no export directory")
-    matches = [(ename, rva) for ename, rva in image.exports.entries
-               if ror13_hash(ename) == name_hash]
+    if exports.by_hash is None:
+        exports.by_hash = {}
+        for entry in exports.entries:
+            exports.by_hash.setdefault(ror13_hash(entry[0]), []).append(entry)
+    matches = exports.by_hash.get(name_hash, [])
     if not matches:
         raise HashNotFound(f"no export hashes to {name_hash:#010x}")
     if len(matches) > 1:
@@ -625,10 +678,11 @@ def find_export_by_hash(image: PeImage, name_hash: int) -> tuple[bytes, int]:
 
 
 def section_data(image: PeImage, section: Section) -> bytes:
-    """Bytes backing a section in the image's own layout."""
-    if image.layout == "mapped":
+    """A section's raw data in a file, or its mapped span read from memory."""
+    if image.read is not None:
         lo = section.virtual_address
-        return image.raw[lo:lo + section.virtual_span]
+        return image.read(lo, max(0, min(section.virtual_span,
+                                         image.nt.size_of_image - lo)))
     return image.raw[section.raw_offset:section.raw_offset + section.raw_size]
 
 

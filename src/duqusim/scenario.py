@@ -17,8 +17,9 @@ scenario file, and a runner reads each one once.  Driver options:
     duqu:     config=<blob> stub1=<pe> stub2=<pe> [mask=<json>]
               [kernel-base=0x...] [window=N]
 
-An option key the command does not read, or a malformed option value,
-is a :class:`ScenarioError`; ``set-mode`` and ``run`` take no options.
+An option key the command does not read, a key given twice, or a
+malformed option value is a :class:`ScenarioError`; ``set-mode`` and
+``run`` take no options.
 ``expect`` lines must match produced log lines as substrings, in order.
 """
 
@@ -106,7 +107,11 @@ def parse_scenario(text: str) -> list[Command]:
             continue
         parts = rest.split()
         args = [p for p in parts if "=" not in p]
-        options = dict(p.split("=", 1) for p in parts if "=" in p)
+        options: dict[str, str] = {}
+        for key, _, value in (p.partition("=") for p in parts if "=" in p):
+            if key in options:
+                raise ScenarioError(f"repeated option {key!r}", line_no)
+            options[key] = value
         if op == "set-mode":
             if len(args) != 1 or args[0] not in MODES:
                 raise ScenarioError("set-mode takes one of normal|debug|failsafe", line_no)

@@ -1,7 +1,8 @@
 """Defensive driver: entrypoint checksum memorization and verification.
 
 At process creation the watched target's entrypoint is located through
-its PEB and mapped headers, the first 12 bytes are hashed and stored.
+its PEB and mapped headers (the DOS header, then exactly the NT headers
+and the section table), the first 12 bytes are hashed and stored.
 Every later module load for that process re-reads and re-hashes those
 bytes; a mismatch means something rewrote the entrypoint between the two
 notifications, and the process is terminated (or merely flagged in
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .peformat import PeError, parse_headers, ror13_hash
+from .peformat import PeError, read_headers, ror13_hash
 from .simkernel import (
     Driver,
     EventKind,
@@ -24,7 +25,6 @@ from .simkernel import (
 
 HASH_SPAN = 12      # bytes hashed, matching the span the injector replaces
 DISPLAY_SPAN = 8    # bytes echoed in log lines
-HEADER_PROBE = 0x400
 
 DEFAULT_WATCH = ("services.exe",)
 
@@ -80,8 +80,7 @@ class SentinelDriver:
         if proc.name.lower() not in self.watch:
             return
         try:
-            header = self.kernel.read_memory(pid, base, HEADER_PROBE)
-            image = parse_headers(header)
+            image = read_headers(self.kernel.image_reader(pid, base))
             entry = base + image.nt.entry_point_rva
             first = self.kernel.read_memory(pid, entry, HASH_SPAN)
         except (SimError, PeError) as exc:

@@ -6,11 +6,12 @@ receive process-create / image-load / process-exit notifications in
 registration order.  Dispatch is synchronous and single-threaded: a
 notification emitted while another is being dispatched queues behind it,
 so identical inputs always produce identical event sequences and logs.
-The log is the one record of a run.  Only dispatch turns a handler's
-exception into a line, ``! fault: <driver>: <Type>: <message>``, and then
-goes on to the later drivers and queued events.  Control flow
-follows simulated memory: :meth:`SimKernel.run_entrypoint` decodes the
-entrypoint, and a hook there runs the ``code`` of the region it targets.
+The log is the one record of a run.  Only dispatch turns a handler's or a
+deferred init step's exception into a line,
+``! fault: <driver>: <Type>: <message>``, and then goes on to the later
+drivers and queued events.  Control flow follows simulated memory:
+:meth:`SimKernel.run_entrypoint` decodes the entrypoint, and a hook there
+runs the ``code`` of the region it targets.
 
 Writes performed by an earlier-registered driver are visible to every
 later-registered driver handling the same event; that asymmetry is the
@@ -34,6 +35,7 @@ from .peformat import (
     HOOK_LEN,
     SCN_MEM_WRITE,
     PeImage,
+    Reader,
     apply_relocations,
     assemble_mapped,
     decode_entry_hook,
@@ -221,7 +223,7 @@ class SimKernel:
         self.log: list[tuple[str, str]] = []
         self._queue: deque[NotificationEvent] = deque()
         self._dispatching = False
-        self._init_waiters: list[Callable[[], bool]] = []
+        self._init_waiters: list[tuple[Driver, Callable[[], bool]]] = []
         self._images: dict[bytes, PeImage] = {}
         self._next_pid = PID_START
         self._next_peb = PEB_START
@@ -256,13 +258,14 @@ class SimKernel:
         _, handler = self.devices[request.device]
         return handler(request)
 
-    def defer_init(self, recheck: Callable[[], bool]) -> None:
-        """Queue an init continuation re-run before each event dispatch.
+    def defer_init(self, driver: Driver, recheck: Callable[[], bool]) -> None:
+        """Queue ``driver``'s init continuation, re-run before each event dispatch.
 
         ``recheck`` returns True once it is finished (successfully or not)
-        and should be dropped from the waiting list.
+        and should be dropped from the waiting list.  One that raises is
+        logged as the driver's fault and dropped.
         """
-        self._init_waiters.append(recheck)
+        self._init_waiters.append((driver, recheck))
 
     # ------------------------------------------------------------------
     # processes and modules
@@ -351,6 +354,10 @@ class SimKernel:
         pieces = self._walk_span(proc, addr, length, Perm.READ)
         return b"".join(bytes(r.data[lo:hi]) for r, lo, hi in pieces)
 
+    def image_reader(self, pid: int, base: int) -> Reader:
+        """``read(rva, n)`` over the module mapped at ``base`` in ``pid``."""
+        return lambda rva, n: self.read_memory(pid, base + rva, n)
+
     def write_memory(self, pid: int, addr: int, data: bytes) -> None:
         proc = self.process(pid)
         pieces = self._walk_span(proc, addr, len(data), Perm.WRITE)
@@ -414,7 +421,8 @@ class SimKernel:
         """Reassemble a mapped module into one size_of_image buffer.
 
         Gaps between mapped regions come back zero-filled, matching what
-        the loader laid down.
+        the loader laid down.  A view for tests and tooling: the drivers
+        read modules piecewise through :meth:`read_memory`.
         """
         proc = self.process(pid)
         header_region = proc.region_at(base)
@@ -501,12 +509,20 @@ class SimKernel:
                         if handler is not None:
                             handler(event)
                     except Exception as exc:  # one driver's fault stops no other
-                        self.log_line(driver.name, f"! fault: {driver.name}: "
-                                                   f"{type(exc).__name__}: {exc}")
+                        self._fault(driver, exc)
         finally:
             self._dispatching = False
 
     def _run_init_waiters(self) -> None:
-        for recheck in list(self._init_waiters):
-            if recheck():
-                self._init_waiters.remove(recheck)
+        for waiter in list(self._init_waiters):
+            driver, recheck = waiter
+            try:
+                done = recheck()
+            except Exception as exc:  # a failed init is dropped, dispatch goes on
+                self._fault(driver, exc)
+                done = True
+            if done:
+                self._init_waiters.remove(waiter)
+
+    def _fault(self, driver: Driver, exc: Exception) -> None:
+        self.log_line(driver.name, f"! fault: {driver.name}: {type(exc).__name__}: {exc}")

@@ -28,7 +28,7 @@ def fixture_bytes(fixture_dir):
 
 
 def small_image() -> bytes:
-    """A valid 0x300-byte PE32 whose image ends before a 0x400-byte header probe."""
+    """A valid PE32 whose 0x300-byte image holds its headers in 0x1a0 bytes."""
     from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
 
     return build_pe32(PeSpec(
@@ -36,6 +36,16 @@ def small_image() -> bytes:
         sections=[SectionDef(".text", 0x200, b"\x90" * 0x100, CODE_SECTION,
                              virtual_size=0x100)],
         size_of_image=0x300, section_align=0x100))
+
+
+def displaced_headers_image() -> bytes:
+    """:func:`small_image` with its NT headers and section table moved to file
+    offset 0x400: the file parses, but the mapped 0x300-byte image has none."""
+    data = bytearray(small_image()) + bytes(0x220)
+    data[0x400:0x520] = data[0x80:0x1A0]
+    data[0x80:0x1A0] = bytes(0x120)
+    data[0x3C:0x40] = (0x400).to_bytes(4, "little")
+    return bytes(data)
 
 
 def boot_kernel(fixture_dir, *, sentinel_first=True, with_sentinel=True,

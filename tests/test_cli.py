@@ -102,6 +102,15 @@ class TestCliCommands:
         assert main(["run", str(scenario)]) == 2
         assert capsys.readouterr().err == "error: line 1: unknown option 'reportonly'\n"
 
+    def test_run_repeated_option_key_exit_two(self, tmp_path, capsys):
+        scenario = tmp_path / "twice.scenario"
+        scenario.write_text("driver sentinel report-only=1 report-only=0\n"
+                            "process services.exe services.exe\n")
+        assert main(["run", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: repeated option 'report-only'\n"
+
     def test_run_json_format(self, fixture_dir, capsys, monkeypatch):
         monkeypatch.setenv("SENTINEL_LOG_FORMAT", "json")
         assert main(["run", str(fixture_dir / "poc_duqu_attack.scenario")]) == 0

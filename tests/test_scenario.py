@@ -235,6 +235,16 @@ class TestDriverOptions:
         with pytest.raises(ScenarioError, match=f"^line 2: unknown option '{key}'$"):
             parse_scenario(f"# first\n{line}\n")
 
+    @pytest.mark.parametrize("line, key", [
+        ("driver sentinel report-only=1 report-only=0", "report-only"),
+        ("driver sentinel watch=a.exe watch=services.exe", "watch"),
+        ("process a.exe a.bin base=0x1000 base=0x1000", "base"),
+        ("driver duqu config=c stub1=a stub2=b stub1=a", "stub1"),
+    ])
+    def test_repeated_option_key(self, line, key):
+        with pytest.raises(ScenarioError, match=f"^line 2: repeated option '{key}'$"):
+            parse_scenario(f"# first\n{line}\n")
+
     def test_unknown_driver_still_named(self, tmp_path):
         path = write_scenario(tmp_path, "nodrv.scenario", "driver spy reportonly=1\n")
         with pytest.raises(ScenarioError, match="line 1: unknown driver 'spy'"):

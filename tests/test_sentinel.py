@@ -8,10 +8,11 @@ from duqusim.simkernel import (
     Driver,
     EventKind,
     NotificationEvent,
+    Perm,
     SimKernel,
 )
 
-from conftest import boot_kernel, small_image
+from conftest import boot_kernel, displaced_headers_image, small_image
 from oracles import ror13_oracle
 
 
@@ -175,30 +176,59 @@ class TestFailClosedAtCreation:
     """Headers the monitor cannot read at creation are a mismatch, not a crash."""
 
     def create_small(self, **sentinel_kwargs):
+        """tiny.exe behind a driver that drops READ on its header region
+        before the monitor's create handler runs."""
         kernel = SimKernel()
+        hider = Driver("hider")
+        hider.handlers[EventKind.PROCESS_CREATE] = lambda e: kernel.protect_memory(
+            e.pid, kernel.process(e.pid).image_base, 0x200, Perm(0))
+        kernel.register_driver(hider)
         sentinel = SentinelDriver(kernel, watch=("tiny.exe",), **sentinel_kwargs)
-        proc = kernel.create_process("tiny.exe", small_image())
-        return kernel, sentinel, proc
+        return kernel, sentinel
 
     def test_small_image_terminated(self):
-        kernel, sentinel, proc = self.create_small()
+        kernel, sentinel = self.create_small()
+        proc = kernel.create_process("tiny.exe", small_image())
         texts = [t for _, t in kernel.log]
-        assert any(t.startswith("ProcessImageInformation: headers unreadable (")
-                   for t in texts)
+        assert ("ProcessImageInformation: headers unreadable (access violation at "
+                "0x01000000, missing R)") in texts
         assert sentinel.verdicts == [("tiny.exe", "MISMATCH")]
         assert not proc.alive
         assert sentinel.records == {}
         assert "-> Terminating tiny.exe" in texts
 
     def test_small_image_flagged_in_report_only(self):
-        kernel, sentinel, proc = self.create_small(report_only=True)
+        kernel, sentinel = self.create_small(report_only=True)
+        proc = kernel.create_process("tiny.exe", small_image())
         assert sentinel.verdicts == [("tiny.exe", "MISMATCH")]
         assert proc.alive
         assert "-> Flagged tiny.exe (report-only)" in [t for _, t in kernel.log]
 
-    def test_terminated_at_creation_is_never_loaded(self):
+    def test_small_image_with_readable_headers_verifies(self):
+        kernel = SimKernel()
+        sentinel = SentinelDriver(kernel, watch=("tiny.exe",))
+        proc = kernel.create_process("tiny.exe", small_image())
+        assert sentinel.verdicts == [("tiny.exe", "OK")]
+        assert sentinel.records[proc.pid].entrypoint == 0x01000200
+        assert sentinel.records[proc.pid].first8 == b"\x90" * 8
+        assert proc.alive
+
+    def test_monitor_reads_exactly_the_headers(self, monkeypatch):
         kernel = SimKernel()
         SentinelDriver(kernel, watch=("tiny.exe",))
+        reads = []
+        original = kernel.read_memory
+        monkeypatch.setattr(kernel, "read_memory",
+                            lambda pid, addr, n: (reads.append((addr, n)),
+                                                  original(pid, addr, n))[1])
+        kernel.create_process("tiny.exe", small_image())
+        # DOS header, NT headers up to the optional header, the optional
+        # header plus one section header, then the hashed entrypoint bytes.
+        assert reads[:4] == [(0x01000000, 0x40), (0x01000040, 0x58),
+                             (0x01000098, 0xE0 + 40), (0x01000200, 12)]
+
+    def test_terminated_at_creation_is_never_loaded(self):
+        kernel, _ = self.create_small()
         recorder, seen = Driver("recorder"), []
         for kind in EventKind:
             recorder.handlers[kind] = lambda e: seen.append((e.kind, e.pid))
@@ -219,14 +249,14 @@ class TestFailClosedAtCreation:
 
     @pytest.mark.parametrize("report_only", ["0", "1"])
     def test_cli_run_ends_without_traceback(self, tmp_path, capsys, report_only):
-        (tmp_path / "tiny.exe").write_bytes(small_image())
+        (tmp_path / "tiny.exe").write_bytes(displaced_headers_image())
         scenario = tmp_path / "tiny.scenario"
         scenario.write_text(f"driver sentinel watch=tiny.exe report-only={report_only}\n"
                             "process tiny.exe tiny.exe\n"
                             "expect -> Checksum error !!!!\n")
         assert main(["run", str(scenario)]) == 0
         out = capsys.readouterr().out
-        assert "headers unreadable" in out
+        assert ("headers unreadable (address 0x01000300 is not mapped)") in out
         assert ("Flagged tiny.exe" in out) == (report_only == "1")
 
 

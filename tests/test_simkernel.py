@@ -600,6 +600,28 @@ class TestFaultIsolation:
             ("faulty", f"! fault: faulty: ValueError: bad {kind}")
             for kind in ("PROCESS_CREATE", "IMAGE_LOAD", "PROCESS_EXIT")]
 
+    def test_raising_init_waiter_is_logged_once_and_dispatch_goes_on(self):
+        kernel = SimKernel()
+        seen, rechecks = [], []
+        waiting, recorder = Driver("waiting"), Driver("recorder")
+
+        def recheck():
+            rechecks.append(len(seen))
+            raise RuntimeError("init blew up")
+
+        for kind in EventKind:
+            recorder.handlers[kind] = lambda e: seen.append((e.kind, e.module_name))
+        kernel.register_driver(waiting)
+        kernel.register_driver(recorder)
+        kernel.defer_init(waiting, recheck)
+        kernel.create_process("a.exe", exe_fixture())
+        assert seen == [(EventKind.PROCESS_CREATE, None), (EventKind.IMAGE_LOAD, "a.exe")]
+        assert rechecks == [0]  # run before the first event, then dropped
+        assert not kernel._queue and not kernel._init_waiters
+        assert kernel._dispatching is False
+        assert [entry for entry in kernel.log if "! fault:" in entry[1]] == [
+            ("waiting", "! fault: waiting: RuntimeError: init blew up")]
+
 
 class TestRunEntrypoint:
     def hook_entry(self, kernel, proc, target):
