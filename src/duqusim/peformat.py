@@ -18,6 +18,12 @@ An image comes from one of two places:
 Both decode the export and relocation directories with the same code,
 through a ``read(rva, n)`` that returns exactly ``n`` bytes or raises.
 
+A file image's loader layout is a list of :class:`MapSpan`, built once per
+image by :func:`mapped_spans`: the headers and each mapped section, with
+its RVA, mapped span, file offset and the number of file bytes it holds.
+It holds ints and sections only, never bytes; :func:`assemble_mapped`
+and the kernel's loader copy from the file through it.
+
 The signature test is intentionally computed through the XOR pair
 (0xF750F284, 0xF750B7D4) rather than against 'PE\\0\\0' directly; the two
 constants combine to 0x00004550 and the parser must preserve that shape.
@@ -28,7 +34,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = 0x00004550
@@ -192,6 +198,25 @@ class PeImage:
     layout: str = "file"
     # A mapped module's read(rva, n); section bytes are read through it.
     read: Reader | None = field(default=None, repr=False, compare=False)
+    # Offset just past the section table: where the headers end.
+    headers_end: int = 0
+    # A file image's loader layout; built by the first mapped_spans call.
+    spans: list[MapSpan] | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+
+class MapSpan(NamedTuple):
+    """Where a loader puts one part of a file image.
+
+    ``span`` bytes are mapped at ``rva``: the first ``copy`` come from the
+    file at ``offset``, the rest are zero.  ``section`` is None for the
+    headers.
+    """
+    rva: int
+    span: int
+    offset: int
+    copy: int
+    section: Section | None
 
 
 def _u16(data: bytes, off: int) -> int:
@@ -280,9 +305,12 @@ def _parse_nt(data: bytes, e_lfanew: int) -> tuple[NtHeaders, int]:
     if size_of_image > MAX_IMAGE_SIZE:
         raise NotPe(f"size_of_image {size_of_image:#x} above {MAX_IMAGE_SIZE:#x}")
     dir_count = min(_u32(data, oh + 92), 16)
-    dirs = []
-    for i in range(dir_count):
-        dirs.append((_u32(data, oh + 96 + 8 * i), _u32(data, oh + 96 + 8 * i + 4)))
+    table = oh + 96
+    if table + 8 * dir_count > len(data):
+        first_short = table + 4 * ((len(data) - table) // 4)
+        raise Truncated(f"dword at {first_short:#x} past end of buffer")
+    flat = struct.unpack_from(f"<{2 * dir_count}I", data, table)
+    dirs = list(zip(flat[::2], flat[1::2]))
     nt = NtHeaders(
         signature=signature,
         machine=machine,
@@ -415,7 +443,8 @@ def _decode_headers(data: bytes, layout: str) -> PeImage:
     nt, table_off = _parse_nt(data, dos.e_lfanew)
     sections = _parse_sections(data, table_off, nt.number_of_sections)
     return PeImage(dos=dos, nt=nt, sections=sections, exports=None,
-                   relocations=[], raw=bytes(data), layout=layout)
+                   relocations=[], raw=bytes(data), layout=layout,
+                   headers_end=table_off + SECTION_HEADER_SIZE * len(sections))
 
 
 def parse_pe(data: bytes) -> PeImage:
@@ -585,15 +614,17 @@ def emit_pe(image: PeImage) -> bytes:
     return bytes(buf)
 
 
-def strip_headers(data: bytes) -> bytes:
-    """Zero the four identifying constants of a valid PE32 image.
+def strip_headers(image: PeImage | bytes) -> bytes:
+    """Zero the four identifying constants of a valid PE32 file image.
 
-    Returns a copy with 'MZ', the NT signature, the machine word and the
-    optional-header magic all zeroed; the result no longer parses.
+    Takes the image :func:`parse_pe` returned, or file bytes to parse.
+    Returns a copy of the file with 'MZ', the NT signature, the machine
+    word and the optional-header magic all zeroed; it no longer parses.
     """
-    image = parse_pe(data)
+    if not isinstance(image, PeImage):
+        image = parse_pe(image)
     lf = image.dos.e_lfanew
-    buf = bytearray(data)
+    buf = bytearray(image.raw)
     buf[0:2] = b"\x00\x00"
     buf[lf:lf + 4] = b"\x00\x00\x00\x00"
     buf[lf + 4:lf + 6] = b"\x00\x00"
@@ -686,22 +717,38 @@ def section_data(image: PeImage, section: Section) -> bytes:
     return image.raw[section.raw_offset:section.raw_offset + section.raw_size]
 
 
+def mapped_spans(image: PeImage) -> list[MapSpan]:
+    """Where a loader puts each part of a file image; built once per image.
+
+    First the headers: file offset 0 mapped at RVA 0 up to the first
+    section's RVA.  Then, in table order, each section with a mapped span:
+    its virtual span cut at ``size_of_image``, holding at most that many
+    of its raw bytes.  Every span is clipped to the image, so the spans
+    are disjoint and inside ``size_of_image``.  The list holds no bytes.
+    """
+    if image.spans is None:
+        size = image.nt.size_of_image
+        head = min(min(s.virtual_address for s in image.sections), size)
+        spans = [MapSpan(0, head, 0, min(head, len(image.raw)), None)]
+        for s in image.sections:
+            span = min(s.virtual_span, size - s.virtual_address)
+            if span > 0:
+                spans.append(MapSpan(s.virtual_address, span, s.raw_offset,
+                                     min(s.raw_size, span), s))
+        image.spans = spans
+    return image.spans
+
+
 def assemble_mapped(image: PeImage) -> bytearray:
     """Lay a file-layout image out the way a loader would.
 
-    Header bytes land at offset 0, each section at its RVA, gaps and
-    virtual tails zero-filled.  The result is size_of_image long.
+    Each of :func:`mapped_spans` lands at its RVA; gaps and virtual tails
+    are zero.  The result is size_of_image long.
     """
-    size = image.nt.size_of_image
-    buf = bytearray(size)
-    first_va = min(s.virtual_address for s in image.sections)
-    header_len = min(first_va, len(image.raw), size)
-    buf[:header_len] = image.raw[:header_len]
-    for s in image.sections:
-        data = image.raw[s.raw_offset:s.raw_offset + s.raw_size]
-        room = max(0, min(s.virtual_span, size - s.virtual_address))
-        n = min(len(data), room)
-        buf[s.virtual_address:s.virtual_address + n] = data[:n]
+    buf = bytearray(image.nt.size_of_image)
+    raw = memoryview(image.raw)
+    for rva, _, offset, copy, _ in mapped_spans(image):
+        buf[rva:rva + copy] = raw[offset:offset + copy]
     return buf
 
 

@@ -18,8 +18,11 @@ later-registered driver handling the same event; that asymmetry is the
 whole point of the launch-order experiments.
 
 A kernel parses each distinct image once: repeated loads of the same bytes
-reuse the parsed headers and directories, and only the mapped layout is
-built afresh for every mapping.
+reuse the parsed headers, directories and span list.  At the preferred
+base each region is one copy of its span from the file bytes; only a
+rebase builds a size_of_image layout, to relocate it.  Every mapping gets
+bytes of its own, and a load that fails leaves nothing mapped and, for a
+new process, no process behind.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ from typing import Callable, Optional
 from .peformat import (
     HOOK_LEN,
     SCN_MEM_WRITE,
+    NotPe,
     PeImage,
     Reader,
     apply_relocations,
     assemble_mapped,
     decode_entry_hook,
+    mapped_spans,
     parse_headers,
     parse_pe,
 )
@@ -295,12 +300,14 @@ class SimKernel:
         if self._dispatching:
             raise ReentrantCall("create_process called from a notification handler")
         parsed = self._parse_image(image)
+        # The pid and PEB address are taken only once the image is mapped,
+        # so a load that fails leaves no process behind.
         pid = self._next_pid
-        self._next_pid += PID_STEP
         proc = SimProcess(pid, name, self._next_peb)
+        mapped_base = self._map_image(proc, parsed, name, base)
+        self._next_pid += PID_STEP
         self._next_peb += 0x1000
         self.processes[pid] = proc
-        mapped_base = self._map_image(proc, parsed, name, base)
         proc.image_base = mapped_base
         proc.entry_point = mapped_base + parsed.nt.entry_point_rva
         proc.peb.image_base_address = mapped_base
@@ -453,6 +460,10 @@ class SimKernel:
 
     def _map_image(self, proc: SimProcess, image: PeImage, name: str,
                    requested: int | None) -> int:
+        spans = mapped_spans(image)
+        if image.headers_end > spans[0].span:
+            raise NotPe(f"{name}: headers end at {image.headers_end:#x}, past the "
+                        f"{spans[0].span:#x}-byte mapped header span")
         size = image.nt.size_of_image
         base = requested if requested is not None else image.nt.image_base
         if base < 0 or base + size > ADDRESS_LIMIT:
@@ -462,30 +473,30 @@ class SimKernel:
             base += REBASE_STEP
             if base + size > ADDRESS_LIMIT:
                 raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
-        mapped = assemble_mapped(image)
+        raw = memoryview(image.raw)
+        relocated = None
         if base != image.nt.image_base:
             if not image.relocations:
                 raise CannotRelocate(f"{name} must rebase but has no relocations")
-            mapped = bytearray(apply_relocations(mapped, base, image.nt.image_base,
-                                                 image.relocations))
-        first_va = min(s.virtual_address for s in image.sections)
-        proc.add_region(MemoryRegion(
-            base=base, data=mapped[:first_va],
-            perms=PERM_R, tag=f"image:{name}"))
-        for s in image.sections:
-            span = min(s.virtual_span, size - s.virtual_address)
-            if span <= 0:
-                continue
-            if s.executable:
+            relocated = memoryview(apply_relocations(
+                assemble_mapped(image), base, image.nt.image_base, image.relocations))
+        tag = f"image:{name}"
+        for rva, span, offset, copy, section in spans:
+            if relocated is not None:
+                data = bytearray(relocated[rva:rva + span])
+            else:  # straight from the file: the raw bytes, then a zero tail
+                data = bytearray(raw[offset:offset + copy])
+                if copy < span:
+                    data += bytes(span - copy)
+            if section is None:
+                perms = PERM_R
+            elif section.executable:
                 perms = PERM_RX
-            elif s.characteristics & SCN_MEM_WRITE:
+            elif section.characteristics & SCN_MEM_WRITE:
                 perms = PERM_RW
             else:
                 perms = PERM_R
-            proc.add_region(MemoryRegion(
-                base=base + s.virtual_address,
-                data=mapped[s.virtual_address:s.virtual_address + span],
-                perms=perms, tag=f"image:{name}"))
+            proc.add_region(MemoryRegion(base + rva, data, perms, tag))
         return base
 
     # ------------------------------------------------------------------

@@ -118,3 +118,49 @@ def dump_pe_oracle(data: bytes) -> dict:
             "entry": entry, "image_base": image_base,
             "size_of_image": size_of_image, "sections": sections,
             "exports": exports, "relocs": relocs}
+
+
+def assemble_mapped_oracle(image) -> bytearray:
+    """Reference loader layout: a size_of_image buffer, headers at 0, each
+    section's raw data at its RVA, gaps and virtual tails zero.  This is the
+    layout the loader built for every mapping before it mapped spans
+    straight from the file bytes."""
+    size = image.nt.size_of_image
+    buf = bytearray(size)
+    first_va = min(s.virtual_address for s in image.sections)
+    header_len = min(first_va, len(image.raw), size)
+    buf[:header_len] = image.raw[:header_len]
+    for s in image.sections:
+        data = image.raw[s.raw_offset:s.raw_offset + s.raw_size]
+        room = max(0, min(s.virtual_span, size - s.virtual_address))
+        n = min(len(data), room)
+        buf[s.virtual_address:s.virtual_address + n] = data[:n]
+    return buf
+
+
+def loader_regions_oracle(image, base: int) -> list[tuple[int, bytes, str]]:
+    """(address, bytes, perms) of every region mapping ``image`` at ``base``
+    lays down: the headers up to the first section RVA (read-only), then
+    each section's virtual span cut at size_of_image, all cut from the
+    reference layout, relocated by the scalar oracle when ``base`` is not
+    the preferred one."""
+    mapped = bytes(assemble_mapped_oracle(image))
+    if base != image.nt.image_base:
+        mapped = apply_relocations_oracle(mapped, base, image.nt.image_base,
+                                          image.relocations)
+    size = image.nt.size_of_image
+    first_va = min(s.virtual_address for s in image.sections)
+    regions = [(base, mapped[:first_va], "R")]
+    for s in image.sections:
+        span = min(s.virtual_span, size - s.virtual_address)
+        if span <= 0:
+            continue
+        if s.characteristics & 0x20000000:
+            perms = "RX"
+        elif s.characteristics & 0x80000000:
+            perms = "RW"
+        else:
+            perms = "R"
+        regions.append((base + s.virtual_address,
+                        mapped[s.virtual_address:s.virtual_address + span], perms))
+    return sorted(regions)

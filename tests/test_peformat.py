@@ -269,22 +269,22 @@ class TestRvaToOffset:
 class TestStripRestore:
     def test_strip_then_parse_fails(self):
         with pytest.raises(NotMz):
-            parse_pe(strip_headers(minimal_fixture()))
+            parse_pe(strip_headers(parse_pe(minimal_fixture())))
 
     def test_restore_is_exact_inverse(self):
         data = minimal_fixture(exports=[("A", 0x1000)], export_va=0x2000)
-        assert restore_headers(strip_headers(data)) == data
+        assert restore_headers(strip_headers(parse_pe(data))) == data
 
     def test_random_fixtures_inverse(self):
         rng = random.Random(31)
         for _ in range(30):
             data = random_pe32(rng)
-            assert restore_headers(strip_headers(data)) == data
+            assert restore_headers(strip_headers(parse_pe(data))) == data
 
     def test_strip_zeroes_exactly_the_four_constants(self):
         data = minimal_fixture()
         lfanew = struct.unpack_from("<I", data, 60)[0]
-        stripped = strip_headers(data)
+        stripped = strip_headers(parse_pe(data))
         zeroed = {0, 1, lfanew, lfanew + 1, lfanew + 2, lfanew + 3,
                   lfanew + 4, lfanew + 5, lfanew + 24, lfanew + 25}
         assert len(zeroed) == 10
@@ -295,7 +295,7 @@ class TestStripRestore:
                 assert a == b, f"byte {pos:#x} changed outside the strip span"
 
     def test_restored_constants(self):
-        data = restore_headers(strip_headers(minimal_fixture()))
+        data = restore_headers(strip_headers(parse_pe(minimal_fixture())))
         lfanew = struct.unpack_from("<I", data, 60)[0]
         assert struct.unpack_from("<I", data, lfanew)[0] == 0x00004550
         assert struct.unpack_from("<H", data, lfanew + 4)[0] == 0x014C

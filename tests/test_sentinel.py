@@ -249,15 +249,19 @@ class TestFailClosedAtCreation:
 
     @pytest.mark.parametrize("report_only", ["0", "1"])
     def test_cli_run_ends_without_traceback(self, tmp_path, capsys, report_only):
+        """The loader refuses an image whose headers it would not map, so the
+        monitor never sees a process: one error line and an unmet expect."""
         (tmp_path / "tiny.exe").write_bytes(displaced_headers_image())
         scenario = tmp_path / "tiny.scenario"
         scenario.write_text(f"driver sentinel watch=tiny.exe report-only={report_only}\n"
                             "process tiny.exe tiny.exe\n"
                             "expect -> Checksum error !!!!\n")
-        assert main(["run", str(scenario)]) == 0
-        out = capsys.readouterr().out
-        assert ("headers unreadable (address 0x01000300 is not mapped)") in out
-        assert ("Flagged tiny.exe" in out) == (report_only == "1")
+        assert main(["run", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("! error: NotPe: tiny.exe: headers end at 0x520, past "
+                                "the 0x200-byte mapped header span\n")
+        assert captured.err == "unmet expectation: -> Checksum error !!!!\n"
+        assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("sentinel_first", [False, True])
