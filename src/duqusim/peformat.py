@@ -22,7 +22,9 @@ A file image's loader layout is a list of :class:`MapSpan`, built once per
 image by :func:`mapped_spans`: the headers and each mapped section, with
 its RVA, mapped span, file offset and the number of file bytes it holds.
 It holds ints and sections only, never bytes; :func:`assemble_mapped`
-and the kernel's loader copy from the file through it.
+and the kernel's loader copy from the file through it.  A rebase is
+relocated by :func:`relocate_pieces`, in place, over the loader's
+regions; :func:`apply_relocations` is the same relocator over one buffer.
 
 The signature test is intentionally computed through the XOR pair
 (0xF750F284, 0xF750B7D4) rather than against 'PE\\0\\0' directly; the two
@@ -32,8 +34,11 @@ constants combine to 0x00004550 and the parser must preserve that shape.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 MZ_MAGIC = 0x5A4D
@@ -71,6 +76,7 @@ HOOK_LEN = 7  # mov eax, imm32 / call eax
 MAX_IMAGE_SIZE = 0x04000000
 
 _M32 = 0xFFFFFFFF
+_U32 = struct.Struct("<I")
 
 # read(rva, n): exactly n bytes of an image starting at rva, or an exception.
 Reader = Callable[[int, int], bytes]
@@ -647,18 +653,26 @@ def restore_headers(data: bytes) -> bytes:
     return bytes(buf)
 
 
-def apply_relocations(data: bytes, mapped_base: int, preferred_base: int,
-                      blocks: list[RelocationBlock]) -> bytes:
-    """Apply HIGHLOW fixups to a mapped-layout buffer.
+def relocate_pieces(pieces: list[tuple[int, bytearray]], size: int, mapped_base: int,
+                    preferred_base: int, blocks: list[RelocationBlock]) -> None:
+    """Apply HIGHLOW fixups, in place, to a mapped layout held in pieces.
 
-    Each fixup's 32-bit little-endian target is incremented by
+    ``pieces`` are ``(rva, bytearray)`` pairs sorted by RVA and disjoint,
+    inside a ``size``-byte layout whose other bytes read as zero.  Each
+    fixup's 32-bit little-endian target is incremented by
     ``mapped_base - preferred_base`` modulo 2^32; padding fixups are
-    skipped.  Returns the mutated copy.
+    skipped.  A fixup inside one piece is patched there.  One that crosses
+    a piece's end or lies in a gap goes byte by byte; the bytes it writes
+    into gaps are kept until the last fixup and then dropped, so every
+    piece ends bit-exact with relocating one ``size`` buffer.  A fixup past
+    ``size`` raises :class:`FixupOutOfRange`, possibly after earlier fixups
+    were applied.
     """
     delta = (mapped_base - preferred_base) & _M32
-    buf = bytearray(data)
     if delta == 0:
-        return bytes(buf)
+        return
+    starts = [rva for rva, _ in pieces]
+    gaps: defaultdict[int, int] = defaultdict(int)  # gap bytes, zero until written
     for block in blocks:
         for ftype, foffset in block.fixups:
             if ftype == RELOC_ABS:
@@ -666,10 +680,36 @@ def apply_relocations(data: bytes, mapped_base: int, preferred_base: int,
             if ftype != RELOC_HIGHLOW:
                 raise FixupOutOfRange(f"unsupported fixup type {ftype}")
             pos = block.page_rva + foffset
-            if pos + 4 > len(buf):
+            if pos + 4 > size:
                 raise FixupOutOfRange(f"fixup at rva {pos:#x} past end of buffer")
-            value = struct.unpack_from("<I", buf, pos)[0]
-            struct.pack_into("<I", buf, pos, (value + delta) & _M32)
+            i = bisect_right(starts, pos) - 1
+            if i >= 0:
+                rva, buf = pieces[i]
+                at = pos - rva
+                if at + 4 <= len(buf):
+                    _U32.pack_into(buf, at, (_U32.unpack_from(buf, at)[0] + delta) & _M32)
+                    continue
+            # It crosses a piece's end or lies in a gap: byte by byte.
+            cells = []
+            for p in range(pos, pos + 4):
+                i = bisect_right(starts, p) - 1
+                inside = i >= 0 and p - starts[i] < len(pieces[i][1])
+                cells.append((pieces[i][1], p - starts[i]) if inside else (gaps, p))
+            value = sum(store[key] << 8 * k for k, (store, key) in enumerate(cells))
+            value = (value + delta) & _M32
+            for k, (store, key) in enumerate(cells):
+                store[key] = (value >> 8 * k) & 0xFF
+
+
+def apply_relocations(data: bytes, mapped_base: int, preferred_base: int,
+                      blocks: list[RelocationBlock]) -> bytes:
+    """Apply HIGHLOW fixups to a mapped-layout buffer.
+
+    :func:`relocate_pieces` over one piece, the whole buffer.  Returns the
+    relocated copy; ``data`` is not changed.
+    """
+    buf = bytearray(data)
+    relocate_pieces([(0, buf)], len(buf), mapped_base, preferred_base, blocks)
     return bytes(buf)
 
 
@@ -721,10 +761,11 @@ def mapped_spans(image: PeImage) -> list[MapSpan]:
     """Where a loader puts each part of a file image; built once per image.
 
     First the headers: file offset 0 mapped at RVA 0 up to the first
-    section's RVA.  Then, in table order, each section with a mapped span:
+    section's RVA.  Then, in RVA order, each section with a mapped span:
     its virtual span cut at ``size_of_image``, holding at most that many
     of its raw bytes.  Every span is clipped to the image, so the spans
-    are disjoint and inside ``size_of_image``.  The list holds no bytes.
+    are sorted, disjoint and inside ``size_of_image``.  The list holds no
+    bytes.
     """
     if image.spans is None:
         size = image.nt.size_of_image
@@ -735,6 +776,7 @@ def mapped_spans(image: PeImage) -> list[MapSpan]:
             if span > 0:
                 spans.append(MapSpan(s.virtual_address, span, s.raw_offset,
                                      min(s.raw_size, span), s))
+        spans.sort(key=attrgetter("rva"))
         image.spans = spans
     return image.spans
 

@@ -295,5 +295,9 @@ def run_scenario(path: str | Path) -> ScenarioResult:
     path = Path(path)
     if not path.is_file():
         raise ScenarioError(f"scenario {str(path)!r} not found")
-    commands = parse_scenario(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario {str(path)!r} is not UTF-8: {exc}") from exc
+    commands = parse_scenario(text)
     return ScenarioRunner(path.parent).execute(commands)

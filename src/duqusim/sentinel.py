@@ -2,12 +2,14 @@
 
 At process creation the watched target's entrypoint is located through
 its PEB and mapped headers (the DOS header, then exactly the NT headers
-and the section table), the first 12 bytes are hashed and stored.
-Every later module load for that process re-reads and re-hashes those
-bytes; a mismatch means something rewrote the entrypoint between the two
-notifications, and the process is terminated (or merely flagged in
-report-only mode).  Unreadable headers or entrypoint bytes count as a
-mismatch: fail closed rather than let tampering hide behind a fault.
+and the section table), the first 12 bytes are hashed and stored with
+their checksum.  Every later module load for that process re-reads those
+bytes and compares them with the stored ones; only bytes that differ are
+re-hashed, so the verdict is the checksum's either way.  A mismatch means
+something rewrote the entrypoint between the two notifications, and the
+process is terminated (or merely flagged in report-only mode).
+Unreadable headers or entrypoint bytes count as a mismatch: fail closed
+rather than let tampering hide behind a fault.
 """
 
 from __future__ import annotations
@@ -34,11 +36,18 @@ class IntegrityRecord:
     pid: int
     entrypoint: int
     baseline_hash: int
-    first8: bytes
+    hashed: bytes  # the HASH_SPAN entrypoint bytes the baseline was taken over
+
+    @property
+    def first8(self) -> bytes:
+        return self.hashed[:DISPLAY_SPAN]
+
+
+_HEX = tuple(f"0x{b:02x}" for b in range(256))
 
 
 def _hex_bytes(data: bytes) -> str:
-    return " ".join(f"0x{b:02x}" for b in data)
+    return " ".join(map(_HEX.__getitem__, data))
 
 
 class SentinelDriver:
@@ -92,8 +101,7 @@ class SentinelDriver:
         self._log(f"CreateProcessNotify: ImageBaseAddress={base:#010x} "
                   f"EntryPoint={entry:#010x} EntrypointChecksum={checksum:#010x}")
         self.records[pid] = IntegrityRecord(pid=pid, entrypoint=entry,
-                                            baseline_hash=checksum,
-                                            first8=first[:DISPLAY_SPAN])
+                                            baseline_hash=checksum, hashed=first)
 
     def on_image_load(self, event: NotificationEvent) -> None:
         """Re-verify the stored checksum on every load for a watched pid.
@@ -119,7 +127,8 @@ class SentinelDriver:
             return
         self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: "
                   f"{_hex_bytes(current[:DISPLAY_SPAN])}")
-        if ror13_hash(current) == record.baseline_hash:
+        # Unchanged bytes hash the same, so only changed ones are rehashed.
+        if current == record.hashed or ror13_hash(current) == record.baseline_hash:
             self._log("-> OK!")
             self.verdicts.append((module, "OK"))
         else:

@@ -18,11 +18,12 @@ later-registered driver handling the same event; that asymmetry is the
 whole point of the launch-order experiments.
 
 A kernel parses each distinct image once: repeated loads of the same bytes
-reuse the parsed headers, directories and span list.  At the preferred
-base each region is one copy of its span from the file bytes; only a
-rebase builds a size_of_image layout, to relocate it.  Every mapping gets
-bytes of its own, and a load that fails leaves nothing mapped and, for a
-new process, no process behind.
+reuse the parsed headers, directories and span list.  Each region is one
+copy of its span from the file bytes; a rebase relocates those regions in
+place, and no load builds a size_of_image layout.  An image's regions
+enter the process in one splice, after relocation succeeds.  Every
+mapping gets bytes of its own, and a load that fails leaves nothing
+mapped and, for a new process, no process behind.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .peformat import (
     NotPe,
     PeImage,
     Reader,
-    apply_relocations,
-    assemble_mapped,
     decode_entry_hook,
     mapped_spans,
     parse_headers,
     parse_pe,
+    relocate_pieces,
 )
 
 ADDRESS_LIMIT = 1 << 32
@@ -205,9 +205,17 @@ class SimProcess:
         return i == 0 or self.regions[i - 1].end <= base
 
     def add_region(self, region: MemoryRegion) -> MemoryRegion:
-        assert self.span_free(region.base, len(region.data)), "region overlap"
-        bisect.insort(self.regions, region, key=_region_base)
+        self.insert_regions(region.base, len(region.data), [region])
         return region
+
+    def insert_regions(self, base: int, size: int, regions: list[MemoryRegion]) -> None:
+        """Splice ``regions``, sorted, disjoint and inside the free span
+        ``[base, base + size)``, into the region list in one step."""
+        assert all(a.end <= b.base for a, b in zip(regions, regions[1:])), "regions unsorted"
+        assert base <= regions[0].base and regions[-1].end <= base + size, "region outside span"
+        assert self.span_free(base, size), "region overlap"
+        i = bisect.bisect_left(self.regions, base + size, key=_region_base)
+        self.regions[i:i] = regions
 
 
 class Driver:
@@ -359,7 +367,7 @@ class SimKernel:
     def read_memory(self, pid: int, addr: int, length: int) -> bytes:
         proc = self.process(pid)
         pieces = self._walk_span(proc, addr, length, Perm.READ)
-        return b"".join(bytes(r.data[lo:hi]) for r, lo, hi in pieces)
+        return b"".join(r.data[lo:hi] for r, lo, hi in pieces)
 
     def image_reader(self, pid: int, base: int) -> Reader:
         """``read(rva, n)`` over the module mapped at ``base`` in ``pid``."""
@@ -473,21 +481,15 @@ class SimKernel:
             base += REBASE_STEP
             if base + size > ADDRESS_LIMIT:
                 raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
+        if base != image.nt.image_base and not image.relocations:
+            raise CannotRelocate(f"{name} must rebase but has no relocations")
         raw = memoryview(image.raw)
-        relocated = None
-        if base != image.nt.image_base:
-            if not image.relocations:
-                raise CannotRelocate(f"{name} must rebase but has no relocations")
-            relocated = memoryview(apply_relocations(
-                assemble_mapped(image), base, image.nt.image_base, image.relocations))
         tag = f"image:{name}"
+        regions = []
         for rva, span, offset, copy, section in spans:
-            if relocated is not None:
-                data = bytearray(relocated[rva:rva + span])
-            else:  # straight from the file: the raw bytes, then a zero tail
-                data = bytearray(raw[offset:offset + copy])
-                if copy < span:
-                    data += bytes(span - copy)
+            data = bytearray(raw[offset:offset + copy])  # the raw bytes, then a zero tail
+            if copy < span:
+                data += bytes(span - copy)
             if section is None:
                 perms = PERM_R
             elif section.executable:
@@ -496,7 +498,11 @@ class SimKernel:
                 perms = PERM_RW
             else:
                 perms = PERM_R
-            proc.add_region(MemoryRegion(base + rva, data, perms, tag))
+            regions.append(MemoryRegion(base + rva, data, perms, tag))
+        if base != image.nt.image_base:
+            relocate_pieces([(r.base - base, r.data) for r in regions], size, base,
+                            image.nt.image_base, image.relocations)
+        proc.insert_regions(base, size, regions)
         return base
 
     # ------------------------------------------------------------------

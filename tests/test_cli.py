@@ -111,6 +111,15 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == "error: line 1: repeated option 'report-only'\n"
 
+    def test_run_non_utf8_scenario_exit_two(self, tmp_path, capsys):
+        scenario = tmp_path / "bad.scenario"
+        scenario.write_bytes(b"process a\xff.exe x.bin\n")
+        assert main(["run", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: scenario {str(scenario)!r} is not UTF-8: ")
+        assert "0xff" in captured.err and captured.err.count("\n") == 1
+
     def test_run_json_format(self, fixture_dir, capsys, monkeypatch):
         monkeypatch.setenv("SENTINEL_LOG_FORMAT", "json")
         assert main(["run", str(fixture_dir / "poc_duqu_attack.scenario")]) == 0

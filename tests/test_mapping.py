@@ -22,6 +22,7 @@ from duqusim.pebuild import (
     reloc_block,
 )
 from duqusim.peformat import (
+    FixupOutOfRange,
     NotPe,
     Section,
     Truncated,
@@ -29,10 +30,18 @@ from duqusim.peformat import (
     mapped_spans,
     parse_headers,
     parse_pe,
+    relocate_pieces,
     strip_headers,
 )
 from duqusim.scan import scan_pe
-from duqusim.simkernel import AddressSpaceExhausted, CannotRelocate, SimKernel, SimProcess
+from duqusim.simkernel import (
+    PERM_R,
+    AddressSpaceExhausted,
+    CannotRelocate,
+    MemoryRegion,
+    SimKernel,
+    SimProcess,
+)
 
 from conftest import boot_kernel, displaced_headers_image, small_image
 from oracles import assemble_mapped_oracle, loader_regions_oracle
@@ -105,6 +114,52 @@ def edge_images() -> dict[str, bytes]:
     }
 
 
+def fixup_image(rng: random.Random) -> bytes:
+    """A small image with random HIGHLOW fixups: inside sections, straddling
+    a section's end or start (into a gap or the adjacent section), wholly in
+    a gap, and overlapping earlier ones, so that fixups share gap bytes."""
+    sections, va = [], 0x400
+    for i in range(rng.randint(2, 4)):
+        raw = bytes(rng.randrange(256) for _ in range(rng.randrange(0x10, 0x60)))
+        vsize = rng.choice([len(raw), len(raw) + rng.randrange(1, 0x30),
+                            len(raw) - rng.randrange(0, 8)])
+        sections.append(SectionDef(f".s{i}", va, raw,
+                                   rng.choice([CODE_SECTION, DATA_SECTION]), vsize))
+        va += vsize + rng.choice([0, 0, rng.randrange(1, 0x20)])
+    reloc_va = va + rng.randrange(4, 0x20)
+    ends = [s.va + s.vsize for s in sections]
+    gaps = [(end, nxt.va) for end, nxt in zip(ends, sections[1:]) if nxt.va > end]
+    gaps.append((ends[-1], reloc_va))
+    spots = []
+    for _ in range(rng.randint(4, 16)):
+        kind = rng.choice(["inside", "end", "start", "gap", "overlap", "overlap"])
+        s = rng.choice(sections)
+        if kind == "inside":
+            pos = s.va + rng.randrange(0, s.vsize - 3)
+        elif kind == "end":
+            pos = s.va + s.vsize - rng.randrange(1, 4)
+        elif kind == "start":
+            pos = s.va - rng.randrange(1, 4)
+        elif kind == "gap":
+            lo, hi = rng.choice(gaps)
+            pos = rng.randrange(lo, hi)
+        else:
+            pos = (spots[-1] if spots else s.va) + rng.randrange(-3, 4)
+        if pos + 4 <= reloc_va:
+            spots.append(pos)
+    return build_pe32(PeSpec(image_base=0x01000000, entry_rva=sections[0].va,
+                             sections=sections, relocations=[reloc_block(0, spots)],
+                             reloc_va=reloc_va, section_align=0x100))
+
+
+def fixup_past_image() -> bytes:
+    """An image whose one fixup runs two bytes past size_of_image."""
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION)],
+        relocations=[reloc_block(0x2000, [0xFFE])], reloc_va=0x2000))
+
+
 class TestAssembleMapped:
     @pytest.mark.parametrize("name", PE_FIXTURES)
     def test_fixtures_match_reference_layout(self, fixture_bytes, name):
@@ -172,6 +227,29 @@ class TestLoaderRegions:
         # the dword 0x0000AAAA plus the delta; its high half fell in the gap
         assert text.data[0xFE:] == (0xAAAA + 0x3456).to_bytes(2, "little")
 
+    def test_random_fixups_match_reference(self):
+        rng = random.Random(0xF1C5)
+        for _ in range(80):
+            map_both_ways(fixup_image(rng), REBASE_TO + rng.randrange(1, 1 << 24))
+
+    def test_section_table_out_of_rva_order(self):
+        data = bytearray(edge_images()["fixup_straddles_gap"])
+        table = parse_pe(bytes(data)).headers_end - 3 * 40
+        data[table:table + 80] = data[table + 40:table + 80] + data[table:table + 40]
+        image = parse_pe(bytes(data))
+        assert [s.name for s in image.sections] == [".data", ".text", ".reloc"]
+        assert [span.rva for span in mapped_spans(image)] == [0, 0x1000, 0x2000, 0x3000]
+        map_both_ways(bytes(data), REBASE_TO + 0x3456)
+
+    def test_fixup_past_the_image_maps_nothing(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", fixup_past_image())
+        before = list(proc.regions)
+        with pytest.raises(FixupOutOfRange, match=r"fixup at rva 0x2ffe past end"):
+            kernel.load_module(proc.pid, "again.dll", fixup_past_image())
+        assert proc.regions == before
+        assert proc.modules == [("host.exe", 0x01000000)]
+
     def test_boot_modules_match_reference(self, fixture_dir, fixture_bytes):
         kernel, _ = boot_kernel(fixture_dir, with_duqu=False)
         proc = kernel.processes[simkernel.PID_START]
@@ -180,15 +258,50 @@ class TestLoaderRegions:
             check_mapping(proc, name, fixture_bytes(fixture))
 
     def test_preferred_base_builds_no_image_buffer(self, fixture_bytes, monkeypatch):
-        layouts = []
-        monkeypatch.setattr(simkernel, "assemble_mapped",
-                            lambda image: layouts.append(image) or assemble_mapped(image))
+        relocations, layouts = [], []
+        monkeypatch.setattr(simkernel, "relocate_pieces",
+                            lambda *args: relocations.append(args) or relocate_pieces(*args))
+        monkeypatch.setattr(peformat, "assemble_mapped", layouts.append)
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", fixture_bytes("services.exe"))
         kernel.load_module(proc.pid, "k.dll", fixture_bytes("kernel32.dll"))
-        assert layouts == []
+        assert relocations == []
         kernel.load_module(proc.pid, "k2.dll", fixture_bytes("kernel32.dll"))
-        assert len(layouts) == 1
+        kernel.load_module(proc.pid, "k3.dll", fixture_bytes("kernel32.dll"), base=REBASE_TO)
+        assert len(relocations) == 2
+        assert layouts == [] and not hasattr(simkernel, "assemble_mapped")
+        check_mapping(proc, "k2.dll", fixture_bytes("kernel32.dll"))
+
+
+class TestInsertRegions:
+    @staticmethod
+    def region(base: int, size: int) -> MemoryRegion:
+        return MemoryRegion(base, bytearray(size), PERM_R, "r")
+
+    def test_one_splice_between_neighbours(self):
+        proc = SimProcess(simkernel.PID_START, "a.exe", simkernel.PEB_START)
+        low, high = self.region(0x1000, 0x100), self.region(0x3000, 0x100)
+        proc.insert_regions(0x1000, 0x100, [low])
+        proc.insert_regions(0x3000, 0x100, [high])
+        middle = [self.region(0x2000, 0x10), self.region(0x2010, 0x20),
+                  self.region(0x2800, 0x8)]
+        proc.insert_regions(0x2000, 0x1000, middle)
+        assert proc.regions == [low, *middle, high]
+
+    @pytest.mark.parametrize("bases, span", [
+        ([0x2010, 0x2000], (0x2000, 0x1000)),   # unsorted
+        ([0x2000, 0x2008], (0x2000, 0x1000)),   # overlapping
+        ([0x2000, 0x2F00], (0x2000, 0xF00)),    # past the span's end
+        ([0x1F00, 0x2000], (0x2000, 0x1000)),   # before the span
+        ([0x2000], (0x0F00, 0x1200)),           # the span is not free
+    ])
+    def test_bad_regions_refused_and_nothing_inserted(self, bases, span):
+        proc = SimProcess(simkernel.PID_START, "a.exe", simkernel.PEB_START)
+        proc.add_region(self.region(0x1000, 0x100))
+        before = list(proc.regions)
+        with pytest.raises(AssertionError):
+            proc.insert_regions(*span, [self.region(b, 0x10) for b in bases])
+        assert proc.regions == before
 
 
 class TestMappingsShareNoBytes:
@@ -270,6 +383,7 @@ class TestFailedMappingLeavesNoProcess:
         (small_image, 0xFFFFFF00, AddressSpaceExhausted),
         (small_image, 0x02000000, CannotRelocate),
         (displaced_headers_image, None, NotPe),
+        (fixup_past_image, REBASE_TO, FixupOutOfRange),
     ])
     def test_no_process_and_no_pid_taken(self, image, base, error):
         kernel = SimKernel()

@@ -553,12 +553,12 @@ class TestAddressLimit:
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", exe_fixture())
         before = image_regions(proc)
-        layouts = []
-        monkeypatch.setattr(simkernel, "assemble_mapped",
-                            lambda image: layouts.append(image))
+        relocations = []
+        monkeypatch.setattr(simkernel, "relocate_pieces",
+                            lambda *args: relocations.append(args))
         with pytest.raises(AddressSpaceExhausted):
             kernel.load_module(proc.pid, "x.dll", dll_fixture(), base=base)
-        assert layouts == []
+        assert relocations == []
         assert image_regions(proc) == before
         assert [name for name, _ in proc.modules] == ["a.exe"]
 
