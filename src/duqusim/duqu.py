@@ -72,8 +72,9 @@ SAVED_ENTRY_LEN = 12
 STUB_SHIM_SIZE = 57
 MASK_LEN = 32
 
-# Ten loader/memory routines the injected code gets handed; the hashes are
-# computed from this list at config load, never stored.
+# Ten loader/memory routines the injected code gets handed.  Only their
+# ror13 hashes reach the driver, which resolves kernel32's exports by them;
+# DEFAULT_IMPORT_HASHES holds them, hashed once at import.
 DEFAULT_IMPORT_NAMES = (
     "LoadLibraryA",
     "GetProcAddress",
@@ -86,6 +87,9 @@ DEFAULT_IMPORT_NAMES = (
     "CloseHandle",
     "GetModuleHandleA",
 )
+DEFAULT_IMPORT_HASHES = tuple(ror13_hash(n.encode("ascii")) for n in DEFAULT_IMPORT_NAMES)
+# bytes(range(256)) as an int; XORed with the key byte it is the keystream.
+_RAMP = int.from_bytes(bytes(range(256)), "little")
 
 
 class DuquError(Exception):
@@ -122,7 +126,8 @@ def decrypt_blob(blob: bytes, key: int) -> bytes:
     Involutionary for a fixed key, so the same call encrypts.
     """
     n = len(blob)
-    keystream = bytes(key ^ i for i in range(256)) * (n // 256 + 1)
+    keystream = (_RAMP ^ int.from_bytes(bytes((key,)) * 256, "little")).to_bytes(
+        256, "little") * (n // 256 + 1)
     return (int.from_bytes(blob, "little")
             ^ int.from_bytes(keystream[:n], "little")).to_bytes(n, "little")
 
@@ -276,7 +281,9 @@ class DuquDriver:
         self.kernel_base = kernel_base
         self.window = window
         self.versions = versions
-        self.import_hashes = [ror13_hash(n.encode("ascii")) for n in import_names]
+        self.import_hashes = (
+            DEFAULT_IMPORT_HASHES if import_names == DEFAULT_IMPORT_NAMES
+            else tuple(ror13_hash(n.encode("ascii")) for n in import_names))
         self.driver = Driver(name)
         self.handle = kernel.register_driver(self.driver)
         self.state = SharedState()

@@ -17,6 +17,15 @@ An image comes from one of two places:
 
 Both decode the export and relocation directories with the same code,
 through a ``read(rva, n)`` that returns exactly ``n`` bytes or raises.
+The headers are decoded with precompiled structs: one unpack for the DOS
+header's two fields, one for the nine fixed NT fields, ``iter_unpack``
+for the data directories and the section table.  A buffer too short for
+the fixed NT fields goes to :func:`_nt_cut_short`, which raises what a
+field-by-field decode raises.  An export name outside the directory's
+span is read with one ``find`` per contiguous file run
+(:func:`_file_cstring`) or in growing chunks through memory
+(:func:`_read_cstring`), each with the result, or the error, of a
+byte-by-byte read.
 
 A file image's loader layout is a list of :class:`MapSpan`, built once per
 image by :func:`mapped_spans`: the headers and each mapped section, with
@@ -39,7 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = 0x00004550
@@ -77,6 +86,19 @@ MAX_IMAGE_SIZE = 0x04000000
 
 _M32 = 0xFFFFFFFF
 _U32 = struct.Struct("<I")
+_DOS = struct.Struct("<H58xI")  # e_magic, e_lfanew
+# The fixed NT fields: signature; machine, section count and optional-header
+# size from the file header; optional magic, entrypoint RVA, image base,
+# size_of_image and the directory count from the optional header.
+_NT = struct.Struct("<IHH12xH2xH14xI8xI24xI32xI")
+# Each _NT field's (offset from e_lfanew, width), in the order it is read.
+_NT_FIELDS = ((0, 4), (4, 2), (6, 2), (20, 2), (24, 2), (40, 4), (52, 4), (80, 4), (116, 4))
+_DIRECTORY = struct.Struct("<II")  # rva, size
+# name, virtual size, virtual address, raw size, raw offset, characteristics
+_SECTION = struct.Struct("<8sIIII12xI")
+
+# The first chunk of an export name read through memory.
+_CSTRING_CHUNK = 64
 
 # read(rva, n): exactly n bytes of an image starting at rva, or an exception.
 Reader = Callable[[int, int], bytes]
@@ -231,12 +253,6 @@ def _u16(data: bytes, off: int) -> int:
     return struct.unpack_from("<H", data, off)[0]
 
 
-def _u32(data: bytes, off: int) -> int:
-    if off + 4 > len(data):
-        raise Truncated(f"dword at {off:#x} past end of buffer")
-    return struct.unpack_from("<I", data, off)[0]
-
-
 def ror13_hash(data: bytes) -> int:
     """Rotate-right-13 additive hash over a byte sequence.
 
@@ -245,9 +261,9 @@ def ror13_hash(data: bytes) -> int:
     export resolver and the integrity monitor share.
     """
     acc = 0
+    m32 = _M32
     for b in data:
-        acc = ((acc >> 13) | (acc << 19)) & _M32
-        acc = (acc + b) & _M32
+        acc = (((acc >> 13) | (acc << 19)) + b) & m32
     return acc
 
 
@@ -278,80 +294,109 @@ def decode_entry_hook(head: bytes) -> int | None:
 
 
 def _parse_dos(data: bytes) -> DosHeader:
-    if len(data) < 2 or _u16(data, 0) != MZ_MAGIC:
+    if len(data) < _DOS.size:
+        if data[:2] != b"MZ":
+            raise NotMz("no 'MZ' at offset 0")
+        raise Truncated(f"dword at {E_LFANEW_OFFSET:#x} past end of buffer")
+    e_magic, e_lfanew = _DOS.unpack_from(data)
+    if e_magic != MZ_MAGIC:
         raise NotMz("no 'MZ' at offset 0")
-    e_lfanew = _u32(data, E_LFANEW_OFFSET)
     if e_lfanew < 64:
         raise NotPe(f"e_lfanew {e_lfanew:#x} overlaps the DOS header")
     return DosHeader(e_magic=MZ_MAGIC, e_lfanew=e_lfanew)
 
 
-def _parse_nt(data: bytes, e_lfanew: int) -> tuple[NtHeaders, int]:
-    """Returns the parsed headers and the file offset of the section table."""
-    signature = _u32(data, e_lfanew)
+def _check_nt(fields: tuple[int, ...], known: int = len(_NT_FIELDS)) -> None:
+    """The checks on the fixed NT fields, in the order decoding makes them.
+
+    Only the checks whose fields are among the first ``known`` in read
+    order are made: a buffer cut short stops the decode at its first
+    missing field.
+    """
+    signature, machine, number_of_sections, _, optional_magic, entry, _, size, _ = fields
+    if known < 1:
+        return
     if (signature ^ SIG_XOR_KEY) != SIG_XOR_EXPECT:
         raise NotPe(f"signature {signature:#010x} fails the obfuscated check")
-    fh = e_lfanew + 4
-    machine = _u16(data, fh)
-    number_of_sections = _u16(data, fh + 2)
-    size_of_optional = _u16(data, fh + 16)
+    if known < 4:
+        return
     if machine != MACHINE_I386:
         raise NotPe(f"machine {machine:#06x} is not 0x014c")
     if number_of_sections < 1:
         raise NotPe("image has no sections")
-    oh = fh + FILE_HEADER_SIZE
-    optional_magic = _u16(data, oh)
+    if known < 5:
+        return
     if optional_magic != PE32_MAGIC:
         raise NotPe(f"optional magic {optional_magic:#06x} is not PE32")
-    entry_point_rva = _u32(data, oh + 16)
-    image_base = _u32(data, oh + 28)
-    size_of_image = _u32(data, oh + 56)
-    if entry_point_rva >= size_of_image:
+    if known < 8:
+        return
+    if entry >= size:
         raise NotPe("entry point RVA outside the image")
-    if size_of_image > MAX_IMAGE_SIZE:
-        raise NotPe(f"size_of_image {size_of_image:#x} above {MAX_IMAGE_SIZE:#x}")
-    dir_count = min(_u32(data, oh + 92), 16)
-    table = oh + 96
-    if table + 8 * dir_count > len(data):
+    if size > MAX_IMAGE_SIZE:
+        raise NotPe(f"size_of_image {size:#x} above {MAX_IMAGE_SIZE:#x}")
+
+
+def _nt_cut_short(data: bytes, e_lfanew: int) -> NoReturn:
+    """Raise for NT headers that end before their fixed fields do.
+
+    The error is a check's on a field before the cut, or else
+    :class:`Truncated` naming the first missing field in read order.
+    """
+    present = bytes(data[e_lfanew:e_lfanew + _NT.size])
+    known = next(i for i, (off, width) in enumerate(_NT_FIELDS)
+                 if off + width > len(present))
+    _check_nt(_NT.unpack(present.ljust(_NT.size, b"\x00")), known)
+    off, width = _NT_FIELDS[known]
+    raise Truncated(f"{'dword' if width == 4 else 'word'} at {e_lfanew + off:#x} "
+                    f"past end of buffer")
+
+
+def _parse_nt(data: bytes, e_lfanew: int) -> tuple[NtHeaders, int]:
+    """Returns the parsed headers and the file offset of the section table."""
+    if len(data) < e_lfanew + _NT.size:
+        _nt_cut_short(data, e_lfanew)
+    fields = _NT.unpack_from(data, e_lfanew)
+    _check_nt(fields)
+    (signature, machine, number_of_sections, size_of_optional, optional_magic,
+     entry_point_rva, image_base, size_of_image, dir_count) = fields
+    table = e_lfanew + _NT.size
+    end = table + 8 * min(dir_count, 16)
+    if end > len(data):
         first_short = table + 4 * ((len(data) - table) // 4)
         raise Truncated(f"dword at {first_short:#x} past end of buffer")
-    flat = struct.unpack_from(f"<{2 * dir_count}I", data, table)
-    dirs = list(zip(flat[::2], flat[1::2]))
-    nt = NtHeaders(
-        signature=signature,
-        machine=machine,
-        number_of_sections=number_of_sections,
-        optional_magic=optional_magic,
-        entry_point_rva=entry_point_rva,
-        image_base=image_base,
-        size_of_image=size_of_image,
-        data_directories=dirs,
-    )
-    return nt, oh + size_of_optional
+    nt = NtHeaders(signature, machine, number_of_sections, optional_magic,
+                   entry_point_rva, image_base, size_of_image,
+                   list(_DIRECTORY.iter_unpack(data[table:end])))
+    return nt, e_lfanew + 4 + FILE_HEADER_SIZE + size_of_optional
 
 
 def _parse_sections(data: bytes, table_off: int, count: int) -> list[Section]:
-    sections = []
-    for i in range(count):
-        off = table_off + i * SECTION_HEADER_SIZE
-        if off + SECTION_HEADER_SIZE > len(data):
-            raise Truncated("section table past end of buffer")
-        raw_name = data[off:off + 8]
-        (vsize, va, rsize, roff) = struct.unpack_from("<IIII", data, off + 8)
-        characteristics = struct.unpack_from("<I", data, off + 36)[0]
-        sections.append(Section(
-            name=raw_name.rstrip(b"\x00").decode("latin-1"),
-            virtual_address=va,
-            virtual_size=vsize,
-            raw_offset=roff,
-            raw_size=rsize,
-            characteristics=characteristics,
-        ))
+    end = table_off + SECTION_HEADER_SIZE * count
+    if end > len(data):
+        raise Truncated("section table past end of buffer")
+    sections = [Section(name.rstrip(b"\x00").decode("latin-1"), va, vsize, roff, rsize, flags)
+                for name, vsize, va, rsize, roff, flags
+                in _SECTION.iter_unpack(data[table_off:end])]
     spans = sorted((s.virtual_address, s.virtual_address + s.virtual_span) for s in sections)
-    for (lo1, hi1), (lo2, _) in zip(spans, spans[1:]):
+    for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
         if lo2 < hi1:
             raise NotPe("section RVA ranges overlap")
     return sections
+
+
+def _file_run(image: PeImage, rva: int) -> tuple[int, int]:
+    """File offsets ``[start, end)`` that ``rva`` and the RVAs after it map to.
+
+    The run ends where the headers region or the virtual span of the
+    section holding ``rva`` ends; ``end`` may lie past the file.
+    """
+    first_va = min(s.virtual_address for s in image.sections)
+    if rva < first_va:
+        return rva, first_va
+    for s in image.sections:
+        if s.virtual_address <= rva < s.virtual_address + s.virtual_span:
+            return s.raw_offset + (rva - s.virtual_address), s.raw_offset + s.virtual_span
+    raise OutOfImage(f"rva {rva:#x} in no section")
 
 
 def rva_to_offset(image: PeImage, rva: int) -> int:
@@ -359,13 +404,7 @@ def rva_to_offset(image: PeImage, rva: int) -> int:
 
     The headers region (below the first section RVA) maps identically.
     """
-    first_va = min(s.virtual_address for s in image.sections)
-    if rva < first_va:
-        return rva
-    for s in image.sections:
-        if s.virtual_address <= rva < s.virtual_address + s.virtual_span:
-            return s.raw_offset + (rva - s.virtual_address)
-    raise OutOfImage(f"rva {rva:#x} in no section")
+    return _file_run(image, rva)[0]
 
 
 def _read_file(image: PeImage, rva: int, n: int) -> bytes:
@@ -376,7 +415,61 @@ def _read_file(image: PeImage, rva: int, n: int) -> bytes:
     return image.raw[off:off + n]
 
 
-def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
+def _file_cstring(image: PeImage, rva: int) -> bytes:
+    """The NUL-terminated string at ``rva`` of a file image.
+
+    One ``find`` per contiguous file run (see :func:`_file_run`); the
+    result, or the error, is the same as reading it a byte at a time
+    through :func:`_read_file`.
+    """
+    raw = image.raw
+    parts = []
+    while True:
+        start, end = _file_run(image, rva)
+        nul = raw.find(b"\x00", start, end)
+        if nul != -1:
+            parts.append(raw[start:nul])
+            return b"".join(parts)
+        if end > len(raw):
+            missing = rva + max(len(raw) - start, 0)
+            raise Truncated(f"{1:#x} bytes at rva {missing:#x} past end of buffer")
+        parts.append(raw[start:end])
+        rva += end - start
+
+
+def _read_cstring(read: Reader, rva: int) -> bytes:
+    """The NUL-terminated string at ``rva``, read through ``read`` in chunks.
+
+    Each chunk that reads doubles the next, so a long name costs a few
+    reads.  Once one raises, the chunks halve the span that raised until
+    the single byte whose read raises is read alone, so the result, or the
+    error, is the same as reading the string a byte at a time.
+    """
+    parts = []
+    size = _CSTRING_CHUNK
+    bound = None  # a read reaching this RVA raised
+    while True:
+        try:
+            chunk = read(rva, size)
+        except Exception:  # whatever it is, the one-byte read raises it again
+            if size == 1:
+                raise
+            bound = rva + size
+            size //= 2
+            continue
+        nul = chunk.find(b"\x00")
+        if nul != -1:
+            parts.append(chunk[:nul])
+            return b"".join(parts)
+        parts.append(chunk)
+        rva += size
+        size = 2 * size if bound is None else max((bound - rva) // 2, 1)
+
+
+def _parse_exports(read: Reader, nt: NtHeaders,
+                   cstring: Callable[[int], bytes]) -> ExportTable | None:
+    """The export directory, read through ``read``; ``cstring(rva)`` reads
+    a name that does not end inside the directory's span."""
     rva, size = nt.directory(DIR_EXPORT)
     if rva == 0 or size == 0:
         return None
@@ -390,15 +483,19 @@ def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
             return span[lo:lo + n]
         return read(field_rva, n) if n else b""
 
-    def cstring(name_rva: int) -> bytes:
+    last: tuple[int, bytes] | None = None  # the last name read outside the span
+
+    def name_at(name_rva: int) -> bytes:
+        nonlocal last
         lo = name_rva - rva
         end = span.find(b"\x00", lo) if 0 <= lo < len(span) else -1
         if end != -1:
             return span[lo:end]
-        name = bytearray()
-        while (byte := read(name_rva + len(name), 1)) != b"\x00":
-            name += byte
-        return bytes(name)
+        # A tail of the last name (tail-merged strings) ends at the same NUL.
+        if last is not None and 0 <= name_rva - last[0] <= len(last[1]):
+            return last[1][name_rva - last[0]:]
+        last = (name_rva, cstring(name_rva))
+        return last[1]
 
     n_names, functions_rva, names_rva, ordinals_rva = struct.unpack_from("<4I", span, 24)
     name_rvas = struct.unpack(f"<{n_names}I", at(names_rva, 4 * n_names))
@@ -406,8 +503,8 @@ def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
     entries: list[tuple[bytes, int]] = []
     seen: set[bytes] = set()
     for name_rva, ordinal in zip(name_rvas, ordinals):
-        func_rva = struct.unpack("<I", at(functions_rva + 4 * ordinal, 4))[0]
-        name = cstring(name_rva)
+        func_rva = _U32.unpack(at(functions_rva + 4 * ordinal, 4))[0]
+        name = name_at(name_rva)
         if name in seen:
             raise NotPe(f"duplicate export name {name!r}")
         if func_rva >= nt.size_of_image:
@@ -464,7 +561,7 @@ def parse_pe(data: bytes) -> PeImage:
         if s.raw_offset + s.raw_size > len(data):
             raise Truncated(f"section {s.name!r} raw data past end of buffer")
     read = partial(_read_file, image)
-    image.exports = _parse_exports(read, image.nt)
+    image.exports = _parse_exports(read, image.nt, partial(_file_cstring, image))
     image.relocations = _parse_relocations(read, image.nt)
     return image
 
@@ -504,7 +601,7 @@ def read_module(read: Reader) -> PeImage:
     :func:`parse_pe` makes on file bytes.
     """
     image = read_headers(read)
-    image.exports = _parse_exports(read, image.nt)
+    image.exports = _parse_exports(read, image.nt, partial(_read_cstring, read))
     image.relocations = _parse_relocations(read, image.nt)
     return image
 
@@ -779,6 +876,25 @@ def mapped_spans(image: PeImage) -> list[MapSpan]:
         spans.sort(key=attrgetter("rva"))
         image.spans = spans
     return image.spans
+
+
+def mapped_bytes(image: PeImage, rva: int, n: int) -> bytes:
+    """``n`` bytes from ``rva`` of a file image, as a loader maps them.
+
+    The bytes each of :func:`mapped_spans` copies from the file; anything
+    else, a gap, a virtual tail or a byte past the image, reads as zero.
+    """
+    size = image.nt.size_of_image
+    for s in image.sections:  # most reads lie in one section's file bytes
+        lo = rva - s.virtual_address
+        if 0 <= lo and lo + n <= min(s.raw_size, s.virtual_span, size - s.virtual_address):
+            return image.raw[s.raw_offset + lo:s.raw_offset + lo + n]
+    out = bytearray(n)
+    for at, _, offset, copy, _ in mapped_spans(image):
+        lo, hi = max(rva, at), min(rva + n, at + copy)
+        if lo < hi:
+            out[lo - rva:hi - rva] = image.raw[offset + lo - at:offset + hi - at]
+    return bytes(out)
 
 
 def assemble_mapped(image: PeImage) -> bytearray:

@@ -2,7 +2,9 @@
 
 Three signatures, all file-level:
 
-* ENTRY_HOOK          - entrypoint bytes decode as mov eax, imm32 / call eax
+* ENTRY_HOOK          - entrypoint bytes, as the loader maps them (zero
+                        past a section's raw data), decode as
+                        mov eax, imm32 / call eax
 * ZWPROTECT_PATTERN   - the call / push 104h / call train anchored at a
                         named export resolves (requires --anchor-export)
 * OBFUSCATED_PE_CONST - a code dword equals the plain signature constant,
@@ -25,8 +27,8 @@ from .peformat import (
     PatternNotFound,
     PeError,
     decode_entry_hook,
+    mapped_bytes,
     parse_pe,
-    rva_to_offset,
     scan_call_push_call,
     section_data,
 )
@@ -72,11 +74,8 @@ def scan_pe(data: bytes, path: str = "<buffer>",
     report = ScanReport(path=path)
     entry_rva = image.nt.entry_point_rva
     entry_va = image.nt.image_base + entry_rva
-    try:
-        off = rva_to_offset(image, entry_rva)
-    except PeError:
-        off = None
-    target = None if off is None else decode_entry_hook(data[off:off + HOOK_LEN])
+    # The bytes the loader maps there: past a section's raw data, zeros.
+    target = decode_entry_hook(mapped_bytes(image, entry_rva, HOOK_LEN))
     if target is not None:
         report.findings.append(Finding(
             ENTRY_HOOK, entry_va,

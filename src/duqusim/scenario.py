@@ -25,8 +25,11 @@ malformed option value is a :class:`ScenarioError`; ``set-mode`` and
 
 from __future__ import annotations
 
-import json
+import errno
+import os
+import stat
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .duqu import (
@@ -46,6 +49,39 @@ MODES = ("normal", "debug", "failsafe")
 OPTION_KEYS = {"set-mode": (), "run": (), "process": ("base",), "module": ("base",),
                "driver sentinel": ("watch", "report-only"),
                "driver duqu": ("config", "stub1", "stub2", "mask", "kernel-base", "window")}
+
+
+# Non-blocking, so opening a FIFO returns at once and it is refused.
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+# An open failing with one of these means there is no file to read.
+_NO_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EISDIR,
+                      errno.ENXIO, errno.EBADF))
+
+
+def _read_regular_file(path: str | os.PathLike) -> bytes | None:
+    """The bytes of the regular file at ``path``, or None if there is none.
+
+    One open, then one ``fstat``: a missing path, a directory, a FIFO or a
+    device is None.  Any other error, a denied permission say, is raised.
+    """
+    try:
+        fd = os.open(path, _OPEN_FLAGS)
+    except ValueError:  # an embedded NUL names no file
+        return None
+    except OSError as exc:
+        if exc.errno in _NO_FILE:
+            return None
+        raise
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        parts = []
+        while part := os.read(fd, st.st_size + 1):
+            parts.append(part)
+        return b"".join(parts)
+    finally:
+        os.close(fd)
 
 
 class ScenarioError(Exception):
@@ -86,8 +122,10 @@ class ScenarioResult:
 
     def render(self, fmt: str = "plain") -> str:
         if fmt == "json":
+            # json.dumps({"seq": i, "source": src, "text": text}), byte for byte.
+            enc = encode_basestring_ascii
             return "\n".join(
-                json.dumps({"seq": i, "source": src, "text": text})
+                f'{{"seq": {i}, "source": {enc(src)}, "text": {enc(text)}}}'
                 for i, (src, text) in enumerate(self.lines)) + "\n"
         return "\n".join(self.text_lines()) + "\n"
 
@@ -171,7 +209,7 @@ def _parse_bool(options: dict[str, str], key: str, default: bool,
 
 
 class ScenarioRunner:
-    def __init__(self, base_dir: Path):
+    def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = base_dir
         self.kernel = SimKernel()
         self.pids: dict[str, int] = {}
@@ -182,10 +220,10 @@ class ScenarioRunner:
         """Bytes of the fixture at ``rel``, read from disk on first use only."""
         data = self._fixtures.get(rel)
         if data is None:
-            path = self.base_dir / rel
-            if not path.is_file():
+            data = _read_regular_file(os.path.join(self.base_dir, rel))
+            if data is None:
                 raise ScenarioError(f"fixture {rel!r} not found", line_no)
-            data = self._fixtures[rel] = path.read_bytes()
+            self._fixtures[rel] = data
         return data
 
     def _resolve_pid(self, ref: str, line_no: int) -> int:
@@ -292,12 +330,12 @@ def match_expectations(expectations: list[str], lines: list[str]) -> list[str]:
 
 def run_scenario(path: str | Path) -> ScenarioResult:
     """Parse and execute a scenario file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ScenarioError(f"scenario {str(path)!r} not found")
+    data = _read_regular_file(path)
+    if data is None:
+        raise ScenarioError(f"scenario {str(Path(path))!r} not found")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ScenarioError(f"scenario {str(path)!r} is not UTF-8: {exc}") from exc
+        raise ScenarioError(f"scenario {str(Path(path))!r} is not UTF-8: {exc}") from exc
     commands = parse_scenario(text)
-    return ScenarioRunner(path.parent).execute(commands)
+    return ScenarioRunner(os.path.dirname(path)).execute(commands)

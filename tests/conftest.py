@@ -38,6 +38,18 @@ def small_image() -> bytes:
         size_of_image=0x300, section_align=0x100))
 
 
+def entry_in_gap_image() -> bytes:
+    """A valid PE32 whose entrypoint, RVA 0x2800, lies in the unmapped gap
+    after its one 0x100-byte section: it loads, but a monitor watching it
+    cannot read its entrypoint at creation and terminates it there."""
+    from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
+
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x2800,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION)],
+        size_of_image=0x3000))
+
+
 def displaced_headers_image() -> bytes:
     """:func:`small_image` with its NT headers and section table moved to file
     offset 0x400: the file parses, but the mapped 0x300-byte image has none."""

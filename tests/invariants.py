@@ -4,12 +4,37 @@
 case; a failure names the invariant and the process it broke in.
 :func:`recording_runs` collects the :class:`ScenarioResult` of every
 ``duqusim run`` made through :func:`duqusim.cli.main`, so a test can check
-the kernel behind a transcript.
+the kernel behind a transcript, and registers an
+:class:`ImageLoadRecorder` in each of those kernels before any scenario
+driver.
 """
 
-from duqusim import cli
+from duqusim import cli, scenario
 from duqusim.sentinel import SentinelDriver
-from duqusim.simkernel import ADDRESS_LIMIT
+from duqusim.simkernel import ADDRESS_LIMIT, Driver, EventKind, SimKernel
+
+
+class ImageLoadRecorder(Driver):
+    """A driver registered ahead of every other one.
+
+    Dispatch hands it each ``IMAGE_LOAD`` first, so it sees the pid as the
+    event starts dispatch; later drivers in the same round may still see
+    the pid die.  It notes every event whose pid is not alive then; a fault
+    raised from a handler would only be logged, so :func:`check_kernel`
+    asserts instead.
+    """
+
+    def __init__(self, kernel):
+        super().__init__("invariants")
+        self.kernel = kernel
+        self.dead_loads: list[tuple[int, str]] = []
+        self.handlers[EventKind.IMAGE_LOAD] = self._on_image_load
+        kernel.register_driver(self)
+
+    def _on_image_load(self, event) -> None:
+        proc = self.kernel.processes.get(event.pid)
+        if proc is None or not proc.alive:
+            self.dead_loads.append((event.pid, event.module_name))
 
 
 def check_kernel(kernel, drivers=()) -> None:
@@ -24,6 +49,10 @@ def check_kernel(kernel, drivers=()) -> None:
         assert end <= ADDRESS_LIMIT, f"pid {pid:#x}: region ends at {end:#x}"
         assert proc.region_at(proc.image_base) is not None, \
             f"pid {pid:#x}: nothing mapped at its image base {proc.image_base:#x}"
+    for driver in kernel.drivers:
+        if isinstance(driver, ImageLoadRecorder):
+            assert not driver.dead_loads, \
+                f"IMAGE_LOAD dispatched for dead pids {driver.dead_loads}"
     for driver in drivers:
         if isinstance(driver, SentinelDriver):
             dead = [pid for pid in driver.records
@@ -31,13 +60,25 @@ def check_kernel(kernel, drivers=()) -> None:
             assert not dead, f"sentinel records for dead pids {dead}"
 
 
+def recorded_kernel(*args, **kwargs) -> SimKernel:
+    """A :class:`SimKernel` with an :class:`ImageLoadRecorder` registered."""
+    kernel = SimKernel(*args, **kwargs)
+    ImageLoadRecorder(kernel)
+    return kernel
+
+
 def recording_runs(monkeypatch) -> list:
-    """Results of the scenarios ``cli.main`` runs from now on, in order."""
+    """Results of the scenarios ``cli.main`` runs from now on, in order.
+
+    Each of their kernels has an :class:`ImageLoadRecorder` registered first.
+    """
     results = []
     original = cli.run_scenario
+    monkeypatch.setattr(scenario, "SimKernel", recorded_kernel)
 
     def run_and_record(path):
         result = original(path)
+        assert isinstance(result.kernel.drivers[0], ImageLoadRecorder)
         results.append(result)
         return result
 

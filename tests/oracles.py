@@ -2,10 +2,27 @@
 
 Everything here is written against the raw formats, not against the
 package's own code paths, so a bug in the implementation cannot hide in
-its tests.
+its tests.  The one exception is the step-by-step header decoder at the
+end: the package's decoder must match it exactly, so it builds the
+package's own dataclasses and shares its unchanged relocation decoder.
 """
 
 import struct
+from functools import partial
+
+from duqusim.peformat import (
+    MAX_IMAGE_SIZE,
+    DosHeader,
+    ExportTable,
+    NotMz,
+    NotPe,
+    NtHeaders,
+    PeImage,
+    Section,
+    Truncated,
+    _parse_relocations,
+    _read_file,
+)
 
 MASK32 = 0xFFFFFFFF
 
@@ -164,3 +181,172 @@ def loader_regions_oracle(image, base: int) -> list[tuple[int, bytes, str]]:
         regions.append((base + s.virtual_address,
                         mapped[s.virtual_address:s.virtual_address + span], perms))
     return sorted(regions)
+
+
+# The step-by-step PE32 decoder the package used before it decoded the
+# fixed header fields with precompiled structs: one bounds-checked read per
+# field, in header order, and export names read one byte at a time.  The
+# package must give the same PeImage, or raise the same exception type
+# with the same message.
+
+def _u16(data: bytes, off: int) -> int:
+    if off + 2 > len(data):
+        raise Truncated(f"word at {off:#x} past end of buffer")
+    return struct.unpack_from("<H", data, off)[0]
+
+
+def _u32(data: bytes, off: int) -> int:
+    if off + 4 > len(data):
+        raise Truncated(f"dword at {off:#x} past end of buffer")
+    return struct.unpack_from("<I", data, off)[0]
+
+
+def _parse_dos_oracle(data: bytes):
+    if len(data) < 2 or _u16(data, 0) != 0x5A4D:
+        raise NotMz("no 'MZ' at offset 0")
+    e_lfanew = _u32(data, 60)
+    if e_lfanew < 64:
+        raise NotPe(f"e_lfanew {e_lfanew:#x} overlaps the DOS header")
+    return DosHeader(e_magic=0x5A4D, e_lfanew=e_lfanew)
+
+
+def _parse_nt_oracle(data: bytes, e_lfanew: int):
+    signature = _u32(data, e_lfanew)
+    if (signature ^ 0xF750F284) != 0xF750B7D4:
+        raise NotPe(f"signature {signature:#010x} fails the obfuscated check")
+    fh = e_lfanew + 4
+    machine = _u16(data, fh)
+    number_of_sections = _u16(data, fh + 2)
+    size_of_optional = _u16(data, fh + 16)
+    if machine != 0x014C:
+        raise NotPe(f"machine {machine:#06x} is not 0x014c")
+    if number_of_sections < 1:
+        raise NotPe("image has no sections")
+    oh = fh + 20
+    optional_magic = _u16(data, oh)
+    if optional_magic != 0x010B:
+        raise NotPe(f"optional magic {optional_magic:#06x} is not PE32")
+    entry_point_rva = _u32(data, oh + 16)
+    image_base = _u32(data, oh + 28)
+    size_of_image = _u32(data, oh + 56)
+    if entry_point_rva >= size_of_image:
+        raise NotPe("entry point RVA outside the image")
+    if size_of_image > MAX_IMAGE_SIZE:
+        raise NotPe(f"size_of_image {size_of_image:#x} above {MAX_IMAGE_SIZE:#x}")
+    dir_count = min(_u32(data, oh + 92), 16)
+    table = oh + 96
+    if table + 8 * dir_count > len(data):
+        first_short = table + 4 * ((len(data) - table) // 4)
+        raise Truncated(f"dword at {first_short:#x} past end of buffer")
+    flat = struct.unpack_from(f"<{2 * dir_count}I", data, table)
+    nt = NtHeaders(signature=signature, machine=machine,
+                   number_of_sections=number_of_sections,
+                   optional_magic=optional_magic, entry_point_rva=entry_point_rva,
+                   image_base=image_base, size_of_image=size_of_image,
+                   data_directories=list(zip(flat[::2], flat[1::2])))
+    return nt, oh + size_of_optional
+
+
+def _parse_sections_oracle(data: bytes, table_off: int, count: int):
+    sections = []
+    for i in range(count):
+        off = table_off + i * 40
+        if off + 40 > len(data):
+            raise Truncated("section table past end of buffer")
+        vsize, va, rsize, roff = struct.unpack_from("<IIII", data, off + 8)
+        sections.append(Section(
+            name=data[off:off + 8].rstrip(b"\x00").decode("latin-1"),
+            virtual_address=va, virtual_size=vsize, raw_offset=roff, raw_size=rsize,
+            characteristics=struct.unpack_from("<I", data, off + 36)[0]))
+    spans = sorted((s.virtual_address, s.virtual_address + s.virtual_span) for s in sections)
+    for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
+        if lo2 < hi1:
+            raise NotPe("section RVA ranges overlap")
+    return sections
+
+
+def cstring_oracle(read, rva: int) -> bytes:
+    """The NUL-terminated string at ``rva``, read one byte at a time."""
+    name = bytearray()
+    while (byte := read(rva + len(name), 1)) != b"\x00":
+        name += byte
+    return bytes(name)
+
+
+def _parse_exports_oracle(read, nt):
+    rva, size = nt.directory(0)
+    if rva == 0 or size == 0:
+        return None
+    span = read(rva, max(size, 40))
+
+    def at(field_rva, n):
+        lo = field_rva - rva
+        if 0 <= lo <= len(span) - n:
+            return span[lo:lo + n]
+        return read(field_rva, n) if n else b""
+
+    def cstring(name_rva):
+        lo = name_rva - rva
+        end = span.find(b"\x00", lo) if 0 <= lo < len(span) else -1
+        if end != -1:
+            return span[lo:end]
+        return cstring_oracle(read, name_rva)
+
+    n_names, functions_rva, names_rva, ordinals_rva = struct.unpack_from("<4I", span, 24)
+    name_rvas = struct.unpack(f"<{n_names}I", at(names_rva, 4 * n_names))
+    ordinals = struct.unpack(f"<{n_names}H", at(ordinals_rva, 2 * n_names))
+    entries, seen = [], set()
+    for name_rva, ordinal in zip(name_rvas, ordinals):
+        func_rva = struct.unpack("<I", at(functions_rva + 4 * ordinal, 4))[0]
+        name = cstring(name_rva)
+        if name in seen:
+            raise NotPe(f"duplicate export name {name!r}")
+        if func_rva >= nt.size_of_image:
+            raise NotPe(f"export {name!r} rva {func_rva:#x} outside the image")
+        seen.add(name)
+        entries.append((name, func_rva))
+    return ExportTable(entries=entries)
+
+
+def _decode_headers_oracle(data: bytes, layout: str):
+    dos = _parse_dos_oracle(data)
+    nt, table_off = _parse_nt_oracle(data, dos.e_lfanew)
+    sections = _parse_sections_oracle(data, table_off, nt.number_of_sections)
+    return PeImage(dos=dos, nt=nt, sections=sections, exports=None, relocations=[],
+                   raw=bytes(data), layout=layout,
+                   headers_end=table_off + 40 * len(sections))
+
+
+def parse_pe_oracle(data: bytes):
+    """What ``parse_pe`` returned, or raised, when it decoded step by step.
+    The relocation directory goes through the package's decoder."""
+    image = _decode_headers_oracle(data, "file")
+    for s in image.sections:
+        if s.raw_offset + s.raw_size > len(data):
+            raise Truncated(f"section {s.name!r} raw data past end of buffer")
+    read = partial(_read_file, image)
+    image.exports = _parse_exports_oracle(read, image.nt)
+    image.relocations = _parse_relocations(read, image.nt)
+    return image
+
+
+def parse_headers_oracle(data: bytes):
+    return _decode_headers_oracle(data, "mapped")
+
+
+def read_headers_oracle(read):
+    """What ``read_headers`` returned, or raised, through the same reads."""
+    head = read(0, 64)
+    fh = _parse_dos_oracle(head).e_lfanew + 4
+    head += read(len(head), fh + 20 - len(head))
+    head += read(len(head), _u16(head, fh + 16) + 40 * _u16(head, fh + 2))
+    image = parse_headers_oracle(head)
+    image.read = read
+    return image
+
+
+def read_module_oracle(read):
+    image = read_headers_oracle(read)
+    image.exports = _parse_exports_oracle(read, image.nt)
+    image.relocations = _parse_relocations(read, image.nt)
+    return image

@@ -1,10 +1,15 @@
+import errno
 import json
+import os
 import struct
 import subprocess
 import sys
 
+import pytest
+
 from duqusim.cli import main
 from duqusim.fixtures import write_fixture_set
+from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import parse_pe, rva_to_offset
 from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_pe
 
@@ -21,7 +26,42 @@ def hooked_services(fixture_bytes) -> bytes:
     return bytes(data)
 
 
+ENTRY_HOOK_BYTES = bytes.fromhex("B8001040 00FFD0")  # mov eax, 0x00401000 / call eax
+
+
+def virtual_tail_image() -> bytes:
+    """``.text`` holds 0x200 raw bytes in a 0x1000-byte virtual span and the
+    entrypoint sits in its zero-filled tail at RVA 0x1800.  Past the raw
+    data, that RVA's file offset is ``.data``'s offset 0x600, which holds an
+    entrypoint hook's bytes."""
+    data = bytearray(0x800)
+    data[0x600:0x607] = ENTRY_HOOK_BYTES
+    return build_pe32(PeSpec(
+        image_base=0x00400000, entry_rva=0x1800,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x200, CODE_SECTION,
+                             virtual_size=0x1000),
+                  SectionDef(".data", 0x2000, bytes(data), DATA_SECTION)]))
+
+
 class TestScan:
+    def test_entry_in_virtual_tail_reads_as_mapped(self, tmp_path, capsys):
+        # The loader maps zeros at the entrypoint, so there is no hook to report.
+        (tmp_path / "tail.exe").write_bytes(virtual_tail_image())
+        assert main(["scan", str(tmp_path / "tail.exe")]) == 0
+        assert capsys.readouterr().out.endswith("tail.exe: clean\n")
+        scenario = tmp_path / "tail.scenario"
+        scenario.write_text("process tail.exe tail.exe\nrun tail.exe\n"
+                            "expect * Process tail.exe pid=0x910 runs its entrypoint *\n")
+        assert main(["run", str(scenario)]) == 0
+        # The same bytes inside the raw data are a hook to both.
+        text = bytearray(b"\x90" * 0x200)
+        text[0x100:0x107] = ENTRY_HOOK_BYTES
+        report = scan_pe(build_pe32(PeSpec(
+            image_base=0x00400000, entry_rva=0x1100,
+            sections=[SectionDef(".text", 0x1000, bytes(text), CODE_SECTION,
+                                 virtual_size=0x1000)])))
+        assert [(f.kind, f.address) for f in report.findings] == [(ENTRY_HOOK, 0x00401100)]
+
     def test_entry_hook_finding(self, fixture_bytes):
         report = scan_pe(hooked_services(fixture_bytes), path="victim")
         kinds = {f.kind: f for f in report.findings}
@@ -119,6 +159,57 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.startswith(f"error: scenario {str(scenario)!r} is not UTF-8: ")
         assert "0xff" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo", "nul"])
+    def test_run_fixture_that_is_no_file_exit_two(self, tmp_path, kind):
+        # In a child process with a timeout: a FIFO must be refused, not waited on.
+        if kind == "directory":
+            (tmp_path / "thing.bin").mkdir()
+        elif kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(tmp_path / "thing.bin")
+        name = "thing\x00.bin" if kind == "nul" else "thing.bin"
+        scenario = tmp_path / "nofile.scenario"
+        scenario.write_text(f"process a.exe {name}\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "duqusim", "run", str(scenario)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: line 1: fixture {name!r} not found\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_run_scenario_that_is_no_file_exit_two(self, tmp_path, kind):
+        scenario = tmp_path / "odd.scenario"
+        if kind == "directory":
+            scenario.mkdir()
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(scenario)
+        proc = subprocess.run([sys.executable, "-m", "duqusim", "run", str(scenario)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: scenario {str(scenario)!r} not found\n"
+
+    def test_run_unreadable_fixture_exit_two(self, fixture_dir, tmp_path, capsys,
+                                             monkeypatch):
+        # A permission error is no missing file: it reaches main as an OSError.
+        original = os.open
+
+        def deny(path, *args):
+            if os.path.basename(path) == "services.exe":
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return original(path, *args)
+
+        scenario = tmp_path / "denied.scenario"
+        scenario.write_text(f"process a.exe {fixture_dir / 'services.exe'}\n")
+        monkeypatch.setattr(os, "open", deny)
+        assert main(["run", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 13] Permission denied")
+        assert captured.err.count("\n") == 1
 
     def test_run_json_format(self, fixture_dir, capsys, monkeypatch):
         monkeypatch.setenv("SENTINEL_LOG_FORMAT", "json")

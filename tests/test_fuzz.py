@@ -20,7 +20,7 @@ from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_f
 from duqusim.peformat import PeError, parse_pe
 from duqusim.scan import scan_pe
 
-from conftest import small_image
+from conftest import entry_in_gap_image, small_image
 from invariants import check_kernel, recording_runs
 from oracles import loader_regions_oracle
 
@@ -91,11 +91,27 @@ def mutate_scenario(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("base", ["poc", "unopposed"])
+# The monitor terminates gap.exe in its create handler, so no IMAGE_LOAD
+# may follow for it.
+CREATE_KILL_SCENARIO = """\
+driver sentinel watch=gap.exe,services.exe
+process gap.exe gap.exe
+module gap.exe kernel32.dll kernel32.dll
+process services.exe services.exe
+module services.exe kernel32.dll kernel32.dll
+run services.exe
+expect -> Terminating gap.exe
+"""
+BASE_SCENARIOS = {"poc": poc_scenario_text, "unopposed": unopposed_scenario_text,
+                  "create_kill": lambda: CREATE_KILL_SCENARIO}
+
+
+@pytest.mark.parametrize("base", sorted(BASE_SCENARIOS))
 def test_scenario_mutations_exit_cleanly(tmp_path, capsys, monkeypatch, base):
     write_fixture_set(tmp_path)
     (tmp_path / "tiny.exe").write_bytes(small_image())
-    text = poc_scenario_text() if base == "poc" else unopposed_scenario_text()
+    (tmp_path / "gap.exe").write_bytes(entry_in_gap_image())
+    text = BASE_SCENARIOS[base]()
     rng = random.Random(f"scenario-fuzz:{base}")
     runs = recording_runs(monkeypatch)
     codes = set()

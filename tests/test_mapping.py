@@ -209,6 +209,35 @@ class TestMappedSpans:
             (0x2000, 0x800, 0x800)]
 
 
+class TestMappedBytes:
+    """``mapped_bytes`` reads the reference layout: zero in gaps, virtual
+    tails and past the image."""
+
+    @staticmethod
+    def check(image) -> None:
+        layout = bytes(assemble_mapped_oracle(image)) + bytes(64)
+        edges = {0, image.nt.size_of_image}
+        for span in mapped_spans(image):
+            edges |= {span.rva, span.rva + span.copy, span.rva + span.span}
+        rvas = {max(edge + d, 0) for edge in edges for d in range(-17, 17)}
+        for rva in sorted(rvas):
+            for n in (1, 7, 16):
+                assert peformat.mapped_bytes(image, rva, n) == layout[rva:rva + n], (rva, n)
+
+    @pytest.mark.parametrize("name", PE_FIXTURES)
+    def test_fixtures(self, fixture_bytes, name):
+        self.check(parse_pe(fixture_bytes(name)))
+
+    @pytest.mark.parametrize("name", sorted(edge_images()))
+    def test_edge_layouts(self, name):
+        self.check(parse_pe(edge_images()[name]))
+
+    def test_random_images(self):
+        rng = random.Random("mapped-bytes")
+        for _ in range(40):
+            self.check(parse_pe(random_pe32(rng)))
+
+
 class TestLoaderRegions:
     @pytest.mark.parametrize("name", PE_FIXTURES)
     def test_fixtures_at_preferred_and_rebased(self, fixture_bytes, name):

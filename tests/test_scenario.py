@@ -1,11 +1,12 @@
 import json
-from pathlib import Path
+import os
 
 import pytest
 
 from duqusim.duqu import IntegrityMask
 from duqusim.scenario import (
     ScenarioError,
+    ScenarioResult,
     match_expectations,
     parse_scenario,
     run_scenario,
@@ -90,10 +91,11 @@ class TestRunner:
             run_scenario(path)
 
     def test_each_fixture_read_once(self, fixture_dir, monkeypatch):
-        reads = []
-        original = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes",
-                            lambda self: (reads.append(self.name), original(self))[1])
+        # Every file the runner reads, it reads through one os.open.
+        opens = []
+        original = os.open
+        monkeypatch.setattr(os, "open", lambda path, *args: (
+            opens.append(os.path.basename(path)), original(path, *args))[1])
         path = write_scenario(fixture_dir, "reuse.scenario",
                               "process a.exe services.exe\n"
                               "process b.exe services.exe\n"
@@ -102,7 +104,7 @@ class TestRunner:
                               "module b.exe k2.dll kernel32.dll\n"
                               "expect * Loaded module k2.dll *\n")
         assert run_scenario(path).ok
-        assert sorted(reads) == ["kernel32.dll", "services.exe"]
+        assert sorted(opens) == ["kernel32.dll", "reuse.scenario", "services.exe"]
 
     @pytest.mark.parametrize("base", ["-10000", "FFFFF000"])
     def test_base_outside_address_space_logged(self, fixture_dir, base):
@@ -274,6 +276,18 @@ class TestDeterminism:
         assert [d["seq"] for d in docs] == list(range(len(docs)))
         assert all({"seq", "source", "text"} <= set(d) for d in docs)
         assert docs[0]["source"] == "loader"
+
+    def test_json_render_equals_json_dumps(self):
+        texts = ["plain", "caf\u00e9 \u2603 \U0001f600", 'say "hi"', "back\\slash",
+                 "tab\tnew\nline\rcr\x00nul\x1f\x7f", "</script> \u2028 \ud800", ""]
+        result = ScenarioResult(lines=[(f"src{i} \u00e9\"\\", text)
+                                       for i, text in enumerate(texts)])
+        rendered = result.render("json")
+        assert rendered.endswith("\n")
+        assert rendered.split("\n")[:-1] == [
+            json.dumps({"seq": i, "source": src, "text": text})
+            for i, (src, text) in enumerate(result.lines)]
+        assert rendered.isascii()
 
 
 class TestShippedScenarios:
