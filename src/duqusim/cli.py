@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .fixtures import write_fixture_set
-from .peformat import PeError, ror13_hash
+from .peformat import PeError, read_regular_file, ror13_hash
 from .scan import scan_file
 from .scenario import ScenarioError, run_scenario
 
@@ -57,7 +57,9 @@ def _cmd_make_fixtures(args: argparse.Namespace) -> int:
 
 
 def _cmd_hash(args: argparse.Namespace) -> int:
-    data = Path(args.file).read_bytes()
+    data = read_regular_file(args.file)
+    if data is None:
+        raise FileNotFoundError(f"file {args.file!r} not found")
     sys.stdout.write(f"{ror13_hash(data):#010x}\n")
     return 0
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -263,7 +264,16 @@ class SharedState:
 
 
 class DuquDriver:
-    """The reconstructed injector wired to a :class:`SimKernel`."""
+    """The reconstructed injector wired to a :class:`SimKernel`.
+
+    The driver holds its kernel through a weak proxy.  The kernel holds
+    the driver's handlers, devices, init waiter and the ``run_stub`` code
+    of the region it allocates, so a strong reference would make a cycle
+    that only the cyclic garbage collector could free; with the proxy, a
+    finished run is freed as soon as its result is dropped.  A driver
+    whose kernel nobody else holds raises ``ReferenceError``: it has no
+    kernel left to act on.
+    """
 
     def __init__(self, kernel: SimKernel, config_blob: bytes,
                  stub1: bytes, stub2: bytes,
@@ -273,7 +283,7 @@ class DuquDriver:
                  versions: tuple[str, ...] = (simkernel.SYSTEM_VERSION,),
                  import_names: tuple[str, ...] = DEFAULT_IMPORT_NAMES,
                  name: str = "duqu"):
-        self.kernel = kernel
+        self.kernel = weakref.proxy(kernel)
         self.config_blob = config_blob
         self.stub1 = stub1
         self.stub2 = stub2

@@ -35,6 +35,9 @@ and the kernel's loader copy from the file through it.  A rebase is
 relocated by :func:`relocate_pieces`, in place, over the loader's
 regions; :func:`apply_relocations` is the same relocator over one buffer.
 
+Input files are read by :func:`read_regular_file`, one non-blocking open,
+so a FIFO or a device given as a path is refused instead of waited on.
+
 The signature test is intentionally computed through the XOR pair
 (0xF750F284, 0xF750B7D4) rather than against 'PE\\0\\0' directly; the two
 constants combine to 0x00004550 and the parser must preserve that shape.
@@ -42,6 +45,9 @@ constants combine to 0x00004550 and the parser must preserve that shape.
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 import struct
 from bisect import bisect_right
 from collections import defaultdict
@@ -99,6 +105,12 @@ _SECTION = struct.Struct("<8sIIII12xI")
 
 # The first chunk of an export name read through memory.
 _CSTRING_CHUNK = 64
+
+# Non-blocking, so opening a FIFO returns at once and it is refused.
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+# An open failing with one of these means there is no file to read.
+_NO_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EISDIR,
+                      errno.ENXIO, errno.EBADF))
 
 # read(rva, n): exactly n bytes of an image starting at rva, or an exception.
 Reader = Callable[[int, int], bytes]
@@ -944,3 +956,29 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
                 call_site = section_va + cursor
                 return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
     raise PatternNotFound(f"no call/push 104h/call pattern anchored at {anchor_name!r}")
+
+
+def read_regular_file(path: str | os.PathLike) -> bytes | None:
+    """The bytes of the regular file at ``path``, or None if there is none.
+
+    One open, then one ``fstat``: a missing path, a directory, a FIFO or a
+    device is None.  Any other error, a denied permission say, is raised.
+    """
+    try:
+        fd = os.open(path, _OPEN_FLAGS)
+    except ValueError:  # an embedded NUL names no file
+        return None
+    except OSError as exc:
+        if exc.errno in _NO_FILE:
+            return None
+        raise
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        parts = []
+        while part := os.read(fd, st.st_size + 1):
+            parts.append(part)
+        return b"".join(parts)
+    finally:
+        os.close(fd)

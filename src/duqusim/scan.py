@@ -29,6 +29,7 @@ from .peformat import (
     decode_entry_hook,
     mapped_bytes,
     parse_pe,
+    read_regular_file,
     scan_call_push_call,
     section_data,
 )
@@ -104,6 +105,14 @@ def scan_pe(data: bytes, path: str = "<buffer>",
 
 def scan_file(path: str | Path, anchor_export: str | None = None,
               window: int = DEFAULT_SCAN_WINDOW) -> ScanReport:
+    """Scan the PE32 file at ``path``.
+
+    A path naming no regular file (missing, a directory, a FIFO) raises
+    ``FileNotFoundError`` at once; a FIFO is not waited on.
+    """
     path = Path(path)
-    return scan_pe(path.read_bytes(), path=str(path),
+    data = read_regular_file(path)
+    if data is None:
+        raise FileNotFoundError(f"file {str(path)!r} not found")
+    return scan_pe(data, path=str(path),
                    anchor_export=anchor_export, window=window)

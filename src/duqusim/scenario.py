@@ -25,9 +25,7 @@ malformed option value is a :class:`ScenarioError`; ``set-mode`` and
 
 from __future__ import annotations
 
-import errno
 import os
-import stat
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,7 +37,7 @@ from .duqu import (
     Halted,
     IntegrityMask,
 )
-from .peformat import DEFAULT_SCAN_WINDOW, PeError
+from .peformat import DEFAULT_SCAN_WINDOW, PeError, read_regular_file
 from .sentinel import SentinelDriver
 from .simkernel import SimError, SimKernel
 
@@ -49,39 +47,6 @@ MODES = ("normal", "debug", "failsafe")
 OPTION_KEYS = {"set-mode": (), "run": (), "process": ("base",), "module": ("base",),
                "driver sentinel": ("watch", "report-only"),
                "driver duqu": ("config", "stub1", "stub2", "mask", "kernel-base", "window")}
-
-
-# Non-blocking, so opening a FIFO returns at once and it is refused.
-_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
-# An open failing with one of these means there is no file to read.
-_NO_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EISDIR,
-                      errno.ENXIO, errno.EBADF))
-
-
-def _read_regular_file(path: str | os.PathLike) -> bytes | None:
-    """The bytes of the regular file at ``path``, or None if there is none.
-
-    One open, then one ``fstat``: a missing path, a directory, a FIFO or a
-    device is None.  Any other error, a denied permission say, is raised.
-    """
-    try:
-        fd = os.open(path, _OPEN_FLAGS)
-    except ValueError:  # an embedded NUL names no file
-        return None
-    except OSError as exc:
-        if exc.errno in _NO_FILE:
-            return None
-        raise
-    try:
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            return None
-        parts = []
-        while part := os.read(fd, st.st_size + 1):
-            parts.append(part)
-        return b"".join(parts)
-    finally:
-        os.close(fd)
 
 
 class ScenarioError(Exception):
@@ -220,7 +185,7 @@ class ScenarioRunner:
         """Bytes of the fixture at ``rel``, read from disk on first use only."""
         data = self._fixtures.get(rel)
         if data is None:
-            data = _read_regular_file(os.path.join(self.base_dir, rel))
+            data = read_regular_file(os.path.join(self.base_dir, rel))
             if data is None:
                 raise ScenarioError(f"fixture {rel!r} not found", line_no)
             self._fixtures[rel] = data
@@ -330,7 +295,7 @@ def match_expectations(expectations: list[str], lines: list[str]) -> list[str]:
 
 def run_scenario(path: str | Path) -> ScenarioResult:
     """Parse and execute a scenario file."""
-    data = _read_regular_file(path)
+    data = read_regular_file(path)
     if data is None:
         raise ScenarioError(f"scenario {str(Path(path))!r} not found")
     try:

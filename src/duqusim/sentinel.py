@@ -14,6 +14,7 @@ rather than let tampering hide behind a fault.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .peformat import PeError, read_headers, ror13_hash
@@ -51,11 +52,19 @@ def _hex_bytes(data: bytes) -> str:
 
 
 class SentinelDriver:
-    """Checksum monitor wired to a :class:`SimKernel`."""
+    """Checksum monitor wired to a :class:`SimKernel`.
+
+    The driver holds its kernel through a weak proxy.  The kernel holds
+    the driver's handlers, so a strong reference would make a cycle that
+    only the cyclic garbage collector could free; with the proxy, a
+    finished run is freed as soon as its result is dropped.  A driver
+    whose kernel nobody else holds raises ``ReferenceError``: it has no
+    kernel left to act on.
+    """
 
     def __init__(self, kernel: SimKernel, watch: tuple[str, ...] = DEFAULT_WATCH,
                  report_only: bool = False, name: str = "sentinel"):
-        self.kernel = kernel
+        self.kernel = weakref.proxy(kernel)
         self.watch = tuple(w.lower() for w in watch)
         self.report_only = report_only
         self.records: dict[int, IntegrityRecord] = {}

@@ -24,6 +24,12 @@ place, and no load builds a size_of_image layout.  An image's regions
 enter the process in one splice, after relocation succeeds.  Every
 mapping gets bytes of its own, and a load that fails leaves nothing
 mapped and, for a new process, no process behind.
+
+A finished run is freed by reference counting.  The kernel holds its
+drivers' handlers, devices, init waiters and region code, and nothing it
+holds refers back to it strongly: the drivers hold it through a weak
+proxy.  Dropping the last reference to a kernel frees its processes,
+regions and parsed images at once, with no wait for the cyclic collector.
 """
 
 from __future__ import annotations

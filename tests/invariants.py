@@ -6,8 +6,13 @@ case; a failure names the invariant and the process it broke in.
 ``duqusim run`` made through :func:`duqusim.cli.main`, so a test can check
 the kernel behind a transcript, and registers an
 :class:`ImageLoadRecorder` in each of those kernels before any scenario
-driver.
+driver.  :func:`run_refs` and :func:`still_alive` check that a finished
+run is freed by reference counting alone.
 """
+
+import gc
+import weakref
+from contextlib import contextmanager
 
 from duqusim import cli, scenario
 from duqusim.sentinel import SentinelDriver
@@ -21,12 +26,13 @@ class ImageLoadRecorder(Driver):
     event starts dispatch; later drivers in the same round may still see
     the pid die.  It notes every event whose pid is not alive then; a fault
     raised from a handler would only be logged, so :func:`check_kernel`
-    asserts instead.
+    asserts instead.  Like the scenario drivers, it holds its kernel
+    through a weak proxy, so it keeps no finished run alive.
     """
 
     def __init__(self, kernel):
         super().__init__("invariants")
-        self.kernel = kernel
+        self.kernel = weakref.proxy(kernel)
         self.dead_loads: list[tuple[int, str]] = []
         self.handlers[EventKind.IMAGE_LOAD] = self._on_image_load
         kernel.register_driver(self)
@@ -84,3 +90,30 @@ def recording_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(cli, "run_scenario", run_and_record)
     return results
+
+
+@contextmanager
+def gc_disabled():
+    """The cyclic garbage collector off: only reference counting frees."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def run_refs(kernel) -> list:
+    """Weak references to ``kernel`` and to every region it has mapped,
+    each with what it names."""
+    refs = [("kernel", weakref.ref(kernel))]
+    for pid, proc in kernel.processes.items():
+        refs += [(f"pid {pid:#x} region {r.base:#010x} {r.tag}", weakref.ref(r))
+                 for r in proc.regions]
+    return refs
+
+
+def still_alive(refs) -> list[str]:
+    """What of :func:`run_refs`' result is still alive."""
+    return [what for what, ref in refs if ref() is not None]

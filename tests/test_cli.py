@@ -192,6 +192,23 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert proc.stderr == f"error: scenario {str(scenario)!r} not found\n"
 
+    @pytest.mark.parametrize("command", ["scan", "hash"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "fifo"])
+    def test_input_that_is_no_file_exit_two(self, tmp_path, command, kind):
+        # In a child process with a timeout: a FIFO must be refused, not waited on.
+        path = tmp_path / "thing.bin"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(path)
+        proc = subprocess.run([sys.executable, "-m", "duqusim", command, str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: file {str(path)!r} not found\n"
+
     def test_run_unreadable_fixture_exit_two(self, fixture_dir, tmp_path, capsys,
                                              monkeypatch):
         # A permission error is no missing file: it reaches main as an OSError.

@@ -8,7 +8,10 @@ also gets the shipped fixtures with mutated header bytes, loaded through
 exits 0, 1 or 2, and every image the loader accepts is laid out as the
 reference layout says.  ``MAX_IMAGE_SIZE`` bounds what a mutated
 ``size_of_image`` can make the loader allocate.  The kernel invariants are
-checked after every scenario case.
+checked after every scenario case.  Each mutated scenario is also run one
+line at a time, with the invariants checked after every line, and, with
+the cyclic garbage collector off, every finished run must be freed once
+dropped.
 """
 
 import random
@@ -19,9 +22,10 @@ from duqusim.cli import main
 from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_fixture_set
 from duqusim.peformat import PeError, parse_pe
 from duqusim.scan import scan_pe
+from duqusim.scenario import ScenarioError, ScenarioRunner, parse_scenario
 
 from conftest import entry_in_gap_image, small_image
-from invariants import check_kernel, recording_runs
+from invariants import check_kernel, gc_disabled, recording_runs, run_refs, still_alive
 from oracles import loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
@@ -106,6 +110,31 @@ BASE_SCENARIOS = {"poc": poc_scenario_text, "unopposed": unopposed_scenario_text
                   "create_kill": lambda: CREATE_KILL_SCENARIO}
 
 
+def run_line_by_line(directory, text: str) -> ScenarioRunner | None:
+    """Run ``text`` one command at a time, checking the kernel invariants
+    after each; None if it does not parse.  A failed check names the line."""
+    try:
+        commands = parse_scenario(text)
+    except ScenarioError:
+        return None
+    lines = text.splitlines()
+    runner = ScenarioRunner(directory)
+    for cmd in commands:
+        stop = False
+        try:
+            runner.execute([cmd])
+        except ScenarioError:  # `duqusim run` exits 2 at this line
+            stop = True
+        try:
+            check_kernel(runner.kernel, runner.drivers.values())
+        except AssertionError as exc:
+            raise AssertionError(f"after line {cmd.line_no} "
+                                 f"{lines[cmd.line_no - 1]!r}: {exc}") from None
+        if stop:
+            break
+    return runner
+
+
 @pytest.mark.parametrize("base", sorted(BASE_SCENARIOS))
 def test_scenario_mutations_exit_cleanly(tmp_path, capsys, monkeypatch, base):
     write_fixture_set(tmp_path)
@@ -115,16 +144,27 @@ def test_scenario_mutations_exit_cleanly(tmp_path, capsys, monkeypatch, base):
     rng = random.Random(f"scenario-fuzz:{base}")
     runs = recording_runs(monkeypatch)
     codes = set()
-    for case in range(SCENARIO_CASES // 2):
-        scenario = tmp_path / "case.scenario"
-        scenario.write_text(mutate_scenario(rng, text), encoding="utf-8")
-        runs.clear()
-        code = main(["run", str(scenario)])
-        assert code in (0, 1, 2), (case, scenario.read_text())
-        codes.add(code)
-        for result in runs:
-            check_kernel(result.kernel, result.drivers.values())
-        capsys.readouterr()
+    with gc_disabled():
+        for case in range(SCENARIO_CASES // 2):
+            mutated = mutate_scenario(rng, text)
+            runner = run_line_by_line(tmp_path, mutated)
+            scenario = tmp_path / "case.scenario"
+            scenario.write_text(mutated, encoding="utf-8")
+            runs.clear()
+            code = main(["run", str(scenario)])
+            assert code in (0, 1, 2), (case, mutated)
+            codes.add(code)
+            refs = []
+            for result in runs:
+                check_kernel(result.kernel, result.drivers.values())
+                assert result.lines == runner.kernel.log, (case, mutated)
+                refs += run_refs(result.kernel)
+            if runner is not None:
+                refs += run_refs(runner.kernel)
+            result = runner = None
+            runs.clear()
+            assert still_alive(refs) == [], (case, mutated)
+            capsys.readouterr()
     assert codes == {0, 1, 2}
 
 

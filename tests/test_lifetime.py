@@ -1,0 +1,84 @@
+"""A finished run is freed by reference counting alone.
+
+The kernel holds each driver's handlers, its devices, its init waiter and
+the injector's region code; the drivers reach the kernel only through a
+weak proxy.  So with the cyclic garbage collector off, dropping a run's
+result must free its kernel and every region the kernel mapped.
+``test_fuzz.py`` checks the same after every mutated scenario.
+"""
+
+import pytest
+
+from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_fixture_set
+from duqusim.scenario import run_scenario
+
+from conftest import FLEET_SHAPED_SCENARIO
+from invariants import gc_disabled, run_refs, still_alive
+
+
+def variant(text: str, swap: bool = False, report_only: bool = False,
+            debug: bool = False) -> str:
+    """``text`` without comments and expectations; with its two drivers
+    swapped, the monitor in report-only mode or the kernel in debug mode."""
+    lines = [line for line in text.splitlines()
+             if line and not line.startswith(("#", "expect "))]
+    if swap:
+        a, b = [i for i, line in enumerate(lines) if line.startswith("driver ")]
+        lines[a], lines[b] = lines[b], lines[a]
+    if report_only:
+        lines = [line + " report-only=1" if line == "driver sentinel" else line
+                 for line in lines]
+    if debug:
+        lines.insert(0, "set-mode debug")
+    return "\n".join(lines) + "\n"
+
+
+def fleet_shaped() -> str:
+    """The PoC, its monitor also watching the processes of
+    ``FLEET_SHAPED_SCENARIO``, which load after it."""
+    watch, fleet = FLEET_SHAPED_SCENARIO.split("\n", 1)
+    return variant(poc_scenario_text()).replace(
+        "driver sentinel\n", f"{watch},services.exe\n") + fleet
+
+
+# name -> (scenario text, what one line of the run must hold)
+CASES = {
+    "poc": (poc_scenario_text, "-> Terminating services.exe"),
+    "unopposed": (unopposed_scenario_text, "* PAYLOAD_STARTED pid=0x914 *"),
+    "poc-swapped": (lambda: variant(poc_scenario_text(), swap=True),
+                    "! error: NoSuchProcess"),
+    "poc-report-only": (lambda: variant(poc_scenario_text(), report_only=True),
+                        "-> Flagged services.exe (report-only)"),
+    "poc-swapped-report-only": (
+        lambda: variant(poc_scenario_text(), swap=True, report_only=True),
+        "-> Flagged services.exe (report-only)"),
+    "poc-debug": (lambda: variant(poc_scenario_text(), debug=True),
+                  "DuquDriver: halted (debug mode)"),
+    "unopposed-debug": (lambda: variant(unopposed_scenario_text(), debug=True),
+                        "DuquDriver: halted (debug mode)"),
+    "fleet-shaped": (fleet_shaped, "-> Terminating services.exe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dropped_result_frees_its_run(tmp_path, name):
+    write_fixture_set(tmp_path)
+    text, marker = CASES[name]
+    scenario = tmp_path / "case.scenario"
+    scenario.write_text(text(), encoding="utf-8")
+    with gc_disabled():
+        result = run_scenario(scenario)
+        assert result.ok and any(marker in line for line in result.text_lines())
+        refs = run_refs(result.kernel)
+        assert len(refs) > 10
+        del result
+        assert still_alive(refs) == []
+
+
+def test_driver_outliving_its_kernel_has_none_to_act_on(fixture_dir):
+    result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
+    drivers = result.drivers
+    del result
+    for driver in drivers.values():
+        with pytest.raises(ReferenceError):
+            driver.kernel.processes
