@@ -10,7 +10,6 @@ from .peformat import (
     PeError,
     PeImage,
     apply_relocations,
-    emit_pe,
     encode_near_call,
     find_export_by_hash,
     find_export_by_name,
@@ -39,7 +38,7 @@ from .fixtures import write_fixture_set
 __version__ = "0.1.0"
 
 __all__ = [
-    "PeError", "PeImage", "apply_relocations", "emit_pe", "encode_near_call",
+    "PeError", "PeImage", "apply_relocations", "encode_near_call",
     "find_export_by_hash", "find_export_by_name", "parse_pe",
     "resolve_near_call", "restore_headers", "ror13_hash", "rva_to_offset",
     "strip_headers",

@@ -280,9 +280,7 @@ class DuquDriver:
                  mask: IntegrityMask | None = None,
                  kernel_base: int = DEFAULT_KERNEL_BASE,
                  window: int = DEFAULT_SCAN_WINDOW,
-                 versions: tuple[str, ...] = (simkernel.SYSTEM_VERSION,),
-                 import_names: tuple[str, ...] = DEFAULT_IMPORT_NAMES,
-                 name: str = "duqu"):
+                 versions: tuple[str, ...] = (simkernel.SYSTEM_VERSION,)):
         self.kernel = weakref.proxy(kernel)
         self.config_blob = config_blob
         self.stub1 = stub1
@@ -291,10 +289,7 @@ class DuquDriver:
         self.kernel_base = kernel_base
         self.window = window
         self.versions = versions
-        self.import_hashes = (
-            DEFAULT_IMPORT_HASHES if import_names == DEFAULT_IMPORT_NAMES
-            else tuple(ror13_hash(n.encode("ascii")) for n in import_names))
-        self.driver = Driver(name)
+        self.driver = Driver("duqu")
         self.handle = kernel.register_driver(self.driver)
         self.state = SharedState()
         self.initialized = False
@@ -469,7 +464,7 @@ class DuquDriver:
         kernel = self.kernel
         image = read_module(kernel.image_reader(event.pid, event.base))
         resolved = []
-        for name_hash in self.import_hashes:
+        for name_hash in DEFAULT_IMPORT_HASHES:
             name, va = find_export_by_hash(image, name_hash)
             resolved.append((name_hash, event.base + (va - image.nt.image_base)))
         st.kernel32_imports = resolved

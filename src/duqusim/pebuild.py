@@ -1,6 +1,6 @@
 """Deterministic PE32 fixture builder.
 
-Emits the canonical on-disk shape the parser round-trips: 64-byte DOS
+Emits the canonical on-disk shape the parser reads: 64-byte DOS
 header with e_lfanew = 0x80, 0x18-byte NT file header, 0xE0-byte optional
 header, section table, raw section data at 0x200-aligned offsets.  No
 timestamps, no randomness; identical inputs produce identical bytes.
@@ -152,16 +152,16 @@ def build_pe32(spec: PeSpec) -> bytes:
     return bytes(buf)
 
 
-def reloc_block(page_rva: int, highlow_offsets: list[int], pad: bool = True) -> RelocationBlock:
+def reloc_block(page_rva: int, highlow_offsets: list[int]) -> RelocationBlock:
     """HIGHLOW block over one 4KiB page, padded to a dword boundary."""
     fixups = [(RELOC_HIGHLOW, off) for off in highlow_offsets]
-    if pad and len(fixups) % 2:
+    if len(fixups) % 2:
         fixups.append((RELOC_ABS, 0))
     return RelocationBlock(page_rva=page_rva, fixups=fixups)
 
 
 def random_pe32(rng: random.Random) -> bytes:
-    """Small randomized PE32 for round-trip and scanner soundness tests.
+    """Small randomized PE32 for parser and scanner soundness tests.
 
     Section contents are arbitrary bytes; the entry point is kept clear of
     the mov/call hook shape so a generated image never looks injected.

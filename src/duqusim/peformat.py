@@ -1,4 +1,4 @@
-"""PE32 parser/emitter for the injection pipeline.
+"""PE32 parser for the injection pipeline.
 
 Implements the 32-bit subset the pipeline actually touches: machine 0x014C,
 optional-header magic 0x010B, export directory (index 0) and base-relocation
@@ -67,7 +67,6 @@ SIG_XOR_EXPECT = 0xF750B7D4
 
 E_LFANEW_OFFSET = 60
 FILE_HEADER_SIZE = 20
-OPTIONAL_HEADER_SIZE = 0xE0
 SECTION_HEADER_SIZE = 40
 EXPORT_DIRECTORY_SIZE = 40
 
@@ -117,7 +116,7 @@ Reader = Callable[[int, int], bytes]
 
 
 class PeError(Exception):
-    """Base class for every PE32 parse/emit failure."""
+    """Base class for every PE32 parse or encode failure."""
 
 
 class NotMz(PeError):
@@ -133,7 +132,7 @@ class Truncated(PeError):
 
 
 class Unencodable(PeError):
-    """A field does not fit its on-disk width (or the image is malformed)."""
+    """A fixup or fixture recipe the PE32 subset cannot encode."""
 
 
 class OutOfImage(PeError):
@@ -622,8 +621,8 @@ def encode_export_table(entries: list[tuple[bytes, int]], table_rva: int) -> byt
     """Serialize an export directory in the canonical layout.
 
     Directory, then function RVAs, name-pointer RVAs, ordinals, then the
-    NUL-terminated name strings.  Shared by the emitter and the fixture
-    builder so round trips stay byte-exact.
+    NUL-terminated name strings.  The fixture builder writes every
+    export table through it.
     """
     n = len(entries)
     funcs_rva = table_rva + EXPORT_DIRECTORY_SIZE
@@ -655,78 +654,6 @@ def encode_relocations(blocks: list[RelocationBlock]) -> bytes:
         for ftype, foffset in block.fixups:
             out += struct.pack("<H", (ftype << 12) | foffset)
     return bytes(out)
-
-
-def _check_width(value: int, bits: int, what: str) -> int:
-    if not 0 <= value < (1 << bits):
-        raise Unencodable(f"{what} {value:#x} exceeds {bits} bits")
-    return value
-
-
-def emit_pe(image: PeImage) -> bytes:
-    """Re-serialize a (possibly field-edited) image over its backing buffer.
-
-    Re-emitting an unmodified image reproduces the original bytes exactly.
-    """
-    if image.layout != "file":
-        raise Unencodable("only file-layout images can be emitted")
-    if not image.sections:
-        raise Unencodable("image must carry at least one section")
-    if len(image.sections) != image.nt.number_of_sections:
-        raise Unencodable("section list does not match number_of_sections")
-    buf = bytearray(image.raw)
-    e_lfanew = _check_width(image.dos.e_lfanew, 32, "e_lfanew")
-    if e_lfanew < 64 or e_lfanew + 24 + OPTIONAL_HEADER_SIZE > len(buf):
-        raise Unencodable("e_lfanew out of range for the backing buffer")
-    struct.pack_into("<H", buf, 0, _check_width(image.dos.e_magic, 16, "e_magic"))
-    struct.pack_into("<I", buf, E_LFANEW_OFFSET, e_lfanew)
-    struct.pack_into("<I", buf, e_lfanew, _check_width(image.nt.signature, 32, "signature"))
-    fh = e_lfanew + 4
-    struct.pack_into("<H", buf, fh, _check_width(image.nt.machine, 16, "machine"))
-    struct.pack_into("<H", buf, fh + 2, _check_width(image.nt.number_of_sections, 16, "section count"))
-    size_of_optional = _u16(image.raw, fh + 16)
-    oh = fh + FILE_HEADER_SIZE
-    struct.pack_into("<H", buf, oh, _check_width(image.nt.optional_magic, 16, "optional magic"))
-    struct.pack_into("<I", buf, oh + 16, _check_width(image.nt.entry_point_rva, 32, "entry point"))
-    struct.pack_into("<I", buf, oh + 28, _check_width(image.nt.image_base, 32, "image base"))
-    struct.pack_into("<I", buf, oh + 56, _check_width(image.nt.size_of_image, 32, "size_of_image"))
-    for i, (rva, size) in enumerate(image.nt.data_directories[:16]):
-        struct.pack_into("<II", buf, oh + 96 + 8 * i,
-                         _check_width(rva, 32, "directory rva"),
-                         _check_width(size, 32, "directory size"))
-    table_off = oh + size_of_optional
-    if table_off + SECTION_HEADER_SIZE * len(image.sections) > len(buf):
-        raise Unencodable("section table does not fit the backing buffer")
-    for i, s in enumerate(image.sections):
-        off = table_off + i * SECTION_HEADER_SIZE
-        raw_name = s.name.encode("latin-1")
-        if len(raw_name) > 8:
-            raise Unencodable(f"section name {s.name!r} longer than 8 bytes")
-        buf[off:off + 8] = raw_name.ljust(8, b"\x00")
-        struct.pack_into("<IIII", buf, off + 8,
-                         _check_width(s.virtual_size, 32, "virtual size"),
-                         _check_width(s.virtual_address, 32, "virtual address"),
-                         _check_width(s.raw_size, 32, "raw size"),
-                         _check_width(s.raw_offset, 32, "raw offset"))
-        struct.pack_into("<I", buf, off + 36, _check_width(s.characteristics, 32, "characteristics"))
-    if image.exports is not None:
-        rva, size = image.nt.directory(DIR_EXPORT)
-        if rva:
-            encoded = encode_export_table(image.exports.entries, rva)
-            if len(encoded) > size:
-                raise Unencodable("export table exceeds its directory span")
-            off = rva_to_offset(image, rva)
-            buf[off:off + size] = encoded.ljust(size, b"\x00")
-    if image.relocations:
-        rva, size = image.nt.directory(DIR_BASERELOC)
-        if not rva:
-            raise Unencodable("relocation blocks present but no directory entry")
-        encoded = encode_relocations(image.relocations)
-        if len(encoded) > size:
-            raise Unencodable("relocation blocks exceed their directory span")
-        off = rva_to_offset(image, rva)
-        buf[off:off + size] = encoded.ljust(size, b"\x00")
-    return bytes(buf)
 
 
 def strip_headers(image: PeImage | bytes) -> bytes:

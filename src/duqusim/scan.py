@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .peformat import (
-    DEFAULT_SCAN_WINDOW,
     HOOK_LEN,
     SIG_XOR_EXPECT,
     SIG_XOR_KEY,
@@ -68,8 +67,7 @@ class ScanReport:
 
 
 def scan_pe(data: bytes, path: str = "<buffer>",
-            anchor_export: str | None = None,
-            window: int = DEFAULT_SCAN_WINDOW) -> ScanReport:
+            anchor_export: str | None = None) -> ScanReport:
     """Scan PE32 file bytes for the three signatures."""
     image = parse_pe(data)
     report = ScanReport(path=path)
@@ -83,7 +81,7 @@ def scan_pe(data: bytes, path: str = "<buffer>",
             f"mov eax, {target:#010x} / call eax at the entrypoint"))
     if anchor_export:
         try:
-            site, target = scan_call_push_call(image, anchor_export, window=window)
+            site, target = scan_call_push_call(image, anchor_export)
             report.findings.append(Finding(
                 ZWPROTECT_PATTERN, site,
                 f"near call resolves to unexported {target:#010x} "
@@ -103,8 +101,7 @@ def scan_pe(data: bytes, path: str = "<buffer>",
     return report
 
 
-def scan_file(path: str | Path, anchor_export: str | None = None,
-              window: int = DEFAULT_SCAN_WINDOW) -> ScanReport:
+def scan_file(path: str | Path, anchor_export: str | None = None) -> ScanReport:
     """Scan the PE32 file at ``path``.
 
     A path naming no regular file (missing, a directory, a FIFO) raises
@@ -114,5 +111,4 @@ def scan_file(path: str | Path, anchor_export: str | None = None,
     data = read_regular_file(path)
     if data is None:
         raise FileNotFoundError(f"file {str(path)!r} not found")
-    return scan_pe(data, path=str(path),
-                   anchor_export=anchor_export, window=window)
+    return scan_pe(data, path=str(path), anchor_export=anchor_export)

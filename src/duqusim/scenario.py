@@ -11,15 +11,14 @@ Grammar (one command per line, ``#`` starts a comment):
 
 ``pid-ref`` is a process name from an earlier ``process`` line or a
 ``0x...`` pid literal.  Fixture paths are resolved relative to the
-scenario file, and a runner reads each one once.  Driver options:
+scenario file, and a runner reads each one once.
 
-    sentinel: watch=<name[,name...]> report-only=<1|0|true|false|yes|no|on|off>
-    duqu:     config=<blob> stub1=<pe> stub2=<pe> [mask=<json>]
-              [kernel-base=0x...] [window=N]
-
-An option key the command does not read, a key given twice, or a
-malformed option value is a :class:`ScenarioError`; ``set-mode`` and
-``run`` take no options.
+:data:`COMMANDS` declares each command's arguments and option keys, and
+:data:`DRIVERS` each driver's required and optional keys; the README gives
+their values.  :func:`parse_scenario` checks every line against them before
+any line runs, so the first line that breaks the grammar raises a
+:class:`ScenarioError`; a malformed option value or a missing fixture
+raises one when its line runs.
 ``expect`` lines must match produced log lines as substrings, in order.
 """
 
@@ -29,6 +28,7 @@ import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .duqu import (
     DEFAULT_KERNEL_BASE,
@@ -42,11 +42,6 @@ from .sentinel import SentinelDriver
 from .simkernel import SimError, SimKernel
 
 MODES = ("normal", "debug", "failsafe")
-
-# The option keys each command reads; any other key is a ScenarioError.
-OPTION_KEYS = {"set-mode": (), "run": (), "process": ("base",), "module": ("base",),
-               "driver sentinel": ("watch", "report-only"),
-               "driver duqu": ("config", "stub1", "stub2", "mask", "kernel-base", "window")}
 
 
 class ScenarioError(Exception):
@@ -95,53 +90,6 @@ class ScenarioResult:
         return "\n".join(self.text_lines()) + "\n"
 
 
-def parse_scenario(text: str) -> list[Command]:
-    commands = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        op, _, rest = line.partition(" ")
-        op = op.lower()
-        if op == "expect":
-            if not rest.strip():
-                raise ScenarioError("expect needs a pattern", line_no)
-            commands.append(Command(op, [rest.strip()], {}, line_no))
-            continue
-        parts = rest.split()
-        args = [p for p in parts if "=" not in p]
-        options: dict[str, str] = {}
-        for key, _, value in (p.partition("=") for p in parts if "=" in p):
-            if key in options:
-                raise ScenarioError(f"repeated option {key!r}", line_no)
-            options[key] = value
-        if op == "set-mode":
-            if len(args) != 1 or args[0] not in MODES:
-                raise ScenarioError("set-mode takes one of normal|debug|failsafe", line_no)
-        elif op == "driver":
-            if len(args) != 1:
-                raise ScenarioError("driver takes a single driver name", line_no)
-        elif op == "process":
-            if len(args) != 2:
-                raise ScenarioError("process takes <name> <fixture-path>", line_no)
-        elif op == "module":
-            if len(args) != 3:
-                raise ScenarioError("module takes <pid-ref> <name> <fixture-path>", line_no)
-        elif op == "run":
-            if len(args) != 1:
-                raise ScenarioError("run takes <pid-ref>", line_no)
-        else:
-            raise ScenarioError(f"unknown command {op!r}", line_no)
-        # An unknown driver name is left for the runner to report.
-        allowed = OPTION_KEYS.get(f"driver {args[0].lower()}" if op == "driver" else op,
-                                  options)
-        for key in options:
-            if key not in allowed:
-                raise ScenarioError(f"unknown option {key!r}", line_no)
-        commands.append(Command(op, args, options, line_no))
-    return commands
-
-
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -162,11 +110,8 @@ def _parse_int(options: dict[str, str], key: str, line_no: int,
     return number
 
 
-def _parse_bool(options: dict[str, str], key: str, default: bool,
-                line_no: int) -> bool:
-    value = options.get(key)
-    if value is None:
-        return default
+def _parse_bool(options: dict[str, str], key: str, line_no: int) -> bool:
+    value = options.get(key, "0")
     if value.lower() not in _BOOLS:
         raise ScenarioError(f"bad {key} {value!r}: use 1/0, true/false, "
                             f"yes/no or on/off", line_no)
@@ -201,47 +146,57 @@ class ScenarioRunner:
             raise ScenarioError(f"unknown process {ref!r}", line_no)
         return self.pids[ref]
 
-    def _make_driver(self, cmd: Command) -> None:
-        name = cmd.args[0].lower()
-        opts = cmd.options
-        if name in self.drivers:
-            raise ScenarioError(f"driver {name!r} declared twice", cmd.line_no)
-        if name == "sentinel":
-            watch = tuple(opts.get("watch", "services.exe").split(","))
-            self.drivers[name] = SentinelDriver(
-                self.kernel, watch=watch,
-                report_only=_parse_bool(opts, "report-only", False, cmd.line_no))
-            return
-        if name == "duqu":
-            for key in ("config", "stub1", "stub2"):
-                if key not in opts:
-                    raise ScenarioError(f"driver duqu needs {key}=<path>", cmd.line_no)
-            mask = None
-            if "mask" in opts:
-                mask_bytes = self._read_fixture(opts["mask"], cmd.line_no)
-                try:
-                    mask = IntegrityMask.from_json(mask_bytes.decode("utf-8"))
-                except ValueError as exc:
-                    raise ScenarioError(f"bad mask {opts['mask']!r}: {exc}",
-                                        cmd.line_no) from exc
-            driver = DuquDriver(
-                self.kernel,
-                config_blob=self._read_fixture(opts["config"], cmd.line_no),
-                stub1=self._read_fixture(opts["stub1"], cmd.line_no),
-                stub2=self._read_fixture(opts["stub2"], cmd.line_no),
-                mask=mask,
-                kernel_base=_parse_int(opts, "kernel-base", cmd.line_no,
-                                       DEFAULT_KERNEL_BASE, radix=16),
-                window=_parse_int(opts, "window", cmd.line_no,
-                                  DEFAULT_SCAN_WINDOW, minimum=0),
-            )
-            self.drivers[name] = driver
+    def _set_mode(self, cmd: Command) -> None:
+        self.kernel.mode = cmd.args[0]
+
+    def _driver(self, cmd: Command) -> None:
+        DRIVERS[cmd.args[0].lower()].run(self, cmd)
+
+    def _sentinel(self, cmd: Command) -> None:
+        watch = tuple(cmd.options.get("watch", "services.exe").split(","))
+        self.drivers["sentinel"] = SentinelDriver(
+            self.kernel, watch=watch,
+            report_only=_parse_bool(cmd.options, "report-only", cmd.line_no))
+
+    def _duqu(self, cmd: Command) -> None:
+        opts, line_no = cmd.options, cmd.line_no
+        mask = None
+        if "mask" in opts:
+            mask_bytes = self._read_fixture(opts["mask"], line_no)
             try:
-                driver.boot_init()
-            except Halted:
-                pass  # already logged; the driver stays inert
-            return
-        raise ScenarioError(f"unknown driver {name!r}", cmd.line_no)
+                mask = IntegrityMask.from_json(mask_bytes.decode("utf-8"))
+            except ValueError as exc:
+                raise ScenarioError(f"bad mask {opts['mask']!r}: {exc}", line_no) from exc
+        # Kept even if its boot fails: the kernel has registered it.
+        driver = self.drivers["duqu"] = DuquDriver(
+            self.kernel,
+            config_blob=self._read_fixture(opts["config"], line_no),
+            stub1=self._read_fixture(opts["stub1"], line_no),
+            stub2=self._read_fixture(opts["stub2"], line_no),
+            mask=mask,
+            kernel_base=_parse_int(opts, "kernel-base", line_no, DEFAULT_KERNEL_BASE, radix=16),
+            window=_parse_int(opts, "window", line_no, DEFAULT_SCAN_WINDOW, minimum=0),
+        )
+        try:
+            driver.boot_init()
+        except Halted:
+            pass  # already logged; the driver stays inert
+
+    def _process(self, cmd: Command) -> None:
+        name, fixture = cmd.args
+        image = self._read_fixture(fixture, cmd.line_no)
+        self.pids[name] = self.kernel.create_process(
+            name, image, base=_parse_int(cmd.options, "base", cmd.line_no, radix=16)).pid
+
+    def _module(self, cmd: Command) -> None:
+        ref, name, fixture = cmd.args
+        pid = self._resolve_pid(ref, cmd.line_no)
+        image = self._read_fixture(fixture, cmd.line_no)
+        self.kernel.load_module(pid, name, image,
+                                base=_parse_int(cmd.options, "base", cmd.line_no, radix=16))
+
+    def _run(self, cmd: Command) -> None:
+        self.kernel.run_entrypoint(self._resolve_pid(cmd.args[0], cmd.line_no))
 
     def execute(self, commands: list[Command]) -> ScenarioResult:
         result = ScenarioResult(kernel=self.kernel)
@@ -250,33 +205,82 @@ class ScenarioRunner:
                 result.expectations.append(cmd.args[0])
                 continue
             try:
-                if cmd.op == "set-mode":
-                    self.kernel.mode = cmd.args[0]
-                elif cmd.op == "driver":
-                    self._make_driver(cmd)
-                elif cmd.op == "process":
-                    name, fixture = cmd.args
-                    image = self._read_fixture(fixture, cmd.line_no)
-                    proc = self.kernel.create_process(
-                        name, image, base=_parse_int(cmd.options, "base", cmd.line_no, radix=16))
-                    self.pids[name] = proc.pid
-                elif cmd.op == "module":
-                    ref, name, fixture = cmd.args
-                    pid = self._resolve_pid(ref, cmd.line_no)
-                    image = self._read_fixture(fixture, cmd.line_no)
-                    self.kernel.load_module(pid, name, image,
-                                            base=_parse_int(cmd.options, "base",
-                                                            cmd.line_no, radix=16))
-                elif cmd.op == "run":
-                    self.kernel.run_entrypoint(self._resolve_pid(cmd.args[0], cmd.line_no))
+                COMMANDS[cmd.op].run(self, cmd)
             except (SimError, PeError, DuquError) as exc:
                 # Runtime faults are part of the observable transcript.
-                self.kernel.log_line("runner",
-                                     f"! error: {type(exc).__name__}: {exc}")
+                self.kernel.log_line("runner", f"! error: {type(exc).__name__}: {exc}")
         result.lines = list(self.kernel.log)
         result.drivers = dict(self.drivers)
         result.unmet = match_expectations(result.expectations, result.text_lines())
         return result
+
+
+class Syntax(NamedTuple):
+    """A command, or a driver: the runner method that runs it, its argument
+    count and what it takes (commands only), and its option keys."""
+    run: Callable[[ScenarioRunner, Command], None]
+    nargs: int = 0
+    usage: str = ""
+    optional: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "set-mode": Syntax(ScenarioRunner._set_mode, 1, "one of " + "|".join(MODES)),
+    "driver": Syntax(ScenarioRunner._driver, 1, "a single driver name"),
+    "process": Syntax(ScenarioRunner._process, 2, "<name> <fixture-path>", ("base",)),
+    "module": Syntax(ScenarioRunner._module, 3, "<pid-ref> <name> <fixture-path>", ("base",)),
+    "run": Syntax(ScenarioRunner._run, 1, "<pid-ref>"),
+}
+DRIVERS = {
+    "sentinel": Syntax(ScenarioRunner._sentinel, optional=("watch", "report-only")),
+    "duqu": Syntax(ScenarioRunner._duqu, optional=("mask", "kernel-base", "window"),
+                   required=("config", "stub1", "stub2")),
+}
+
+
+def parse_scenario(text: str) -> list[Command]:
+    """The commands of a scenario file; the first line, in line order, that
+    breaks the grammar raises a :class:`ScenarioError`."""
+    commands: list[Command] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        op, _, rest = line.partition(" ")
+        op = op.lower()
+        if op == "expect":
+            if not rest.strip():
+                raise ScenarioError("expect needs a pattern", line_no)
+            commands.append(Command(op, [rest.strip()], {}, line_no))
+            continue
+        parts = rest.split()
+        args = [p for p in parts if "=" not in p]
+        options: dict[str, str] = {}
+        for key, _, value in (p.partition("=") for p in parts if "=" in p):
+            if key in options:
+                raise ScenarioError(f"repeated option {key!r}", line_no)
+            options[key] = value
+        syntax = COMMANDS.get(op)
+        if syntax is None:
+            raise ScenarioError(f"unknown command {op!r}", line_no)
+        if len(args) != syntax.nargs or op == "set-mode" and args[0] not in MODES:
+            raise ScenarioError(f"{op} takes {syntax.usage}", line_no)
+        if op == "driver":
+            name = args[0].lower()
+            syntax = DRIVERS.get(name)
+            if syntax is None:
+                raise ScenarioError(f"unknown driver {name!r}", line_no)
+        for key in options:
+            if key not in syntax.optional + syntax.required:
+                raise ScenarioError(f"unknown option {key!r}", line_no)
+        if op == "driver" and any(c.op == op and c.args[0].lower() == name for c in commands):
+            raise ScenarioError(f"driver {name!r} declared twice", line_no)
+        for key in syntax.required:  # only drivers require keys
+            if key not in options:
+                raise ScenarioError(f"driver {name} needs {key}=<path>", line_no)
+        commands.append(Command(op, args, options, line_no))
+    return commands
 
 
 def match_expectations(expectations: list[str], lines: list[str]) -> list[str]:
@@ -302,5 +306,4 @@ def run_scenario(path: str | Path) -> ScenarioResult:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario {str(Path(path))!r} is not UTF-8: {exc}") from exc
-    commands = parse_scenario(text)
-    return ScenarioRunner(os.path.dirname(path)).execute(commands)
+    return ScenarioRunner(os.path.dirname(path)).execute(parse_scenario(text))

@@ -63,13 +63,13 @@ class SentinelDriver:
     """
 
     def __init__(self, kernel: SimKernel, watch: tuple[str, ...] = DEFAULT_WATCH,
-                 report_only: bool = False, name: str = "sentinel"):
+                 report_only: bool = False):
         self.kernel = weakref.proxy(kernel)
         self.watch = tuple(w.lower() for w in watch)
         self.report_only = report_only
         self.records: dict[int, IntegrityRecord] = {}
         self.verdicts: list[tuple[str, str]] = []  # (module name, OK|MISMATCH)
-        self.driver = Driver(name)
+        self.driver = Driver("sentinel")
         self.driver.handlers[EventKind.PROCESS_CREATE] = self.on_process_create
         self.driver.handlers[EventKind.IMAGE_LOAD] = self.on_image_load
         self.driver.handlers[EventKind.PROCESS_EXIT] = self._on_process_exit

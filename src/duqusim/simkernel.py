@@ -233,9 +233,9 @@ class Driver:
 
 
 class SimKernel:
-    def __init__(self, mode: str = "normal", version: str = SYSTEM_VERSION):
+    def __init__(self, mode: str = "normal"):
         self.mode = mode
-        self.version = version
+        self.version = SYSTEM_VERSION
         self.drivers: list[Driver] = []
         self.devices: dict[str, tuple[Driver, Callable[[DeviceRequest], bytes]]] = {}
         self.processes: dict[int, SimProcess] = {}

@@ -1,0 +1,48 @@
+"""The traced benchmark run rebinds names in ``duqusim``; a name it reads
+that is gone fails here, in seconds, instead of only in the benchmark.
+
+``perfbench/run.py`` is loaded read-only, and its ``load_duqusim`` imports
+the package afresh, as a benchmark run does.  The modules and ``sys.path``
+entries this adds are removed again afterwards.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """``perfbench/run.py`` as a module; ``sys.modules`` is restored after."""
+    saved = dict(sys.modules)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        for name in set(sys.modules) - set(saved):
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("workload", ["replay", "fleet", "scan"])
+def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
+    dq = bench.load_duqusim()
+    tracer = bench.Tracer(dq)
+    work = bench.WORKLOADS[workload](dq, tmp_path, 1)
+    with tracer.installed():
+        dq.fixtures.write_fixture_set(tmp_path / "traced_fixtures")
+        for spec in work.warmup:
+            ok, _, _ = work.check(spec, work.run(spec))
+            assert ok, spec
+    op = "scan.scan_pe" if workload == "scan" else "scenario.execute"
+    assert tracer.counts[f"{op}.calls"] == len(work.warmup)
+    assert tracer.counts["fixtures.write_fixture_set.calls"] == 1
+    assert set(tracer.self_ms()) <= bench.KNOWN_PER_LAYER

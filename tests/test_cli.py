@@ -151,6 +151,15 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == "error: line 1: repeated option 'report-only'\n"
 
+    def test_run_grammar_error_before_any_line_runs(self, tmp_path, capsys):
+        # Line 1 would fail on its missing fixture if it ran first.
+        scenario = tmp_path / "grammar.scenario"
+        scenario.write_text("process a.exe missing.exe\ndriver duqu config=c\n")
+        assert main(["run", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: driver duqu needs stub1=<path>\n"
+
     def test_run_non_utf8_scenario_exit_two(self, tmp_path, capsys):
         scenario = tmp_path / "bad.scenario"
         scenario.write_bytes(b"process a\xff.exe x.bin\n")

@@ -1,12 +1,16 @@
 import json
 import os
+import re
 
 import pytest
 
 from duqusim.duqu import IntegrityMask
 from duqusim.scenario import (
+    DRIVERS,
+    Command,
     ScenarioError,
     ScenarioResult,
+    ScenarioRunner,
     match_expectations,
     parse_scenario,
     run_scenario,
@@ -247,6 +251,38 @@ class TestDriverOptions:
         with pytest.raises(ScenarioError, match=f"^line 2: repeated option '{key}'$"):
             parse_scenario(f"# first\n{line}\n")
 
+    @pytest.mark.parametrize("text, error", [
+        pytest.param("# first\ndriver spy", "line 2: unknown driver 'spy'", id="unknown"),
+        pytest.param("# first\ndriver SPY reportonly=1", "line 2: unknown driver 'spy'",
+                     id="unknown-before-key"),
+        pytest.param("driver sentinel\ndriver Sentinel watch=a.exe",
+                     "line 2: driver 'sentinel' declared twice", id="twice"),
+        pytest.param("driver sentinel\ndriver sentinel reportonly=1",
+                     "line 2: unknown option 'reportonly'", id="key-before-twice"),
+        pytest.param("# first\ndriver duqu stub1=a stub2=b",
+                     "line 2: driver duqu needs config=<path>", id="no-config"),
+        pytest.param("# first\ndriver duqu config=c stub2=b",
+                     "line 2: driver duqu needs stub1=<path>", id="no-stub1"),
+        pytest.param("# first\ndriver duqu config=c stub1=a",
+                     "line 2: driver duqu needs stub2=<path>", id="no-stub2"),
+        pytest.param("# first\ndriver duqu kernelbase=0x0",
+                     "line 2: unknown option 'kernelbase'", id="key-before-required"),
+        pytest.param("driver duqu config=c stub1=a stub2=b\ndriver duqu",
+                     "line 2: driver 'duqu' declared twice", id="twice-before-required"),
+        pytest.param("driver duqu\ndriver duqu", "line 1: driver duqu needs config=<path>",
+                     id="required-on-first-line"),
+    ])
+    def test_driver_grammar_error(self, text, error):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(error)}$"):
+            parse_scenario(text)
+
+    def test_first_error_in_line_order(self):
+        # Line 2 breaks a driver rule, line 5 the command grammar; line order decides.
+        text = ("driver sentinel\ndriver sentinel\nprocess a.exe a.bin\n"
+                "process b.exe b.bin\nteleport a.exe\n")
+        with pytest.raises(ScenarioError, match="^line 2: driver 'sentinel' declared twice$"):
+            parse_scenario(text)
+
     def test_unknown_driver_still_named(self, tmp_path):
         path = write_scenario(tmp_path, "nodrv.scenario", "driver spy reportonly=1\n")
         with pytest.raises(ScenarioError, match="line 1: unknown driver 'spy'"):
@@ -258,6 +294,50 @@ class TestDriverOptions:
                               duqu_line(fixture_dir, f"mask={mask}"))
         assert run_scenario(path).drivers["duqu"].mask == \
             IntegrityMask.from_json(mask.read_text())
+
+
+class RecordingOptions(dict):
+    """Option mapping that records every key looked up in it."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# A valid value, over the shipped fixtures, for every key a driver declares.
+DRIVER_OPTIONS = {
+    "sentinel": {"watch": "services.exe", "report-only": "1"},
+    "duqu": {"config": "duqu_config.bin", "stub1": "stub1.bin", "stub2": "stub2.bin",
+             "mask": "maskspec.json", "kernel-base": "00400000", "window": "64"},
+}
+
+
+@pytest.mark.parametrize("given", ["required", "all"])
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_driver_reads_only_declared_keys(fixture_dir, name, given):
+    syntax = DRIVERS[name]
+    declared = set(syntax.optional + syntax.required)
+    assert set(DRIVER_OPTIONS[name]) == declared
+    keys = syntax.required if given == "required" else declared
+    options = RecordingOptions({k: DRIVER_OPTIONS[name][k] for k in keys})
+    runner = ScenarioRunner(fixture_dir)
+    syntax.run(runner, Command("driver", [name], options, 1))
+    assert set(runner.drivers) == {name}
+    assert options.read <= declared
+    if given == "all":
+        assert options.read == declared
 
 
 class TestDeterminism:
