@@ -72,6 +72,7 @@ FUNCTION_TABLE_SIZE = 512
 SAVED_ENTRY_LEN = 12
 STUB_SHIM_SIZE = 57
 MASK_LEN = 32
+SUPPORTED_VERSIONS = (simkernel.SYSTEM_VERSION,)
 
 # Ten loader/memory routines the injected code gets handed.  Only their
 # ror13 hashes reach the driver, which resolves kernel32's exports by them;
@@ -250,7 +251,6 @@ class SharedState:
     kernel32_imports: list[tuple[int, int]] = field(default_factory=list)
     saved_entry_bytes: Optional[bytes] = None
     saved_perms: Optional[simkernel.Perm] = None
-    driver_handle: Optional[int] = None
     target_pid: Optional[int] = None
     entry_va: int = 0
     stub1_base: int = 0
@@ -263,13 +263,15 @@ class SharedState:
     hooked: bool = False
 
 
-class DuquDriver:
-    """The reconstructed injector wired to a :class:`SimKernel`.
+class DuquDriver(Driver):
+    """The reconstructed injector: a :class:`Driver` that registers itself
+    with a :class:`SimKernel` as its last step of construction.  It has no
+    handler until its boot init completes.
 
     The driver holds its kernel through a weak proxy.  The kernel holds
-    the driver's handlers, devices, init waiter and the ``run_stub`` code
-    of the region it allocates, so a strong reference would make a cycle
-    that only the cyclic garbage collector could free; with the proxy, a
+    the driver, its devices, its init waiter and the ``run_stub`` code of
+    the region it allocates, so a strong reference would make a cycle that
+    only the cyclic garbage collector could free; with the proxy, a
     finished run is freed as soon as its result is dropped.  A driver
     whose kernel nobody else holds raises ``ReferenceError``: it has no
     kernel left to act on.
@@ -279,8 +281,8 @@ class DuquDriver:
                  stub1: bytes, stub2: bytes,
                  mask: IntegrityMask | None = None,
                  kernel_base: int = DEFAULT_KERNEL_BASE,
-                 window: int = DEFAULT_SCAN_WINDOW,
-                 versions: tuple[str, ...] = (simkernel.SYSTEM_VERSION,)):
+                 window: int = DEFAULT_SCAN_WINDOW):
+        super().__init__("duqu")
         self.kernel = weakref.proxy(kernel)
         self.config_blob = config_blob
         self.stub1 = stub1
@@ -288,17 +290,14 @@ class DuquDriver:
         self.mask = mask or default_mask()
         self.kernel_base = kernel_base
         self.window = window
-        self.versions = versions
-        self.driver = Driver("duqu")
-        self.handle = kernel.register_driver(self.driver)
         self.state = SharedState()
-        self.initialized = False
         self.functions_valid = False
         self._hal_retries = 0
         self._key = 0
+        kernel.register_driver(self)
 
     def _log(self, text: str) -> None:
-        self.kernel.log_line(self.driver.name, f"DuquDriver: {text}")
+        self.kernel.log_line(self.name, f"DuquDriver: {text}")
 
     # ------------------------------------------------------------------
     # boot
@@ -318,14 +317,14 @@ class DuquDriver:
             self._log(f"halted ({self.kernel.mode} mode)")
             raise Halted(f"driver halts in {self.kernel.mode} mode")
         kernel = self.kernel
-        kernel.create_device(self.driver, CONTROL_DEVICE, self._on_device_request)
-        kernel.create_device(self.driver, DEVICE_GPD0, self._on_access_point)
-        kernel.create_device(self.driver, DOSDEVICE_GPDDEV, self._on_access_point)
+        kernel.create_device(CONTROL_DEVICE, self._on_device_request)
+        kernel.create_device(DEVICE_GPD0, self._on_access_point)
+        kernel.create_device(DOSDEVICE_GPDDEV, self._on_access_point)
         self._hal_retries = 0
         if self._hal_present():
             self._finish_init()
         else:
-            kernel.defer_init(self.driver, self._recheck_hal)
+            kernel.defer_init(self, self._recheck_hal)
 
     def _hal_present(self) -> bool:
         return self.kernel.find_module(("hal.dll",)) is not None
@@ -341,9 +340,8 @@ class DuquDriver:
         return False
 
     def _finish_init(self) -> None:
-        self.kernel.create_device(self.driver, DEVICE_GPD1, self._on_access_point)
-        self.driver.handlers[EventKind.IMAGE_LOAD] = self._on_image_load
-        self.initialized = True
+        self.kernel.create_device(DEVICE_GPD1, self._on_access_point)
+        self.handlers[EventKind.IMAGE_LOAD] = self._on_image_load
         self._log(f"boot init complete (hal.dll seen after {self._hal_retries} requeues)")
         self._resolve_kernel_functions()
 
@@ -406,7 +404,7 @@ class DuquDriver:
         the first stub, flips the entrypoint page RX to RWX, and plants
         the decrypted payload after a 57-byte shim.
         """
-        if self.kernel.version not in self.versions:
+        if self.kernel.version not in SUPPORTED_VERSIONS:
             raise VersionUnsupported(f"version {self.kernel.version} not supported")
         pid = event.pid
         peb = self.kernel.process(pid).peb
@@ -447,7 +445,6 @@ class DuquDriver:
         st.stub2_len = len(self.stub2)
         st.payload_base = payload_base
         st.payload_len = len(payload)
-        st.driver_handle = self.handle
         self._log(f"staged injection into pid={pid:#x} "
                   f"(stub1={stub1_base:#010x} stub2={stub2_base:#010x} "
                   f"payload={payload_base:#010x} entry={entry_va:#010x})")
@@ -516,7 +513,7 @@ class DuquDriver:
         except (PeError, SimError) as exc:
             raise StubFault(f"stub aborted: {exc}") from exc
 
-        kernel.log_line(self.driver.name, f"* PAYLOAD_STARTED pid={pid:#x} *")
+        kernel.log_line(self.name, f"* PAYLOAD_STARTED pid={pid:#x} *")
         pid_blob = struct.pack("<I", pid)
         kernel.send_device_request(DeviceRequest(CONTROL_DEVICE, RESTORE_ENTRYPOINT,
                                                  pid_blob))

@@ -39,7 +39,7 @@ from .duqu import (
 )
 from .peformat import DEFAULT_SCAN_WINDOW, PeError, read_regular_file
 from .sentinel import SentinelDriver
-from .simkernel import SimError, SimKernel
+from .simkernel import Driver, SimError, SimKernel
 
 MODES = ("normal", "debug", "failsafe")
 
@@ -64,10 +64,13 @@ class Command:
 @dataclass
 class ScenarioResult:
     lines: list[tuple[str, str]] = field(default_factory=list)
-    expectations: list[str] = field(default_factory=list)
     unmet: list[str] = field(default_factory=list)
-    drivers: dict[str, object] = field(default_factory=dict)
     kernel: SimKernel | None = None
+
+    @property
+    def drivers(self) -> dict[str, Driver]:
+        """The kernel's drivers by name, in dispatch order."""
+        return {} if self.kernel is None else {d.name: d for d in self.kernel.drivers}
 
     @property
     def ok(self) -> bool:
@@ -123,7 +126,6 @@ class ScenarioRunner:
         self.base_dir = base_dir
         self.kernel = SimKernel()
         self.pids: dict[str, int] = {}
-        self.drivers: dict[str, object] = {}
         self._fixtures: dict[str, bytes] = {}
 
     def _read_fixture(self, rel: str, line_no: int) -> bytes:
@@ -154,9 +156,8 @@ class ScenarioRunner:
 
     def _sentinel(self, cmd: Command) -> None:
         watch = tuple(cmd.options.get("watch", "services.exe").split(","))
-        self.drivers["sentinel"] = SentinelDriver(
-            self.kernel, watch=watch,
-            report_only=_parse_bool(cmd.options, "report-only", cmd.line_no))
+        SentinelDriver(self.kernel, watch=watch,
+                       report_only=_parse_bool(cmd.options, "report-only", cmd.line_no))
 
     def _duqu(self, cmd: Command) -> None:
         opts, line_no = cmd.options, cmd.line_no
@@ -167,8 +168,7 @@ class ScenarioRunner:
                 mask = IntegrityMask.from_json(mask_bytes.decode("utf-8"))
             except ValueError as exc:
                 raise ScenarioError(f"bad mask {opts['mask']!r}: {exc}", line_no) from exc
-        # Kept even if its boot fails: the kernel has registered it.
-        driver = self.drivers["duqu"] = DuquDriver(
+        driver = DuquDriver(
             self.kernel,
             config_blob=self._read_fixture(opts["config"], line_no),
             stub1=self._read_fixture(opts["stub1"], line_no),
@@ -199,19 +199,18 @@ class ScenarioRunner:
         self.kernel.run_entrypoint(self._resolve_pid(cmd.args[0], cmd.line_no))
 
     def execute(self, commands: list[Command]) -> ScenarioResult:
-        result = ScenarioResult(kernel=self.kernel)
+        expectations: list[str] = []
         for cmd in commands:
             if cmd.op == "expect":
-                result.expectations.append(cmd.args[0])
+                expectations.append(cmd.args[0])
                 continue
             try:
                 COMMANDS[cmd.op].run(self, cmd)
             except (SimError, PeError, DuquError) as exc:
                 # Runtime faults are part of the observable transcript.
                 self.kernel.log_line("runner", f"! error: {type(exc).__name__}: {exc}")
-        result.lines = list(self.kernel.log)
-        result.drivers = dict(self.drivers)
-        result.unmet = match_expectations(result.expectations, result.text_lines())
+        result = ScenarioResult(list(self.kernel.log), kernel=self.kernel)
+        result.unmet = match_expectations(expectations, result.text_lines())
         return result
 
 

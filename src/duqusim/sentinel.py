@@ -34,14 +34,9 @@ DEFAULT_WATCH = ("services.exe",)
 
 @dataclass
 class IntegrityRecord:
-    pid: int
     entrypoint: int
     baseline_hash: int
     hashed: bytes  # the HASH_SPAN entrypoint bytes the baseline was taken over
-
-    @property
-    def first8(self) -> bytes:
-        return self.hashed[:DISPLAY_SPAN]
 
 
 _HEX = tuple(f"0x{b:02x}" for b in range(256))
@@ -51,32 +46,32 @@ def _hex_bytes(data: bytes) -> str:
     return " ".join(map(_HEX.__getitem__, data))
 
 
-class SentinelDriver:
-    """Checksum monitor wired to a :class:`SimKernel`.
+class SentinelDriver(Driver):
+    """Checksum monitor: a :class:`Driver` that registers itself with a
+    :class:`SimKernel` as its last step of construction.
 
     The driver holds its kernel through a weak proxy.  The kernel holds
-    the driver's handlers, so a strong reference would make a cycle that
-    only the cyclic garbage collector could free; with the proxy, a
-    finished run is freed as soon as its result is dropped.  A driver
-    whose kernel nobody else holds raises ``ReferenceError``: it has no
-    kernel left to act on.
+    the driver, so a strong reference would make a cycle that only the
+    cyclic garbage collector could free; with the proxy, a finished run is
+    freed as soon as its result is dropped.  A driver whose kernel nobody
+    else holds raises ``ReferenceError``: it has no kernel left to act on.
     """
 
     def __init__(self, kernel: SimKernel, watch: tuple[str, ...] = DEFAULT_WATCH,
                  report_only: bool = False):
+        super().__init__("sentinel")
         self.kernel = weakref.proxy(kernel)
         self.watch = tuple(w.lower() for w in watch)
         self.report_only = report_only
         self.records: dict[int, IntegrityRecord] = {}
         self.verdicts: list[tuple[str, str]] = []  # (module name, OK|MISMATCH)
-        self.driver = Driver("sentinel")
-        self.driver.handlers[EventKind.PROCESS_CREATE] = self.on_process_create
-        self.driver.handlers[EventKind.IMAGE_LOAD] = self.on_image_load
-        self.driver.handlers[EventKind.PROCESS_EXIT] = self._on_process_exit
-        self.handle = kernel.register_driver(self.driver)
+        self.handlers[EventKind.PROCESS_CREATE] = self.on_process_create
+        self.handlers[EventKind.IMAGE_LOAD] = self.on_image_load
+        self.handlers[EventKind.PROCESS_EXIT] = self._on_process_exit
+        kernel.register_driver(self)
 
     def _log(self, text: str) -> None:
-        self.kernel.log_line(self.driver.name, text)
+        self.kernel.log_line(self.name, text)
 
     def on_process_create(self, event: NotificationEvent) -> None:
         """Memorize the baseline checksum for a watched process.
@@ -109,8 +104,8 @@ class SentinelDriver:
         self._log(f"Entrypoint bytes at {entry:#010x}: {_hex_bytes(first[:DISPLAY_SPAN])}")
         self._log(f"CreateProcessNotify: ImageBaseAddress={base:#010x} "
                   f"EntryPoint={entry:#010x} EntrypointChecksum={checksum:#010x}")
-        self.records[pid] = IntegrityRecord(pid=pid, entrypoint=entry,
-                                            baseline_hash=checksum, hashed=first)
+        self.records[pid] = IntegrityRecord(entrypoint=entry, baseline_hash=checksum,
+                                            hashed=first)
 
     def on_image_load(self, event: NotificationEvent) -> None:
         """Re-verify the stored checksum on every load for a watched pid.

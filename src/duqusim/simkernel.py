@@ -3,13 +3,14 @@
 Processes own disjoint virtual-memory regions with R/W/X permissions, a
 loader maps PE32 images (relocating on base collisions), and drivers
 receive process-create / image-load / process-exit notifications in
-registration order.  Dispatch is synchronous and single-threaded: a
-notification emitted while another is being dispatched queues behind it,
-so identical inputs always produce identical event sequences and logs.
-The log is the one record of a run.  Only dispatch turns a handler's or a
-deferred init step's exception into a line,
-``! fault: <driver>: <Type>: <message>``, and then goes on to the later
-drivers and queued events.  Control flow follows simulated memory:
+registration order.  Each driver is a :class:`Driver`, and
+:attr:`SimKernel.drivers` is the one list of them.  Dispatch is
+synchronous and single-threaded: a notification emitted while another is
+being dispatched queues behind it, so identical inputs always produce
+identical event sequences and logs.  The log is the one record of a run.
+Only dispatch turns a handler's or a deferred init step's exception into
+a line, ``! fault: <driver>: <Type>: <message>``, and then goes on to the
+later drivers and queued events.  Control flow follows simulated memory:
 :meth:`SimKernel.run_entrypoint` decodes the entrypoint, and a hook there
 runs the ``code`` of the region it targets.
 
@@ -26,10 +27,11 @@ mapping gets bytes of its own, and a load that fails leaves nothing
 mapped and, for a new process, no process behind.
 
 A finished run is freed by reference counting.  The kernel holds its
-drivers' handlers, devices, init waiters and region code, and nothing it
+drivers, their devices, init waiters and region code, and nothing it
 holds refers back to it strongly: the drivers hold it through a weak
 proxy.  Dropping the last reference to a kernel frees its processes,
-regions and parsed images at once, with no wait for the cyclic collector.
+regions and parsed images at once; only a driver whose handlers are its
+own bound methods waits for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -233,11 +235,11 @@ class Driver:
 
 
 class SimKernel:
-    def __init__(self, mode: str = "normal"):
-        self.mode = mode
+    def __init__(self):
+        self.mode = "normal"
         self.version = SYSTEM_VERSION
         self.drivers: list[Driver] = []
-        self.devices: dict[str, tuple[Driver, Callable[[DeviceRequest], bytes]]] = {}
+        self.devices: dict[str, Callable[[DeviceRequest], bytes]] = {}
         self.processes: dict[int, SimProcess] = {}
         self.log: list[tuple[str, str]] = []
         self._queue: deque[NotificationEvent] = deque()
@@ -258,24 +260,21 @@ class SimKernel:
     # drivers and devices
     # ------------------------------------------------------------------
 
-    def register_driver(self, driver: Driver) -> int:
-        """Append a driver to the dispatch order; returns its handle."""
+    def register_driver(self, driver: Driver) -> None:
+        """Append a driver to the dispatch order."""
         if any(d.name == driver.name for d in self.drivers):
             raise DuplicateName(f"driver {driver.name!r} already registered")
         self.drivers.append(driver)
-        return len(self.drivers)
 
-    def create_device(self, driver: Driver, path: str,
-                      handler: Callable[[DeviceRequest], bytes]) -> None:
+    def create_device(self, path: str, handler: Callable[[DeviceRequest], bytes]) -> None:
         if path in self.devices:
             raise DuplicateDevice(f"device {path!r} already exists")
-        self.devices[path] = (driver, handler)
+        self.devices[path] = handler
 
     def send_device_request(self, request: DeviceRequest) -> bytes:
         if request.device not in self.devices:
             raise NoSuchDevice(f"no device {request.device!r}")
-        _, handler = self.devices[request.device]
-        return handler(request)
+        return self.devices[request.device](request)
 
     def defer_init(self, driver: Driver, recheck: Callable[[], bool]) -> None:
         """Queue ``driver``'s init continuation, re-run before each event dispatch.

@@ -92,7 +92,8 @@ def boot_kernel(fixture_dir, *, sentinel_first=True, with_sentinel=True,
     from duqusim.sentinel import SentinelDriver
     from duqusim.simkernel import SimKernel
 
-    kernel = SimKernel(mode=mode)
+    kernel = SimKernel()
+    kernel.mode = mode
     drivers = {}
 
     def make_sentinel():

@@ -43,7 +43,7 @@ class ImageLoadRecorder(Driver):
             self.dead_loads.append((event.pid, event.module_name))
 
 
-def check_kernel(kernel, drivers=()) -> None:
+def check_kernel(kernel) -> None:
     assert not kernel._queue, "events left queued"
     assert kernel._dispatching is False, "dispatch left running"
     for pid, proc in kernel.processes.items():
@@ -59,16 +59,15 @@ def check_kernel(kernel, drivers=()) -> None:
         if isinstance(driver, ImageLoadRecorder):
             assert not driver.dead_loads, \
                 f"IMAGE_LOAD dispatched for dead pids {driver.dead_loads}"
-    for driver in drivers:
         if isinstance(driver, SentinelDriver):
             dead = [pid for pid in driver.records
                     if pid not in kernel.processes or not kernel.processes[pid].alive]
             assert not dead, f"sentinel records for dead pids {dead}"
 
 
-def recorded_kernel(*args, **kwargs) -> SimKernel:
+def recorded_kernel() -> SimKernel:
     """A :class:`SimKernel` with an :class:`ImageLoadRecorder` registered."""
-    kernel = SimKernel(*args, **kwargs)
+    kernel = SimKernel()
     ImageLoadRecorder(kernel)
     return kernel
 

@@ -3,7 +3,9 @@ that is gone fails here, in seconds, instead of only in the benchmark.
 
 ``perfbench/run.py`` is loaded read-only, and its ``load_duqusim`` imports
 the package afresh, as a benchmark run does.  The modules and ``sys.path``
-entries this adds are removed again afterwards.
+entries this adds are removed again afterwards.  Each workload's dispatch
+counts are pinned, so the handlers the tracer rebinds are still the ones
+the kernel calls.
 """
 
 import importlib.util
@@ -13,6 +15,16 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Traced warm-up on seed 1: handler calls, events, monitor verifies and
+# device requests.
+DISPATCH = ("simkernel.handler.calls", "simkernel.events",
+            "sentinel.on_image_load.calls", "duqu.device_requests")
+DISPATCH_COUNTS = {
+    "replay": (60, 57, 29, 2),
+    "fleet": (250, 138, 116, 0),
+    "scan": (0, 0, 0, 0),
+}
 
 
 @pytest.fixture
@@ -46,3 +58,4 @@ def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
     assert tracer.counts[f"{op}.calls"] == len(work.warmup)
     assert tracer.counts["fixtures.write_fixture_set.calls"] == 1
     assert set(tracer.self_ms()) <= bench.KNOWN_PER_LAYER
+    assert tuple(tracer.counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]

@@ -210,9 +210,8 @@ class TestBootInit:
     def test_debug_mode_halts_with_no_devices(self, fixture_dir):
         kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False, mode="debug")
         duqu = drivers["duqu"]
-        assert not duqu.initialized
         assert kernel.devices == {}
-        assert duqu.driver.handlers == {}
+        assert duqu.handlers == {}
         # a full scenario's worth of events later, still nothing
         proc = kernel.process
         assert all(r.tag != "injected"
@@ -220,16 +219,15 @@ class TestBootInit:
 
     def test_failsafe_mode_halts(self, fixture_dir):
         kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False, mode="failsafe")
-        assert not drivers["duqu"].initialized
+        assert drivers["duqu"].handlers == {}
         assert kernel.devices == {}
 
     def test_normal_boot_creates_devices_and_callback(self, fixture_dir):
         kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False)
         duqu = drivers["duqu"]
-        assert duqu.initialized
         for path in (CONTROL_DEVICE, DEVICE_GPD0, DOSDEVICE_GPDDEV, DEVICE_GPD1):
             assert path in kernel.devices
-        assert EventKind.IMAGE_LOAD in duqu.driver.handlers
+        assert EventKind.IMAGE_LOAD in duqu.handlers
         assert duqu.functions_valid
         alloc_va, protect_va = struct.unpack_from("<II", duqu.state.function_table, 0)
         assert (alloc_va, protect_va) == (0x00405DDC, 0x00406882)
@@ -245,13 +243,13 @@ class TestBootInit:
                           stub2=(fixture_dir / "stub2.bin").read_bytes(),
                           kernel_base=0x00400000)
         duqu.boot_init()
-        assert not duqu.initialized
+        assert EventKind.IMAGE_LOAD not in duqu.handlers
         proc = kernel.create_process("System",
                                      (fixture_dir / "system.bin").read_bytes())
         # rechecks so far: process-create, main-module load
         assert duqu._hal_retries == 2
         kernel.load_module(proc.pid, "hal.dll", (fixture_dir / "hal.dll").read_bytes())
-        assert duqu.initialized
+        assert EventKind.IMAGE_LOAD in duqu.handlers
         assert duqu._hal_retries == 3
 
     def test_hal_never_loaded_after_200_requeues(self, fixture_dir):
@@ -272,11 +270,11 @@ class TestBootInit:
         kernel.load_module(proc.pid, "mod197.dll", module)  # recheck #200
         assert kernel.log.count(give_up) == 1
         assert duqu._hal_retries == 200
-        assert not duqu.initialized
+        assert EventKind.IMAGE_LOAD not in duqu.handlers
         assert DEVICE_GPD1 not in kernel.devices
         # even a late hal.dll no longer revives it
         kernel.load_module(proc.pid, "hal.dll", (fixture_dir / "hal.dll").read_bytes())
-        assert not duqu.initialized
+        assert EventKind.IMAGE_LOAD not in duqu.handlers
 
     def test_bad_config_blob(self, fixture_dir):
         kernel = SimKernel()
@@ -307,7 +305,6 @@ class TestFirstNotification:
         entry_region = services.region_at(st.entry_va)
         assert entry_region.perms == PERM_RWX
         assert st.saved_perms == PERM_RX
-        assert st.driver_handle == duqu.handle
         # stub1 was restored and relocated in place
         blob = kernel.read_memory(services.pid, st.stub1_base, 4)
         assert blob[:2] == b"MZ"
@@ -342,14 +339,14 @@ class TestFirstNotification:
         assert all(r.tag != "injected" for r in proc.regions)
 
     def test_unsupported_version_aborts(self, fixture_dir):
-        kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False,
-                                      duqu_kwargs={"versions": ("6.1.7601",)})
+        kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False)
+        kernel.version = "6.1.7601"
         kernel.create_process("services.exe",
                               (fixture_dir / "services.exe").read_bytes())
         duqu = drivers["duqu"]
         faults = [t for _, t in kernel.log if t.startswith("! fault:")]
         assert faults == ["! fault: duqu: VersionUnsupported: "
-                          "version 5.1.2600 not supported"]
+                          "version 6.1.7601 not supported"]
         assert duqu.state.target_pid is None
 
 

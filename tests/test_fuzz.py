@@ -126,7 +126,7 @@ def run_line_by_line(directory, text: str) -> ScenarioRunner | None:
         except ScenarioError:  # `duqusim run` exits 2 at this line
             stop = True
         try:
-            check_kernel(runner.kernel, runner.drivers.values())
+            check_kernel(runner.kernel)
         except AssertionError as exc:
             raise AssertionError(f"after line {cmd.line_no} "
                                  f"{lines[cmd.line_no - 1]!r}: {exc}") from None
@@ -156,7 +156,7 @@ def test_scenario_mutations_exit_cleanly(tmp_path, capsys, monkeypatch, base):
             codes.add(code)
             refs = []
             for result in runs:
-                check_kernel(result.kernel, result.drivers.values())
+                check_kernel(result.kernel)
                 assert result.lines == runner.kernel.log, (case, mutated)
                 refs += run_refs(result.kernel)
             if runner is not None:
@@ -208,7 +208,7 @@ def test_loader_header_mutations_exit_cleanly(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         [result] = runs
         kernel = result.kernel
-        check_kernel(kernel, result.drivers.values())
+        check_kernel(kernel)
         for proc in kernel.processes.values():
             for name, at in proc.modules:
                 image = parse_pe((tmp_path / files[name]).read_bytes())

@@ -39,7 +39,7 @@ def test_run_matches_golden_transcript(fixture_dir, capsys, monkeypatch,
     out = capsys.readouterr().out.encode("utf-8")
     assert out == (GOLDEN / f"{scenario}.{suffix}").read_bytes()
     [result] = runs
-    check_kernel(result.kernel, result.drivers.values())
+    check_kernel(result.kernel)
 
 
 REGION_SCENARIOS = ("poc_duqu_attack", "duqu_unopposed", "fleet_shaped")
@@ -51,7 +51,7 @@ def region_maps(directory: Path) -> str:
     out = []
     for name in REGION_SCENARIOS:
         result = run_scenario(directory / f"{name}.scenario")
-        check_kernel(result.kernel, result.drivers.values())
+        check_kernel(result.kernel)
         out.append(f"# {name}\n")
         for pid, proc in result.kernel.processes.items():
             for r in proc.regions:

@@ -209,7 +209,7 @@ class TestUnreadableDirectories:
         failed = lines(kernel, "DuquDriver: kernel function discovery failed: ")
         assert len(failed) == 1 and failed[0].endswith(" is not mapped")
         assert lines(kernel, "! fault:") == []
-        assert duqu.initialized and not duqu.functions_valid
+        assert EventKind.IMAGE_LOAD in duqu.handlers and not duqu.functions_valid
 
     def test_kernel32_name_array(self, fixture_bytes):
         data = fixture_bytes("kernel32.dll")

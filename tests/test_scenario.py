@@ -334,10 +334,41 @@ def test_driver_reads_only_declared_keys(fixture_dir, name, given):
     options = RecordingOptions({k: DRIVER_OPTIONS[name][k] for k in keys})
     runner = ScenarioRunner(fixture_dir)
     syntax.run(runner, Command("driver", [name], options, 1))
-    assert set(runner.drivers) == {name}
+    assert [d.name for d in runner.kernel.drivers] == [name]
     assert options.read <= declared
     if given == "all":
         assert options.read == declared
+
+
+class TestDriverRegistry:
+    """``ScenarioResult.drivers`` is the kernel's own list of drivers, by name."""
+
+    def swapped_poc(self, fixture_dir, prefix=""):
+        lines = (fixture_dir / "poc_duqu_attack.scenario").read_text().splitlines()
+        a, b = [i for i, line in enumerate(lines) if line.startswith("driver ")]
+        lines[a], lines[b] = lines[b], lines[a]
+        return write_scenario(fixture_dir, "swapped.scenario", prefix + "\n".join(lines))
+
+    def test_dispatch_order(self, fixture_dir):
+        result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
+        assert list(result.drivers) == ["sentinel", "duqu"]
+        result = run_scenario(self.swapped_poc(fixture_dir))
+        assert list(result.drivers) == ["duqu", "sentinel"]
+
+    def test_same_objects_as_the_kernel(self, fixture_dir):
+        result = run_scenario(self.swapped_poc(fixture_dir))
+        assert len(result.drivers) == len(result.kernel.drivers) == 2
+        for driver in result.kernel.drivers:
+            assert result.drivers[driver.name] is driver
+
+    def test_halted_injector_is_registered_without_handlers(self, fixture_dir):
+        result = run_scenario(self.swapped_poc(fixture_dir, "set-mode debug\n"))
+        assert list(result.drivers) == ["duqu", "sentinel"]
+        assert result.drivers["duqu"].handlers == {}
+        assert result.drivers["sentinel"].handlers
+
+    def test_no_kernel_no_drivers(self):
+        assert ScenarioResult().drivers == {}
 
 
 class TestDeterminism:

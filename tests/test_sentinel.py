@@ -30,7 +30,7 @@ class TestMemorization:
         kernel, sentinel, proc = watched_process(fixture_dir)
         record = sentinel.records[proc.pid]
         assert record.entrypoint == 0x01012475
-        assert record.first8 == bytes([0x6A, 0x70, 0x68, 0xE0, 0x15, 0x00, 0x01, 0xE8])
+        assert record.hashed[:8] == bytes([0x6A, 0x70, 0x68, 0xE0, 0x15, 0x00, 0x01, 0xE8])
         assert record.baseline_hash == ror13_oracle(SERVICES_ENTRY_BYTES)
 
     def test_unwatched_name_ignored(self, fixture_dir):
@@ -210,7 +210,7 @@ class TestFailClosedAtCreation:
         proc = kernel.create_process("tiny.exe", small_image())
         assert sentinel.verdicts == [("tiny.exe", "OK")]
         assert sentinel.records[proc.pid].entrypoint == 0x01000200
-        assert sentinel.records[proc.pid].first8 == b"\x90" * 8
+        assert sentinel.records[proc.pid].hashed[:8] == b"\x90" * 8
         assert proc.alive
 
     def test_monitor_reads_exactly_the_headers(self, monkeypatch):
@@ -268,8 +268,8 @@ class TestFailClosedAtCreation:
 def test_injector_fault_is_logged_once_in_dispatch_order(fixture_dir, fixture_bytes,
                                                           sentinel_first):
     """A failing injector stage is one ``! fault:`` line; the monitor still runs."""
-    kernel, drivers = boot_kernel(fixture_dir, sentinel_first=sentinel_first,
-                                  duqu_kwargs={"versions": ("6.1.7601",)})
+    kernel, drivers = boot_kernel(fixture_dir, sentinel_first=sentinel_first)
+    kernel.version = "6.1.7601"
     services = kernel.create_process("services.exe", fixture_bytes("services.exe"),
                                      base=0x01000000)
     kernel.load_module(services.pid, "kernel32.dll",

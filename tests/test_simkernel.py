@@ -77,12 +77,9 @@ class TestDriverRegistration:
 
     def test_duplicate_device(self):
         kernel = SimKernel()
-        a, b = Driver("a"), Driver("b")
-        kernel.register_driver(a)
-        kernel.register_driver(b)
-        kernel.create_device(a, "\\Device\\X", lambda req: b"")
+        kernel.create_device("\\Device\\X", lambda req: b"")
         with pytest.raises(DuplicateDevice):
-            kernel.create_device(b, "\\Device\\X", lambda req: b"")
+            kernel.create_device("\\Device\\X", lambda req: b"")
 
     def test_no_drivers_is_fine(self):
         kernel = SimKernel()
@@ -263,9 +260,7 @@ class TestMemory:
 class TestDevices:
     def test_request_round_trip(self):
         kernel = SimKernel()
-        driver = Driver("d")
-        kernel.register_driver(driver)
-        kernel.create_device(driver, "\\Device\\X", lambda req: req.payload[::-1])
+        kernel.create_device("\\Device\\X", lambda req: req.payload[::-1])
         out = kernel.send_device_request(DeviceRequest("\\Device\\X", 1, b"abc"))
         assert out == b"cba"
 
