@@ -18,20 +18,20 @@ Writes performed by an earlier-registered driver are visible to every
 later-registered driver handling the same event; that asymmetry is the
 whole point of the launch-order experiments.
 
-A kernel parses each distinct image once: repeated loads of the same bytes
-reuse the parsed headers, directories and span list.  Each region is one
-copy of its span from the file bytes; a rebase relocates those regions in
-place, and no load builds a size_of_image layout.  An image's regions
-enter the process in one splice, after relocation succeeds.  Every
-mapping gets bytes of its own, and a load that fails leaves nothing
-mapped and, for a new process, no process behind.
+A process parses each distinct image once: every kernel maps the same
+bytes from one :class:`ImageCache` entry.  Each region is one copy of its
+span from the file bytes; a rebase relocates those regions in place, and
+no load builds a size_of_image layout.  An image's regions enter the
+process in one splice, after relocation succeeds.  Every mapping gets
+bytes of its own, and a load that fails leaves nothing mapped and, for a
+new process, no process behind.
 
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
 holds refers back to it strongly: the drivers hold it through a weak
-proxy.  Dropping the last reference to a kernel frees its processes,
-regions and parsed images at once; only a driver whose handlers are its
-own bound methods waits for the cyclic collector.
+proxy.  Dropping the last reference to a kernel frees its processes and
+regions at once, and the image cache holds no kernel; only a driver
+whose handlers are its own bound methods waits for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -63,6 +63,7 @@ PID_START = 0x910
 PID_STEP = 4
 PEB_START = 0x7FFD5000
 SYSTEM_VERSION = "5.1.2600"
+IMAGE_CACHE_BYTES = 8 << 20  # file bytes the parsed-image cache may hold
 
 
 class Perm(enum.Flag):
@@ -234,6 +235,29 @@ class Driver:
         self.handlers: dict[EventKind, Callable[[NotificationEvent], None]] = {}
 
 
+@dataclass
+class ImageCache:
+    """File bytes -> parsed image for every kernel, evicting the oldest first.
+    A failed parse is never stored, nor an image over ``IMAGE_CACHE_BYTES``."""
+    images: dict[bytes, PeImage] = field(default_factory=dict, repr=False)
+    nbytes: int = 0
+
+    def parse(self, image: bytes) -> PeImage:
+        key = bytes(image)
+        parsed = self.images.get(key)
+        if parsed is None:
+            parsed = parse_pe(key)
+            if len(key) <= IMAGE_CACHE_BYTES:
+                self.images[key] = parsed
+                self.nbytes += len(key)
+                while self.nbytes > IMAGE_CACHE_BYTES:  # raw is the whole key
+                    self.nbytes -= len(self.images.pop(next(iter(self.images))).raw)
+        return parsed
+
+
+image_cache = ImageCache()
+
+
 class SimKernel:
     def __init__(self):
         self.mode = "normal"
@@ -245,7 +269,6 @@ class SimKernel:
         self._queue: deque[NotificationEvent] = deque()
         self._dispatching = False
         self._init_waiters: list[tuple[Driver, Callable[[], bool]]] = []
-        self._images: dict[bytes, PeImage] = {}
         self._next_pid = PID_START
         self._next_peb = PEB_START
 
@@ -312,7 +335,7 @@ class SimKernel:
         """
         if self._dispatching:
             raise ReentrantCall("create_process called from a notification handler")
-        parsed = self._parse_image(image)
+        parsed = image_cache.parse(image)
         # The pid and PEB address are taken only once the image is mapped,
         # so a load that fails leaves no process behind.
         pid = self._next_pid
@@ -339,7 +362,7 @@ class SimKernel:
         if self._dispatching:
             raise ReentrantCall("load_module called from a notification handler")
         proc = self.process(pid)
-        parsed = self._parse_image(image)
+        parsed = image_cache.parse(image)
         mapped_base = self._map_image(proc, parsed, name, base)
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Loaded module {name} *")
@@ -462,14 +485,6 @@ class SimKernel:
     # ------------------------------------------------------------------
     # loader internals
     # ------------------------------------------------------------------
-
-    def _parse_image(self, image: bytes) -> PeImage:
-        """Parse ``image`` once per kernel; a failed parse is never stored."""
-        key = bytes(image)
-        parsed = self._images.get(key)
-        if parsed is None:
-            parsed = self._images[key] = parse_pe(key)
-        return parsed
 
     def _map_image(self, proc: SimProcess, image: PeImage, name: str,
                    requested: int | None) -> int:

@@ -6,15 +6,16 @@ case; a failure names the invariant and the process it broke in.
 ``duqusim run`` made through :func:`duqusim.cli.main`, so a test can check
 the kernel behind a transcript, and registers an
 :class:`ImageLoadRecorder` in each of those kernels before any scenario
-driver.  :func:`run_refs` and :func:`still_alive` check that a finished
-run is freed by reference counting alone.
+driver.  :func:`recorded_parses` lists every real parse the loader makes.
+:func:`run_refs` and :func:`still_alive` check that a finished run is
+freed by reference counting alone.
 """
 
 import gc
 import weakref
 from contextlib import contextmanager
 
-from duqusim import cli, scenario
+from duqusim import cli, peformat, scenario, simkernel
 from duqusim.sentinel import SentinelDriver
 from duqusim.simkernel import ADDRESS_LIMIT, Driver, EventKind, SimKernel
 
@@ -63,6 +64,27 @@ def check_kernel(kernel) -> None:
             dead = [pid for pid in driver.records
                     if pid not in kernel.processes or not kernel.processes[pid].alive]
             assert not dead, f"sentinel records for dead pids {dead}"
+    check_image_cache()
+
+
+def check_image_cache() -> None:
+    """The shared cache is within its bound and holds only file images:
+    each keeps its own key as ``raw`` and no ``read`` into a kernel."""
+    cache = simkernel.image_cache
+    assert cache.nbytes == sum(map(len, cache.images)), "cache byte count drifted"
+    assert cache.nbytes <= simkernel.IMAGE_CACHE_BYTES, "cache over its bound"
+    for key, image in cache.images.items():
+        assert image.raw is key and image.layout == "file", "cached image is not its key"
+        assert image.read is None, "cached image reads through a kernel"
+
+
+def recorded_parses(monkeypatch) -> list[bytes]:
+    """The bytes of every image the loader parses from now on, that is
+    every load the shared image cache misses."""
+    parsed = []
+    monkeypatch.setattr(simkernel, "parse_pe",
+                        lambda data: (parsed.append(data), peformat.parse_pe(data))[1])
+    return parsed
 
 
 def recorded_kernel() -> SimKernel:

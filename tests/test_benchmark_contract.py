@@ -5,7 +5,8 @@ that is gone fails here, in seconds, instead of only in the benchmark.
 the package afresh, as a benchmark run does.  The modules and ``sys.path``
 entries this adds are removed again afterwards.  Each workload's dispatch
 counts are pinned, so the handlers the tracer rebinds are still the ones
-the kernel calls.
+the kernel calls, and so are its parse counts, so a loader that parses the
+same image again fails here.
 """
 
 import importlib.util
@@ -25,6 +26,10 @@ DISPATCH_COUNTS = {
     "fleet": (250, 138, 116, 0),
     "scan": (0, 0, 0, 0),
 }
+# Traced warm-up on seed 1: real PE parses.  The import is fresh, so the
+# parsed-image cache starts empty; a loader that parses an image once per
+# kernel rather than once per process reads 52 on replay and 28 on fleet.
+PARSE_COUNTS = {"replay": 18, "fleet": 16, "scan": 4}
 
 
 @pytest.fixture
@@ -59,3 +64,4 @@ def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
     assert tracer.counts["fixtures.write_fixture_set.calls"] == 1
     assert set(tracer.self_ms()) <= bench.KNOWN_PER_LAYER
     assert tuple(tracer.counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
+    assert tracer.counts["peformat.parse_pe.calls"] == PARSE_COUNTS[workload]

@@ -27,6 +27,7 @@ ORDERS = ("sentinel-first", "duqu-first")
 MODES = ("normal", "debug", "failsafe")
 REPORT_ONLY = ("0", "1")
 WATCHES = (TARGET, "none.exe")
+KNOBS = list(product(ORDERS, MODES, REPORT_ONLY, WATCHES))
 HEADER = "# order mode report-only watch | verdicts | target | hook | payload | sha256\n"
 
 
@@ -74,8 +75,7 @@ def render_row(row: dict) -> str:
 def rows(tmp_path_factory) -> list[dict]:
     directory = tmp_path_factory.mktemp("matrix")
     write_fixture_set(directory)
-    return [matrix_row(directory, knobs)
-            for knobs in product(ORDERS, MODES, REPORT_ONLY, WATCHES)]
+    return [matrix_row(directory, knobs) for knobs in KNOBS]
 
 
 def test_matrix_matches_golden(rows):

@@ -8,10 +8,11 @@ also gets the shipped fixtures with mutated header bytes, loaded through
 exits 0, 1 or 2, and every image the loader accepts is laid out as the
 reference layout says.  ``MAX_IMAGE_SIZE`` bounds what a mutated
 ``size_of_image`` can make the loader allocate.  The kernel invariants are
-checked after every scenario case.  Each mutated scenario is also run one
-line at a time, with the invariants checked after every line, and, with
-the cyclic garbage collector off, every finished run must be freed once
-dropped.
+checked after every scenario case, and the shared parsed-image cache is
+still within its bound after all of them.  Each mutated scenario is also
+run one line at a time, with the invariants checked after every line,
+and, with the cyclic garbage collector off, every finished run must be
+freed once dropped.
 """
 
 import random
@@ -25,7 +26,8 @@ from duqusim.scan import scan_pe
 from duqusim.scenario import ScenarioError, ScenarioRunner, parse_scenario
 
 from conftest import entry_in_gap_image, small_image
-from invariants import check_kernel, gc_disabled, recording_runs, run_refs, still_alive
+from invariants import (check_image_cache, check_kernel, gc_disabled, recording_runs, run_refs,
+                        still_alive)
 from oracles import loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
@@ -219,3 +221,4 @@ def test_loader_header_mutations_exit_cleanly(tmp_path, capsys, monkeypatch):
                     mapped["process" if name == proc.name else "module"] += 1
                     mapped["rebased"] += at != image.nt.image_base
     assert min(mapped.values()) > 0, mapped
+    check_image_cache()

@@ -9,7 +9,9 @@ section reads shows up in the scanner's findings.  And it holds
 ``region_maps.txt``: every region left in memory after both PoC scenarios
 and a fleet-shaped one, with the SHA-256 of its bytes, so a change to
 what the loader lays down shows up even where no log line reads it.  The
-kernel invariants are checked after every golden scenario.
+kernel invariants are checked after every golden scenario.  Both PoC
+transcripts are also checked from an empty parsed-image cache and from one
+that other runs have filled.
 """
 
 import hashlib
@@ -19,12 +21,14 @@ from pathlib import Path
 
 import pytest
 
+from duqusim import simkernel
 from duqusim.cli import main
 from duqusim.fixtures import write_fixture_set
 from duqusim.scenario import run_scenario
 
 from conftest import FLEET_SHAPED_SCENARIO
-from invariants import check_kernel, recording_runs
+from invariants import check_kernel, recorded_parses, recording_runs
+from test_detection_matrix import KNOBS, matrix_row
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +44,38 @@ def test_run_matches_golden_transcript(fixture_dir, capsys, monkeypatch,
     assert out == (GOLDEN / f"{scenario}.{suffix}").read_bytes()
     [result] = runs
     check_kernel(result.kernel)
+
+
+@pytest.mark.parametrize("scenario, other", [("poc_duqu_attack", "duqu_unopposed"),
+                                             ("duqu_unopposed", "poc_duqu_attack")])
+def test_transcripts_match_golden_cold_and_warm(fixture_dir, tmp_path, capsys, monkeypatch,
+                                                scenario, other):
+    """Each format once from an empty image cache, then again after the
+    other PoC scenario and the 24 detection-matrix runs filled it: the warm
+    runs map every image they share with those runs from the same entries."""
+    def transcripts(cold: bool) -> None:
+        for fmt, suffix in (("plain", "txt"), ("json", "jsonl")):
+            if cold:
+                monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+            monkeypatch.setenv("SENTINEL_LOG_FORMAT", fmt)
+            assert main(["run", str(fixture_dir / f"{scenario}.scenario")]) == 0
+            out = capsys.readouterr().out.encode("utf-8")
+            assert out == (GOLDEN / f"{scenario}.{suffix}").read_bytes(), (fmt, cold)
+
+    transcripts(cold=True)
+    monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    run_scenario(fixture_dir / f"{other}.scenario")
+    write_fixture_set(tmp_path)
+    for knobs in KNOBS:
+        matrix_row(tmp_path, knobs)
+    cached = dict(simkernel.image_cache.images)
+    assert cached and all(image.spans is not None for image in cached.values())
+    parsed = recorded_parses(monkeypatch)
+    transcripts(cold=False)
+    # Only ntdll.dll, which no warm-up run loads, is parsed, and only once.
+    fresh = ["ntdll.dll"] if scenario == "duqu_unopposed" else []
+    assert parsed == [(fixture_dir / name).read_bytes() for name in fresh]
+    assert all(simkernel.image_cache.images[key] is image for key, image in cached.items())
 
 
 REGION_SCENARIOS = ("poc_duqu_attack", "duqu_unopposed", "fleet_shaped")

@@ -3,8 +3,10 @@
 The kernel holds each driver's handlers, its devices, its init waiter and
 the injector's region code; the drivers reach the kernel only through a
 weak proxy.  So with the cyclic garbage collector off, dropping a run's
-result must free its kernel and every region the kernel mapped.
-``test_fuzz.py`` checks the same after every mutated scenario.
+result must free its kernel and every region the kernel mapped.  Each run
+is made with the parsed-image cache already holding its images, so the
+images every kernel shares keep no run alive.  ``test_fuzz.py`` checks the
+same after every mutated scenario.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_f
 from duqusim.scenario import run_scenario
 
 from conftest import FLEET_SHAPED_SCENARIO
-from invariants import gc_disabled, run_refs, still_alive
+from invariants import gc_disabled, recorded_parses, run_refs, still_alive
 
 
 def variant(text: str, swap: bool = False, report_only: bool = False,
@@ -61,14 +63,17 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_dropped_result_frees_its_run(tmp_path, name):
+def test_dropped_result_frees_its_run(tmp_path, monkeypatch, name):
     write_fixture_set(tmp_path)
     text, marker = CASES[name]
     scenario = tmp_path / "case.scenario"
     scenario.write_text(text(), encoding="utf-8")
+    run_scenario(scenario)
+    parsed = recorded_parses(monkeypatch)
     with gc_disabled():
         result = run_scenario(scenario)
         assert result.ok and any(marker in line for line in result.text_lines())
+        assert parsed == [], "the run parsed an image the cache should hold"
         refs = run_refs(result.kernel)
         assert len(refs) > 10
         del result

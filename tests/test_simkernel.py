@@ -10,6 +10,7 @@ from duqusim.simkernel import (
     PERM_RW,
     PERM_RWX,
     PERM_RX,
+    REBASE_STEP,
     AccessViolation,
     AddressSpaceExhausted,
     CannotRelocate,
@@ -30,6 +31,7 @@ from duqusim.simkernel import (
     UnmappedAddress,
 )
 
+from invariants import recorded_parses
 from oracles import apply_relocations_oracle
 
 
@@ -480,6 +482,14 @@ def image_regions(proc):
     return [(r.base, r.perms, r.tag, bytes(r.data)) for r in proc.regions]
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every real parse the loader makes, into an empty image cache that is
+    swapped out again afterwards."""
+    monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    return recorded_parses(monkeypatch)
+
+
 class TestImageReuse:
     def test_shared_image_maps_like_fresh_kernels(self):
         """Preferred base, rebased past an exe at that base, fixed base."""
@@ -508,17 +518,56 @@ class TestImageReuse:
         fresh.load_module(proc.pid, "x.dll", data, base=0x20000000)
         assert image_regions(proc) == image_regions(fixed)
 
-    def test_each_distinct_image_parsed_once(self, monkeypatch):
-        parsed = []
-        monkeypatch.setattr(simkernel, "parse_pe",
-                            lambda data: (parsed.append(data), parse_pe(data))[1])
-        kernel = SimKernel()
+    def test_each_distinct_image_parsed_once(self, parsed):
         data = dll_fixture()
-        for name in ("a.exe", "b.exe", "c.exe"):
-            proc = kernel.create_process(name, exe_fixture())
-            kernel.load_module(proc.pid, "x.dll", data)
-            kernel.load_module(proc.pid, "y.dll", bytearray(data))
+        for _ in range(2):
+            kernel = SimKernel()
+            for name in ("a.exe", "b.exe", "c.exe"):
+                proc = kernel.create_process(name, exe_fixture())
+                kernel.load_module(proc.pid, "x.dll", data)
+                kernel.load_module(proc.pid, "y.dll", bytearray(data))
         assert parsed == [exe_fixture(), data]
+
+    def test_failed_parse_raises_in_every_kernel_and_is_never_kept(self, parsed):
+        bad = b"ZM" + dll_fixture()[2:]
+        for _ in range(2):
+            kernel = SimKernel()
+            proc = kernel.create_process("a.exe", exe_fixture())
+            for _ in range(2):
+                with pytest.raises(NotMz):
+                    kernel.load_module(proc.pid, "bad.dll", bad)
+                with pytest.raises(NotMz):
+                    kernel.create_process("bad.exe", bad)
+            assert list(kernel.processes) == [proc.pid]
+        assert parsed == [exe_fixture()] + [bad] * 8
+        assert list(simkernel.image_cache.images) == [exe_fixture()]
+
+    def test_bound_evicts_the_oldest_image_first(self, parsed, monkeypatch):
+        images = [exe_fixture(base=0x01000000 + i * REBASE_STEP) for i in range(5)]
+        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", 3 * len(images[0]))
+        cache = simkernel.image_cache
+        kernel = SimKernel()
+        for i, image in enumerate(images):
+            kernel.create_process(f"p{i}.exe", image)
+            assert cache.nbytes == sum(map(len, cache.images)) <= 3 * len(images[0])
+            assert list(cache.images) == images[max(0, i - 2):i + 1]
+        kernel.create_process("again.exe", images[4])
+        kernel.create_process("again.exe", images[0])
+        assert parsed == images + [images[0]]
+        assert list(cache.images) == images[3:] + [images[0]]
+
+    def test_image_over_the_bound_loads_but_is_not_kept(self, parsed, monkeypatch):
+        small = exe_fixture()
+        big = exe_fixture(base=0x02000000) + bytes(4 * len(small))  # trailing overlay
+        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", 2 * len(small))
+        kernel = SimKernel()
+        kernel.create_process("small.exe", small)
+        for i in range(2):
+            proc = kernel.create_process(f"big{i}.exe", big)
+            assert proc.image_base == 0x02000000
+        assert parsed == [small, big, big]
+        assert list(simkernel.image_cache.images) == [small]
+        assert simkernel.image_cache.nbytes == len(small)
 
     def test_bytearray_image_loads(self):
         data = dll_fixture()
