@@ -31,9 +31,11 @@ A file image's loader layout is a list of :class:`MapSpan`, built once per
 image by :func:`mapped_spans`: the headers and each mapped section, with
 its RVA, mapped span, file offset and the number of file bytes it holds.
 It holds ints and sections only, never bytes; :func:`assemble_mapped`
-and the kernel's loader copy from the file through it.  A rebase is
-relocated by :func:`relocate_pieces`, in place, over the loader's
-regions; :func:`apply_relocations` is the same relocator over one buffer.
+and the kernel's loader copy from the file through it.  Relocation has
+two steps: :func:`resolve_fixups` turns each fixup into a place in the
+layout's pieces, once per layout, and :func:`apply_fixups` patches a
+rebase there, in place, over the loader's regions.
+:func:`apply_relocations` is the same pair over one buffer.
 
 Input files are read by :func:`read_regular_file`, one non-blocking open,
 so a FIFO or a device given as a path is refused instead of waited on.
@@ -50,11 +52,10 @@ import os
 import stat
 import struct
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = 0x00004550
@@ -689,26 +690,27 @@ def restore_headers(data: bytes) -> bytes:
     return bytes(buf)
 
 
-def relocate_pieces(pieces: list[tuple[int, bytearray]], size: int, mapped_base: int,
-                    preferred_base: int, blocks: list[RelocationBlock]) -> None:
-    """Apply HIGHLOW fixups, in place, to a mapped layout held in pieces.
+def resolve_fixups(pieces: list[tuple[int, int]], size: int,
+                   blocks: list[RelocationBlock]) -> list[tuple[int, Sequence]]:
+    """Where each HIGHLOW fixup of a ``size``-byte mapped layout lands.
 
-    ``pieces`` are ``(rva, bytearray)`` pairs sorted by RVA and disjoint,
-    inside a ``size``-byte layout whose other bytes read as zero.  Each
-    fixup's 32-bit little-endian target is incremented by
-    ``mapped_base - preferred_base`` modulo 2^32; padding fixups are
-    skipped.  A fixup inside one piece is patched there.  One that crosses
-    a piece's end or lies in a gap goes byte by byte; the bytes it writes
-    into gaps are kept until the last fixup and then dropped, so every
-    piece ends bit-exact with relocating one ``size`` buffer.  A fixup past
-    ``size`` raises :class:`FixupOutOfRange`, possibly after earlier fixups
-    were applied.
+    ``pieces`` are the ``(rva, length)`` of the layout's pieces, sorted by
+    RVA and disjoint; the layout's other bytes read as zero.  Padding
+    fixups are skipped.  The result, in fixup order, is a list of runs:
+    ``(i, offsets)`` for consecutive fixups that each lie inside piece
+    ``i``, and ``(-1, cells)`` for one that crosses a piece's end or lies
+    in a gap, ``cells`` being its four bytes as ``(piece index, offset)``,
+    or ``(-1, rva)`` for a gap byte.  It holds ints only, so one
+    resolution serves every rebase of the layout.  An unsupported fixup
+    type or a fixup past ``size`` raises :class:`FixupOutOfRange`.
     """
-    delta = (mapped_base - preferred_base) & _M32
-    if delta == 0:
-        return
     starts = [rva for rva, _ in pieces]
-    gaps: defaultdict[int, int] = defaultdict(int)  # gap bytes, zero until written
+
+    def cell(p: int) -> tuple[int, int]:
+        i = bisect_right(starts, p) - 1
+        return (i, p - starts[i]) if i >= 0 and p - starts[i] < pieces[i][1] else (-1, p)
+
+    runs: list[tuple[int, Sequence]] = []
     for block in blocks:
         for ftype, foffset in block.fixups:
             if ftype == RELOC_ABS:
@@ -718,34 +720,57 @@ def relocate_pieces(pieces: list[tuple[int, bytearray]], size: int, mapped_base:
             pos = block.page_rva + foffset
             if pos + 4 > size:
                 raise FixupOutOfRange(f"fixup at rva {pos:#x} past end of buffer")
-            i = bisect_right(starts, pos) - 1
-            if i >= 0:
-                rva, buf = pieces[i]
-                at = pos - rva
-                if at + 4 <= len(buf):
-                    _U32.pack_into(buf, at, (_U32.unpack_from(buf, at)[0] + delta) & _M32)
-                    continue
-            # It crosses a piece's end or lies in a gap: byte by byte.
-            cells = []
-            for p in range(pos, pos + 4):
-                i = bisect_right(starts, p) - 1
-                inside = i >= 0 and p - starts[i] < len(pieces[i][1])
-                cells.append((pieces[i][1], p - starts[i]) if inside else (gaps, p))
-            value = sum(store[key] << 8 * k for k, (store, key) in enumerate(cells))
-            value = (value + delta) & _M32
-            for k, (store, key) in enumerate(cells):
-                store[key] = (value >> 8 * k) & 0xFF
+            i, at = cell(pos)
+            if i < 0 or at + 4 > pieces[i][1]:
+                runs.append((-1, tuple(cell(p) for p in range(pos, pos + 4))))
+            elif runs and runs[-1][0] == i:
+                runs[-1][1].append(at)
+            else:
+                runs.append((i, [at]))
+    return runs
+
+
+def apply_fixups(bufs: list[bytearray], runs: list[tuple[int, Sequence]], delta: int) -> None:
+    """Add ``delta`` modulo 2^32, in place, at each fixup of ``runs``.
+
+    ``runs`` come from :func:`resolve_fixups` over pieces of the lengths
+    of ``bufs``, in the same order.  The bytes written into gaps are kept
+    until the last fixup and then dropped, so every piece ends bit-exact
+    with relocating one buffer holding the whole layout.
+    """
+    delta &= _M32
+    gaps: dict[int, int] = {}  # gap bytes, zero until written
+    pack, unpack = _U32.pack_into, _U32.unpack_from
+    for i, run in runs:
+        if i >= 0:
+            buf = bufs[i]
+            for at in run:
+                pack(buf, at, (unpack(buf, at)[0] + delta) & _M32)
+            continue
+        value = 0
+        for k, (j, at) in enumerate(run):  # crosses a piece's end or a gap
+            value |= (bufs[j][at] if j >= 0 else gaps.get(at, 0)) << 8 * k
+        value = (value + delta) & _M32
+        for j, at in run:
+            if j >= 0:
+                bufs[j][at] = value & 0xFF
+            else:
+                gaps[at] = value & 0xFF
+            value >>= 8
 
 
 def apply_relocations(data: bytes, mapped_base: int, preferred_base: int,
                       blocks: list[RelocationBlock]) -> bytes:
     """Apply HIGHLOW fixups to a mapped-layout buffer.
 
-    :func:`relocate_pieces` over one piece, the whole buffer.  Returns the
-    relocated copy; ``data`` is not changed.
+    :func:`resolve_fixups` and :func:`apply_fixups` over one piece, the
+    whole buffer.  Returns the relocated copy; ``data`` is not changed.
+    At the preferred base nothing is resolved, so no fixup is checked.
     """
     buf = bytearray(data)
-    relocate_pieces([(0, buf)], len(buf), mapped_base, preferred_base, blocks)
+    delta = (mapped_base - preferred_base) & _M32
+    if delta:
+        apply_fixups([buf], resolve_fixups([(0, len(buf))], len(buf), blocks), delta)
     return bytes(buf)
 
 

@@ -18,13 +18,17 @@ Writes performed by an earlier-registered driver are visible to every
 later-registered driver handling the same event; that asymmetry is the
 whole point of the launch-order experiments.
 
-A process parses each distinct image once: every kernel maps the same
-bytes from one :class:`ImageCache` entry.  Each region is one copy of its
-span from the file bytes; a rebase relocates those regions in place, and
-no load builds a size_of_image layout.  An image's regions enter the
-process in one splice, after relocation succeeds.  Every mapping gets
-bytes of its own, and a load that fails leaves nothing mapped and, for a
-new process, no process behind.
+A process works out each distinct image once: every kernel maps the same
+bytes from one :class:`ImageCache` entry, a :class:`LoadPlan` holding the
+parsed image and, per mapped span, its RVA, file slice, zero tail and
+permissions.  Each region is one copy of its span from the file bytes.
+The image's first rebase resolves its fixups to places in those regions
+(:func:`~duqusim.peformat.resolve_fixups`), and every rebase patches them
+there in place; no load builds a size_of_image layout.  A base is found
+by one walk over the sorted regions (:meth:`SimProcess.free_base`).  An
+image's regions enter the process in one splice, after relocation
+succeeds.  Every mapping gets bytes of its own, and a load that fails
+leaves nothing mapped and, for a new process, no process behind.
 
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
@@ -49,11 +53,12 @@ from .peformat import (
     NotPe,
     PeImage,
     Reader,
+    apply_fixups,
     decode_entry_hook,
     mapped_spans,
     parse_headers,
     parse_pe,
-    relocate_pieces,
+    resolve_fixups,
 )
 
 ADDRESS_LIMIT = 1 << 32
@@ -166,17 +171,25 @@ class NotSimulated(SimError):
     """Control reached a region that has no simulated code."""
 
 
-@dataclass
-class MemoryRegion:
+class _WeakReferable:
+    # dataclass(weakref_slot=True) needs Python 3.11.
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class MemoryRegion(_WeakReferable):
+    """A mapped span.  Slotted, as a run makes thousands of them; a weak
+    reference shows when one is freed."""
     base: int
     data: bytearray
     perms: Perm
     tag: str
     code: Optional[Callable[[int], None]] = None  # run with the pid on entry
+    # A region's length never changes, so its end is set once.
+    end: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def end(self) -> int:
-        return self.base + len(self.data)
+    def __post_init__(self) -> None:
+        self.end = self.base + len(self.data)
 
 
 _region_base = attrgetter("base")
@@ -213,6 +226,21 @@ class SimProcess:
         i = bisect.bisect_left(self.regions, base + size, key=_region_base)
         return i == 0 or self.regions[i - 1].end <= base
 
+    def free_base(self, base: int, size: int, step: int) -> int:
+        """The lowest ``base + k * step`` (k >= 0) whose ``size``-byte span
+        is free, found in one walk: each region in the way moves the span
+        past its end.  The result may end past ``ADDRESS_LIMIT``."""
+        regions = self.regions
+        i = max(bisect.bisect_right(regions, base, key=_region_base) - 1, 0)
+        end = base + size
+        for region in regions[i:]:
+            if region.base >= end:
+                break
+            if region.end > base:
+                base += (region.end - base + step - 1) // step * step
+                end = base + size
+        return base
+
     def add_region(self, region: MemoryRegion) -> MemoryRegion:
         self.insert_regions(region.base, len(region.data), [region])
         return region
@@ -236,23 +264,53 @@ class Driver:
 
 
 @dataclass
+class LoadPlan:
+    """What every map of one file image repeats, worked out once.
+
+    ``spans`` gives, per mapped span in RVA order, its RVA, the slice of
+    the file bytes it copies, the length of its zero tail and its region's
+    permissions.  ``fixups`` is built by the first rebase.  A plan holds
+    no bytes of its own and no kernel.
+    """
+    image: PeImage
+    spans: list[tuple[int, slice, int, Perm]] = field(repr=False)
+    fixups: list | None = field(default=None, repr=False)
+
+    @classmethod
+    def build(cls, image: PeImage) -> LoadPlan:
+        spans = []
+        for rva, span, offset, copy, section in mapped_spans(image):
+            if section is None:
+                perms = PERM_R
+            elif section.executable:
+                perms = PERM_RX
+            elif section.characteristics & SCN_MEM_WRITE:
+                perms = PERM_RW
+            else:
+                perms = PERM_R
+            spans.append((rva, slice(offset, offset + copy), span - copy, perms))
+        return cls(image, spans)
+
+
+@dataclass
 class ImageCache:
-    """File bytes -> parsed image for every kernel, evicting the oldest first.
-    A failed parse is never stored, nor an image over ``IMAGE_CACHE_BYTES``."""
-    images: dict[bytes, PeImage] = field(default_factory=dict, repr=False)
+    """File bytes -> load plan for every kernel, evicting the oldest first.
+    A failed parse is never stored, nor an image over ``IMAGE_CACHE_BYTES``,
+    whose plan is built again on each load."""
+    plans: dict[bytes, LoadPlan] = field(default_factory=dict, repr=False)
     nbytes: int = 0
 
-    def parse(self, image: bytes) -> PeImage:
+    def plan(self, image: bytes) -> LoadPlan:
         key = bytes(image)
-        parsed = self.images.get(key)
-        if parsed is None:
-            parsed = parse_pe(key)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = LoadPlan.build(parse_pe(key))
             if len(key) <= IMAGE_CACHE_BYTES:
-                self.images[key] = parsed
+                self.plans[key] = plan
                 self.nbytes += len(key)
                 while self.nbytes > IMAGE_CACHE_BYTES:  # raw is the whole key
-                    self.nbytes -= len(self.images.pop(next(iter(self.images))).raw)
-        return parsed
+                    self.nbytes -= len(self.plans.pop(next(iter(self.plans))).image.raw)
+        return plan
 
 
 image_cache = ImageCache()
@@ -335,17 +393,17 @@ class SimKernel:
         """
         if self._dispatching:
             raise ReentrantCall("create_process called from a notification handler")
-        parsed = image_cache.parse(image)
+        plan = image_cache.plan(image)
         # The pid and PEB address are taken only once the image is mapped,
         # so a load that fails leaves no process behind.
         pid = self._next_pid
         proc = SimProcess(pid, name, self._next_peb)
-        mapped_base = self._map_image(proc, parsed, name, base)
+        mapped_base = self._map_image(proc, plan, name, base)
         self._next_pid += PID_STEP
         self._next_peb += 0x1000
         self.processes[pid] = proc
         proc.image_base = mapped_base
-        proc.entry_point = mapped_base + parsed.nt.entry_point_rva
+        proc.entry_point = mapped_base + plan.image.nt.entry_point_rva
         proc.peb.image_base_address = mapped_base
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Created process {name} pid={pid:#x} *")
@@ -362,8 +420,7 @@ class SimKernel:
         if self._dispatching:
             raise ReentrantCall("load_module called from a notification handler")
         proc = self.process(pid)
-        parsed = image_cache.parse(image)
-        mapped_base = self._map_image(proc, parsed, name, base)
+        mapped_base = self._map_image(proc, image_cache.plan(image), name, base)
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Loaded module {name} *")
         self._emit(NotificationEvent(EventKind.IMAGE_LOAD, pid, module_name=name,
@@ -436,13 +493,7 @@ class SimKernel:
         proc = self.process(pid)
         if size <= 0:
             raise InvalidAllocation(f"allocation size {size} must be positive")
-        base = ALLOC_FLOOR
-        for region in proc.regions:
-            if region.end <= base:
-                continue
-            if region.base >= base + size:
-                break
-            base = region.end
+        base = proc.free_base(ALLOC_FLOOR, size, 1)
         if base + size > ADDRESS_LIMIT:
             raise AddressSpaceExhausted(f"no room for {size:#x} bytes")
         proc.add_region(MemoryRegion(base, bytearray(size), perms, "injected", code))
@@ -486,42 +537,37 @@ class SimKernel:
     # loader internals
     # ------------------------------------------------------------------
 
-    def _map_image(self, proc: SimProcess, image: PeImage, name: str,
+    def _map_image(self, proc: SimProcess, plan: LoadPlan, name: str,
                    requested: int | None) -> int:
-        spans = mapped_spans(image)
-        if image.headers_end > spans[0].span:
+        image = plan.image
+        head = mapped_spans(image)[0].span
+        if image.headers_end > head:
             raise NotPe(f"{name}: headers end at {image.headers_end:#x}, past the "
-                        f"{spans[0].span:#x}-byte mapped header span")
+                        f"{head:#x}-byte mapped header span")
         size = image.nt.size_of_image
-        base = requested if requested is not None else image.nt.image_base
+        preferred = image.nt.image_base
+        base = requested if requested is not None else preferred
         if base < 0 or base + size > ADDRESS_LIMIT:
             raise AddressSpaceExhausted(
                 f"{name} ({size:#x} bytes) at {base:#x} leaves the address space")
-        while not proc.span_free(base, size):
-            base += REBASE_STEP
-            if base + size > ADDRESS_LIMIT:
-                raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
-        if base != image.nt.image_base and not image.relocations:
+        base = proc.free_base(base, size, REBASE_STEP)
+        if base + size > ADDRESS_LIMIT:
+            raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
+        if base != preferred and not image.relocations:
             raise CannotRelocate(f"{name} must rebase but has no relocations")
         raw = memoryview(image.raw)
         tag = f"image:{name}"
         regions = []
-        for rva, span, offset, copy, section in spans:
-            data = bytearray(raw[offset:offset + copy])  # the raw bytes, then a zero tail
-            if copy < span:
-                data += bytes(span - copy)
-            if section is None:
-                perms = PERM_R
-            elif section.executable:
-                perms = PERM_RX
-            elif section.characteristics & SCN_MEM_WRITE:
-                perms = PERM_RW
-            else:
-                perms = PERM_R
+        for rva, file, tail, perms in plan.spans:
+            data = bytearray(raw[file])  # the raw bytes, then a zero tail
+            if tail:
+                data += bytes(tail)
             regions.append(MemoryRegion(base + rva, data, perms, tag))
-        if base != image.nt.image_base:
-            relocate_pieces([(r.base - base, r.data) for r in regions], size, base,
-                            image.nt.image_base, image.relocations)
+        if base != preferred:
+            if plan.fixups is None:  # a bad fixup is never kept: it raises on every rebase
+                plan.fixups = resolve_fixups([(r.base - base, len(r.data)) for r in regions],
+                                             size, image.relocations)
+            apply_fixups([r.data for r in regions], plan.fixups, base - preferred)
         proc.insert_regions(base, size, regions)
         return base
 
@@ -539,7 +585,8 @@ class SimKernel:
         try:
             while self._queue:
                 event = self._queue.popleft()
-                self._run_init_waiters()
+                if self._init_waiters:
+                    self._run_init_waiters()
                 for driver in list(self.drivers):
                     handler = driver.handlers.get(event.kind)
                     try:

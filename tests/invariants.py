@@ -52,6 +52,8 @@ def check_kernel(kernel) -> None:
         end = 0
         for region in proc.regions:
             assert region.base >= end, f"pid {pid:#x}: region {region.base:#x} out of order"
+            assert region.end == region.base + len(region.data), \
+                f"pid {pid:#x}: region {region.base:#x} changed length"
             end = region.end
         assert end <= ADDRESS_LIMIT, f"pid {pid:#x}: region ends at {end:#x}"
         assert proc.region_at(proc.image_base) is not None, \
@@ -67,15 +69,25 @@ def check_kernel(kernel) -> None:
     check_image_cache()
 
 
+def _holds_bytes(value) -> bool:
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return True
+    return isinstance(value, (list, tuple)) and any(map(_holds_bytes, value))
+
+
 def check_image_cache() -> None:
-    """The shared cache is within its bound and holds only file images:
-    each keeps its own key as ``raw`` and no ``read`` into a kernel."""
+    """The shared cache is within its bound and holds only plans of file
+    images: each image keeps its own key as ``raw`` and no ``read`` into a
+    kernel, and its plan holds no bytes and is the one its image builds."""
     cache = simkernel.image_cache
-    assert cache.nbytes == sum(map(len, cache.images)), "cache byte count drifted"
+    assert cache.nbytes == sum(map(len, cache.plans)), "cache byte count drifted"
     assert cache.nbytes <= simkernel.IMAGE_CACHE_BYTES, "cache over its bound"
-    for key, image in cache.images.items():
+    for key, plan in cache.plans.items():
+        image = plan.image
         assert image.raw is key and image.layout == "file", "cached image is not its key"
         assert image.read is None, "cached image reads through a kernel"
+        assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan holds bytes"
+        assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
 
 
 def recorded_parses(monkeypatch) -> list[bytes]:

@@ -5,8 +5,9 @@ that is gone fails here, in seconds, instead of only in the benchmark.
 the package afresh, as a benchmark run does.  The modules and ``sys.path``
 entries this adds are removed again afterwards.  Each workload's dispatch
 counts are pinned, so the handlers the tracer rebinds are still the ones
-the kernel calls, and so are its parse counts, so a loader that parses the
-same image again fails here.
+the kernel calls, and so are its parse counts and free-span probes, so a
+loader that parses the same image again, or probes for a free base step
+by step, fails here.
 """
 
 import importlib.util
@@ -30,6 +31,10 @@ DISPATCH_COUNTS = {
 # parsed-image cache starts empty; a loader that parses an image once per
 # kernel rather than once per process reads 52 on replay and 28 on fleet.
 PARSE_COUNTS = {"replay": 18, "fleet": 16, "scan": 4}
+# Traced warm-up on seed 1: ``SimProcess.span_free`` probes, one per splice
+# of new regions.  A loader probing once per ``REBASE_STEP`` while it hunts
+# for a free base reads 98 on replay and 336 on fleet.
+SPAN_FREE_COUNTS = {"replay": 57, "fleet": 122, "scan": 0}
 
 
 @pytest.fixture
@@ -65,3 +70,4 @@ def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
     assert set(tracer.self_ms()) <= bench.KNOWN_PER_LAYER
     assert tuple(tracer.counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
     assert tracer.counts["peformat.parse_pe.calls"] == PARSE_COUNTS[workload]
+    assert tracer.counts["simkernel.span_free.calls"] == SPAN_FREE_COUNTS[workload]

@@ -68,14 +68,14 @@ def test_transcripts_match_golden_cold_and_warm(fixture_dir, tmp_path, capsys, m
     write_fixture_set(tmp_path)
     for knobs in KNOBS:
         matrix_row(tmp_path, knobs)
-    cached = dict(simkernel.image_cache.images)
-    assert cached and all(image.spans is not None for image in cached.values())
+    cached = dict(simkernel.image_cache.plans)
+    assert cached and all(plan.image.spans is not None for plan in cached.values())
     parsed = recorded_parses(monkeypatch)
     transcripts(cold=False)
     # Only ntdll.dll, which no warm-up run loads, is parsed, and only once.
     fresh = ["ntdll.dll"] if scenario == "duqu_unopposed" else []
     assert parsed == [(fixture_dir / name).read_bytes() for name in fresh]
-    assert all(simkernel.image_cache.images[key] is image for key, image in cached.items())
+    assert all(simkernel.image_cache.plans[key] is plan for key, plan in cached.items())
 
 
 REGION_SCENARIOS = ("poc_duqu_attack", "duqu_unopposed", "fleet_shaped")

@@ -26,11 +26,13 @@ from duqusim.peformat import (
     NotPe,
     Section,
     Truncated,
+    apply_fixups,
+    apply_relocations,
     assemble_mapped,
     mapped_spans,
     parse_headers,
     parse_pe,
-    relocate_pieces,
+    resolve_fixups,
     strip_headers,
 )
 from duqusim.scan import scan_pe
@@ -150,6 +152,31 @@ def fixup_image(rng: random.Random) -> bytes:
     return build_pe32(PeSpec(image_base=0x01000000, entry_rva=sections[0].va,
                              sections=sections, relocations=[reloc_block(0, spots)],
                              reloc_va=reloc_va, section_align=0x100))
+
+
+def recorded_relocations(monkeypatch) -> tuple[list, list]:
+    """Calls to the loader's ``resolve_fixups`` and ``apply_fixups``, from an
+    empty image cache."""
+    resolves, applies = [], []
+    monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    monkeypatch.setattr(simkernel, "resolve_fixups",
+                        lambda *args: resolves.append(args) or resolve_fixups(*args))
+    monkeypatch.setattr(simkernel, "apply_fixups",
+                        lambda *args: applies.append(args) or apply_fixups(*args))
+    return resolves, applies
+
+
+def tail_fixup_image() -> bytes:
+    """Fixups in raw bytes, in zero tails, across a region's end into a gap
+    and out of a gap into the next region, and wholly in a gap."""
+    text = bytes(range(256))
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, text, CODE_SECTION, virtual_size=0x200),
+                  SectionDef(".data", 0x2000, b"\x77" * 0x40, DATA_SECTION, virtual_size=0x100)],
+        relocations=[reloc_block(0x1000, [0x10, 0x180, 0x1FE, 0x400, 0x402, 0xFFE]),
+                     reloc_block(0x2000, [0x3C, 0xF0])],
+        reloc_va=0x3000))
 
 
 def fixup_past_image() -> bytes:
@@ -279,6 +306,66 @@ class TestLoaderRegions:
         assert proc.regions == before
         assert proc.modules == [("host.exe", 0x01000000)]
 
+    def test_bad_fixup_raises_on_every_rebase_and_is_never_kept(self, monkeypatch):
+        resolves, applies = recorded_relocations(monkeypatch)
+        data = fixup_past_image()
+        for _ in range(2):
+            kernel = SimKernel()
+            proc = kernel.create_process("host.exe", data)  # the preferred base: no fixup read
+            check_mapping(proc, "host.exe", data)
+            before, modules = list(proc.regions), list(proc.modules)
+            for base in (None, REBASE_TO, None):
+                with pytest.raises(FixupOutOfRange, match=r"^fixup at rva 0x2ffe past end "
+                                                          r"of buffer$"):
+                    kernel.load_module(proc.pid, "again.dll", data, base=base)
+                assert proc.regions == before and proc.modules == modules
+        assert len(resolves) == 6 and applies == []
+        assert simkernel.image_cache.plans[data].fixups is None
+
+    def test_fixups_resolved_once_across_kernels(self, monkeypatch):
+        resolves, applies = recorded_relocations(monkeypatch)
+        data = edge_images()["fixup_straddles_gap"]
+        for _ in range(2):
+            kernel = SimKernel()
+            proc = kernel.create_process("host.exe", data)
+            kernel.load_module(proc.pid, "again.dll", data)
+            kernel.load_module(proc.pid, "moved.dll", data, base=REBASE_TO)
+            check_mapping(proc, "again.dll", data)
+            check_mapping(proc, "moved.dll", data)
+        assert len(resolves) == 1 and len(applies) == 4
+
+    @pytest.mark.parametrize("name", ["fixups_in_tails", *sorted(edge_images())])
+    def test_rebase_through_the_plan_matches_relocating_the_layout(self, name):
+        data = tail_fixup_image() if name == "fixups_in_tails" else edge_images()[name]
+        image = parse_pe(data)
+        preferred = image.nt.image_base
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", data)
+        for i, base in enumerate((None, REBASE_TO + 0x3456, REBASE_TO + 0x7FFF0000)):
+            mapped = kernel.load_module(proc.pid, f"m{i}.dll", data, base=base)
+            layout = apply_relocations(bytes(assemble_mapped(image)), mapped, preferred,
+                                       image.relocations)
+            for span in mapped_spans(image):
+                region = proc.region_at(mapped + span.rva)
+                assert region.base == mapped + span.rva
+                assert region.data == layout[span.rva:span.rva + span.span], (name, i)
+
+    def test_tail_image_resolves_each_kind_of_fixup(self, monkeypatch):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = tail_fixup_image()
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", data)
+        kernel.load_module(proc.pid, "again.dll", data)
+        # pieces: headers, .text (0x100 raw + 0x100 tail), .data (0x40 raw + 0xC0 tail)
+        assert simkernel.image_cache.plans[data].fixups == [
+            (1, [0x10, 0x180]),                                     # raw bytes, zero tail
+            (-1, ((1, 0x1FE), (1, 0x1FF), (-1, 0x1200), (-1, 0x1201))),  # crosses the end
+            (-1, ((-1, 0x1400), (-1, 0x1401), (-1, 0x1402), (-1, 0x1403))),  # in the gap
+            (-1, ((-1, 0x1402), (-1, 0x1403), (-1, 0x1404), (-1, 0x1405))),  # shares gap bytes
+            (-1, ((-1, 0x1FFE), (-1, 0x1FFF), (2, 0), (2, 1))),     # crosses into .data
+            (2, [0x3C, 0xF0]),                                      # raw end, zero tail
+        ]
+
     def test_boot_modules_match_reference(self, fixture_dir, fixture_bytes):
         kernel, _ = boot_kernel(fixture_dir, with_duqu=False)
         proc = kernel.processes[simkernel.PID_START]
@@ -287,19 +374,25 @@ class TestLoaderRegions:
             check_mapping(proc, name, fixture_bytes(fixture))
 
     def test_preferred_base_builds_no_image_buffer(self, fixture_bytes, monkeypatch):
-        relocations, layouts = [], []
-        monkeypatch.setattr(simkernel, "relocate_pieces",
-                            lambda *args: relocations.append(args) or relocate_pieces(*args))
+        resolves, applies = recorded_relocations(monkeypatch)
+        layouts = []
         monkeypatch.setattr(peformat, "assemble_mapped", layouts.append)
+        data = fixture_bytes("kernel32.dll")
+        preferred = parse_pe(data).nt.image_base
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", fixture_bytes("services.exe"))
-        kernel.load_module(proc.pid, "k.dll", fixture_bytes("kernel32.dll"))
-        assert relocations == []
-        kernel.load_module(proc.pid, "k2.dll", fixture_bytes("kernel32.dll"))
-        kernel.load_module(proc.pid, "k3.dll", fixture_bytes("kernel32.dll"), base=REBASE_TO)
-        assert len(relocations) == 2
+        kernel.load_module(proc.pid, "k.dll", data)
+        assert resolves == applies == []
+        k2 = kernel.load_module(proc.pid, "k2.dll", data)
+        kernel.load_module(proc.pid, "k3.dll", data, base=REBASE_TO)
+        # resolved once, by the first rebase; applied once per rebase
+        assert len(resolves) == 1
+        fixups = simkernel.image_cache.plans[data].fixups
+        assert [(run is fixups, delta) for _, run, delta in applies] == [
+            (True, k2 - preferred), (True, REBASE_TO - preferred)]
         assert layouts == [] and not hasattr(simkernel, "assemble_mapped")
-        check_mapping(proc, "k2.dll", fixture_bytes("kernel32.dll"))
+        check_mapping(proc, "k2.dll", data)
+        check_mapping(proc, "k3.dll", data)
 
 
 class TestInsertRegions:

@@ -432,6 +432,26 @@ def linear_span_free(regions, base, size):
     return all(r.end <= base or r.base >= end for r in regions)
 
 
+def linear_free_base(regions, base, size, step):
+    """Reference search: step from ``base`` until the span is free."""
+    while not linear_span_free(regions, base, size):
+        base += step
+    return base
+
+
+def stepping_alloc_base(regions, size):
+    """The allocator's former search: from the floor, past each region in
+    the way, one region at a time."""
+    base = simkernel.ALLOC_FLOOR
+    for region in regions:
+        if region.end <= base:
+            continue
+        if region.base >= base + size:
+            break
+        base = region.end
+    return base
+
+
 class TestRegionLookup:
     def random_process(self, rng):
         """A process holding 1-40 random disjoint regions, added out of order."""
@@ -476,6 +496,54 @@ class TestRegionLookup:
             self.check_against_reference(rng, proc)
             proc.regions = [r for r in proc.regions if rng.random() < 0.5]
             self.check_against_reference(rng, proc)
+
+    @staticmethod
+    def check_free_base(rng, proc, addrs):
+        for base in addrs:
+            for size, steps in ((1, (1, REBASE_STEP)),
+                                (rng.randrange(2, 0x40), (1, rng.randrange(2, 0x40))),
+                                (rng.randrange(0x40, 0x400), (rng.randrange(0x40, 0x400),
+                                                              REBASE_STEP))):
+                for step in steps:
+                    assert proc.free_base(base, size, step) == \
+                        linear_free_base(proc.regions, base, size, step), (base, size, step)
+
+    def test_free_base_matches_stepping_search(self):
+        rng = random.Random("free-base")
+        for _ in range(80):
+            proc = self.random_process(rng)
+            addrs = self.probes(rng, proc.regions)
+            self.check_free_base(rng, proc, rng.sample(addrs, min(len(addrs), 24)))
+
+    def test_free_base_next_to_the_address_limit(self):
+        rng = random.Random("free-base-top")
+        for _ in range(40):
+            proc = self.random_process(rng)
+            top = simkernel.ADDRESS_LIMIT - proc.regions[-1].end
+            for region in proc.regions:  # the same layout, ending at the limit
+                region.base += top
+                region.end += top
+            addrs = [a + top for a in self.probes(rng, proc.regions) if a + top >= 0]
+            self.check_free_base(rng, proc, addrs)
+            assert proc.free_base(proc.regions[0].base, 1, 1) >= proc.regions[0].end
+            last = proc.regions[-1]
+            assert proc.free_base(last.base, 1, REBASE_STEP) == last.base + REBASE_STEP
+            assert proc.free_base(last.base, 1, 1) == simkernel.ADDRESS_LIMIT
+
+    def test_allocations_land_where_the_stepping_search_put_them(self):
+        rng = random.Random("alloc-base")
+        for _ in range(20):
+            kernel = SimKernel()
+            proc = kernel.create_process("a.exe", exe_fixture())
+            for i in range(rng.randrange(0, 4)):  # modules in the allocator's range
+                kernel.load_module(proc.pid, f"m{i}.dll", dll_fixture(), base=rng.choice(
+                    [simkernel.ALLOC_FLOOR + rng.randrange(0, 0x8000), None]))
+            for _ in range(30):
+                size = rng.choice([rng.randrange(1, 0x40), rng.randrange(0x40, 0x6000)])
+                expected = stepping_alloc_base(proc.regions, size)
+                assert kernel.allocate_memory(proc.pid, size, PERM_RW) == expected
+                if rng.random() < 0.3:  # free a region to open a hole
+                    proc.regions.remove(rng.choice(proc.regions[:-1] or proc.regions))
 
 
 def image_regions(proc):
@@ -540,7 +608,7 @@ class TestImageReuse:
                     kernel.create_process("bad.exe", bad)
             assert list(kernel.processes) == [proc.pid]
         assert parsed == [exe_fixture()] + [bad] * 8
-        assert list(simkernel.image_cache.images) == [exe_fixture()]
+        assert list(simkernel.image_cache.plans) == [exe_fixture()]
 
     def test_bound_evicts_the_oldest_image_first(self, parsed, monkeypatch):
         images = [exe_fixture(base=0x01000000 + i * REBASE_STEP) for i in range(5)]
@@ -549,12 +617,12 @@ class TestImageReuse:
         kernel = SimKernel()
         for i, image in enumerate(images):
             kernel.create_process(f"p{i}.exe", image)
-            assert cache.nbytes == sum(map(len, cache.images)) <= 3 * len(images[0])
-            assert list(cache.images) == images[max(0, i - 2):i + 1]
+            assert cache.nbytes == sum(map(len, cache.plans)) <= 3 * len(images[0])
+            assert list(cache.plans) == images[max(0, i - 2):i + 1]
         kernel.create_process("again.exe", images[4])
         kernel.create_process("again.exe", images[0])
         assert parsed == images + [images[0]]
-        assert list(cache.images) == images[3:] + [images[0]]
+        assert list(cache.plans) == images[3:] + [images[0]]
 
     def test_image_over_the_bound_loads_but_is_not_kept(self, parsed, monkeypatch):
         small = exe_fixture()
@@ -566,7 +634,7 @@ class TestImageReuse:
             proc = kernel.create_process(f"big{i}.exe", big)
             assert proc.image_base == 0x02000000
         assert parsed == [small, big, big]
-        assert list(simkernel.image_cache.images) == [small]
+        assert list(simkernel.image_cache.plans) == [small]
         assert simkernel.image_cache.nbytes == len(small)
 
     def test_bytearray_image_loads(self):
@@ -597,12 +665,12 @@ class TestAddressLimit:
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", exe_fixture())
         before = image_regions(proc)
-        relocations = []
-        monkeypatch.setattr(simkernel, "relocate_pieces",
-                            lambda *args: relocations.append(args))
+        resolves, applies = [], []
+        monkeypatch.setattr(simkernel, "resolve_fixups", lambda *args: resolves.append(args))
+        monkeypatch.setattr(simkernel, "apply_fixups", lambda *args: applies.append(args))
         with pytest.raises(AddressSpaceExhausted):
             kernel.load_module(proc.pid, "x.dll", dll_fixture(), base=base)
-        assert relocations == []
+        assert resolves == applies == []
         assert image_regions(proc) == before
         assert [name for name, _ in proc.modules] == ["a.exe"]
 
