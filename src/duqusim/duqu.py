@@ -280,8 +280,7 @@ class DuquDriver(Driver):
     def __init__(self, kernel: SimKernel, config_blob: bytes,
                  stub1: bytes, stub2: bytes,
                  mask: IntegrityMask | None = None,
-                 kernel_base: int = DEFAULT_KERNEL_BASE,
-                 window: int = DEFAULT_SCAN_WINDOW):
+                 kernel_base: int = DEFAULT_KERNEL_BASE):
         super().__init__("duqu")
         self.kernel = weakref.proxy(kernel)
         self.config_blob = config_blob
@@ -289,7 +288,6 @@ class DuquDriver(Driver):
         self.stub2 = stub2
         self.mask = mask or default_mask()
         self.kernel_base = kernel_base
-        self.window = window
         self.state = SharedState()
         self.functions_valid = False
         self._hal_retries = 0
@@ -353,8 +351,7 @@ class DuquDriver(Driver):
         try:
             image = read_module(self.kernel.image_reader(pid, base))
             alloc_va = base + (find_export_by_name(image, ANCHOR_EXPORT) - image.nt.image_base)
-            site, protect_va = scan_call_push_call(image, ANCHOR_EXPORT,
-                                                   window=self.window, base=base)
+            site, protect_va = scan_call_push_call(image, ANCHOR_EXPORT, base=base)
             prologues = [self._read_prologue(pid, va) for va in (alloc_va, protect_va)]
         except (PeError, SimError, PatternNotFound) as exc:
             self._log(f"kernel function discovery failed: {exc}")

@@ -17,14 +17,15 @@ An image comes from one of two places:
 
 Both decode the export and relocation directories with the same code,
 through a ``read(rva, n)`` that returns exactly ``n`` bytes or raises.
-The headers are decoded with precompiled structs: one unpack for the DOS
-header's two fields, one for the nine fixed NT fields, ``iter_unpack``
-for the data directories and the section table.  A buffer too short for
-the fixed NT fields goes to :func:`_nt_cut_short`, which raises what a
-field-by-field decode raises.  An export name outside the directory's
-span is read with one ``find`` per contiguous file run
-(:func:`_file_cstring`) or in growing chunks through memory
-(:func:`_read_cstring`), each with the result, or the error, of a
+A file image is read by RVA too (:func:`_read_file`): a read leaving a
+section's span goes on where the next RVA maps, or raises what that RVA
+raises.  The headers are decoded with precompiled structs: one unpack
+for the DOS header's two fields, one for the nine fixed NT fields,
+``iter_unpack`` for the data directories and the section table.  A
+buffer too short for the fixed NT fields goes to :func:`_nt_cut_short`,
+which raises what a field-by-field decode raises.  An export name
+outside the directory's span is read in growing chunks
+(:func:`_read_cstring`), with the result, or the error, of a
 byte-by-byte read.
 
 A file image's loader layout is a list of :class:`MapSpan`, built once per
@@ -103,7 +104,7 @@ _DIRECTORY = struct.Struct("<II")  # rva, size
 # name, virtual size, virtual address, raw size, raw offset, characteristics
 _SECTION = struct.Struct("<8sIIII12xI")
 
-# The first chunk of an export name read through memory.
+# The first chunk of an export name read outside the directory's span.
 _CSTRING_CHUNK = 64
 
 # Non-blocking, so opening a FIFO returns at once and it is refused.
@@ -137,7 +138,7 @@ class Unencodable(PeError):
 
 
 class OutOfImage(PeError):
-    """RVA falls in no section and not in the headers region."""
+    """RVA falls in no section and not in the headers region, or past the image."""
 
 
 class BadShape(PeError):
@@ -420,33 +421,28 @@ def rva_to_offset(image: PeImage, rva: int) -> int:
 
 
 def _read_file(image: PeImage, rva: int, n: int) -> bytes:
-    """The :data:`Reader` of a file image: ``n`` bytes from ``rva``'s offset on."""
-    off = rva_to_offset(image, rva)
-    if off + n > len(image.raw):
-        raise Truncated(f"{n:#x} bytes at rva {rva:#x} past end of buffer")
-    return image.raw[off:off + n]
+    """The :data:`Reader` of a file image: ``n`` bytes from ``rva`` on.
 
-
-def _file_cstring(image: PeImage, rva: int) -> bytes:
-    """The NUL-terminated string at ``rva`` of a file image.
-
-    One ``find`` per contiguous file run (see :func:`_file_run`); the
-    result, or the error, is the same as reading it a byte at a time
-    through :func:`_read_file`.
+    Read one :func:`_file_run` at a time, each from the file offset its
+    first RVA maps to, so a read leaving a section's span goes on where the
+    next RVA maps, or raises what that RVA raises.  As in a mapping, no
+    byte lies at or past ``size_of_image``, so a read returns at most that
+    many bytes, however many sections share the same file bytes.
     """
     raw = image.raw
+    size = image.nt.size_of_image
     parts = []
-    while True:
-        start, end = _file_run(image, rva)
-        nul = raw.find(b"\x00", start, end)
-        if nul != -1:
-            parts.append(raw[start:nul])
-            return b"".join(parts)
-        if end > len(raw):
-            missing = rva + max(len(raw) - start, 0)
-            raise Truncated(f"{1:#x} bytes at rva {missing:#x} past end of buffer")
-        parts.append(raw[start:end])
-        rva += end - start
+    at, stop = rva, rva + n
+    while at < stop:
+        if at >= size:
+            raise OutOfImage(f"rva {at:#x} past size_of_image {size:#x}")
+        start, end = _file_run(image, at)
+        take = min(stop - at, end - start, size - at)
+        if start + take > len(raw):
+            raise Truncated(f"{n:#x} bytes at rva {rva:#x} past end of buffer")
+        parts.append(raw[start:start + take])
+        at += take
+    return b"".join(parts)
 
 
 def _read_cstring(read: Reader, rva: int) -> bytes:
@@ -478,10 +474,8 @@ def _read_cstring(read: Reader, rva: int) -> bytes:
         size = 2 * size if bound is None else max((bound - rva) // 2, 1)
 
 
-def _parse_exports(read: Reader, nt: NtHeaders,
-                   cstring: Callable[[int], bytes]) -> ExportTable | None:
-    """The export directory, read through ``read``; ``cstring(rva)`` reads
-    a name that does not end inside the directory's span."""
+def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
+    """The export directory, read through ``read``."""
     rva, size = nt.directory(DIR_EXPORT)
     if rva == 0 or size == 0:
         return None
@@ -506,7 +500,7 @@ def _parse_exports(read: Reader, nt: NtHeaders,
         # A tail of the last name (tail-merged strings) ends at the same NUL.
         if last is not None and 0 <= name_rva - last[0] <= len(last[1]):
             return last[1][name_rva - last[0]:]
-        last = (name_rva, cstring(name_rva))
+        last = (name_rva, _read_cstring(read, name_rva))
         return last[1]
 
     n_names, functions_rva, names_rva, ordinals_rva = struct.unpack_from("<4I", span, 24)
@@ -573,7 +567,7 @@ def parse_pe(data: bytes) -> PeImage:
         if s.raw_offset + s.raw_size > len(data):
             raise Truncated(f"section {s.name!r} raw data past end of buffer")
     read = partial(_read_file, image)
-    image.exports = _parse_exports(read, image.nt, partial(_file_cstring, image))
+    image.exports = _parse_exports(read, image.nt)
     image.relocations = _parse_relocations(read, image.nt)
     return image
 
@@ -613,7 +607,7 @@ def read_module(read: Reader) -> PeImage:
     :func:`parse_pe` makes on file bytes.
     """
     image = read_headers(read)
-    image.exports = _parse_exports(read, image.nt, partial(_read_cstring, read))
+    image.exports = _parse_exports(read, image.nt)
     image.relocations = _parse_relocations(read, image.nt)
     return image
 

@@ -37,7 +37,7 @@ from .duqu import (
     Halted,
     IntegrityMask,
 )
-from .peformat import DEFAULT_SCAN_WINDOW, PeError, read_regular_file
+from .peformat import PeError, read_regular_file
 from .sentinel import SentinelDriver
 from .simkernel import Driver, SimError, SimKernel
 
@@ -98,19 +98,15 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _parse_int(options: dict[str, str], key: str, line_no: int,
-               default: int | None = None, radix: int = 10,
-               minimum: int | None = None) -> int | None:
-    """Integer option ``key``, or ``default`` when absent; malformed is an error."""
+               default: int | None = None) -> int | None:
+    """Hex option ``key``, or ``default`` when absent; malformed is an error."""
     if key not in options:
         return default
     value = options[key]
     try:
-        number = int(value, radix)
+        return int(value, 16)
     except ValueError as exc:
         raise ScenarioError(f"bad {key} {value!r}", line_no) from exc
-    if minimum is not None and number < minimum:
-        raise ScenarioError(f"bad {key} {value!r}: must be >= {minimum}", line_no)
-    return number
 
 
 def _parse_bool(options: dict[str, str], key: str, line_no: int) -> bool:
@@ -174,8 +170,7 @@ class ScenarioRunner:
             stub1=self._read_fixture(opts["stub1"], line_no),
             stub2=self._read_fixture(opts["stub2"], line_no),
             mask=mask,
-            kernel_base=_parse_int(opts, "kernel-base", line_no, DEFAULT_KERNEL_BASE, radix=16),
-            window=_parse_int(opts, "window", line_no, DEFAULT_SCAN_WINDOW, minimum=0),
+            kernel_base=_parse_int(opts, "kernel-base", line_no, DEFAULT_KERNEL_BASE),
         )
         try:
             driver.boot_init()
@@ -186,14 +181,14 @@ class ScenarioRunner:
         name, fixture = cmd.args
         image = self._read_fixture(fixture, cmd.line_no)
         self.pids[name] = self.kernel.create_process(
-            name, image, base=_parse_int(cmd.options, "base", cmd.line_no, radix=16)).pid
+            name, image, base=_parse_int(cmd.options, "base", cmd.line_no)).pid
 
     def _module(self, cmd: Command) -> None:
         ref, name, fixture = cmd.args
         pid = self._resolve_pid(ref, cmd.line_no)
         image = self._read_fixture(fixture, cmd.line_no)
         self.kernel.load_module(pid, name, image,
-                                base=_parse_int(cmd.options, "base", cmd.line_no, radix=16))
+                                base=_parse_int(cmd.options, "base", cmd.line_no))
 
     def _run(self, cmd: Command) -> None:
         self.kernel.run_entrypoint(self._resolve_pid(cmd.args[0], cmd.line_no))
@@ -233,7 +228,7 @@ COMMANDS = {
 }
 DRIVERS = {
     "sentinel": Syntax(ScenarioRunner._sentinel, optional=("watch", "report-only")),
-    "duqu": Syntax(ScenarioRunner._duqu, optional=("mask", "kernel-base", "window"),
+    "duqu": Syntax(ScenarioRunner._duqu, optional=("mask", "kernel-base"),
                    required=("config", "stub1", "stub2")),
 }
 

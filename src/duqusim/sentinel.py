@@ -1,13 +1,13 @@
-"""Defensive driver: entrypoint checksum memorization and verification.
+"""Defensive driver: entrypoint memorization and verification.
 
 At process creation the watched target's entrypoint is located through
 its PEB and mapped headers (the DOS header, then exactly the NT headers
-and the section table), the first 12 bytes are hashed and stored with
-their checksum.  Every later module load for that process re-reads those
-bytes and compares them with the stored ones; only bytes that differ are
-re-hashed, so the verdict is the checksum's either way.  A mismatch means
-something rewrote the entrypoint between the two notifications, and the
-process is terminated (or merely flagged in report-only mode).
+and the section table), and its first 12 bytes are stored; their checksum
+is logged.  Every later module load for that process re-reads those bytes
+and compares them with the stored ones, byte for byte, so a rewrite that
+keeps the checksum is caught too.  A mismatch means something rewrote
+the entrypoint between the two notifications, and the process is
+terminated (or merely flagged in report-only mode).
 Unreadable headers or entrypoint bytes count as a mismatch: fail closed
 rather than let tampering hide behind a fault.
 """
@@ -35,8 +35,7 @@ DEFAULT_WATCH = ("services.exe",)
 @dataclass
 class IntegrityRecord:
     entrypoint: int
-    baseline_hash: int
-    hashed: bytes  # the HASH_SPAN entrypoint bytes the baseline was taken over
+    hashed: bytes  # the HASH_SPAN entrypoint bytes the checksum was taken over
 
 
 _HEX = tuple(f"0x{b:02x}" for b in range(256))
@@ -74,7 +73,7 @@ class SentinelDriver(Driver):
         self.kernel.log_line(self.name, text)
 
     def on_process_create(self, event: NotificationEvent) -> None:
-        """Memorize the baseline checksum for a watched process.
+        """Memorize the entrypoint bytes of a watched process.
 
         The notification carries only the pid; the image base comes from
         the PEB and the entrypoint from the mapped headers.
@@ -100,15 +99,13 @@ class SentinelDriver(Driver):
             self._log(f"ProcessImageInformation: headers unreadable ({exc})")
             self._mismatch(pid, proc.name, proc.name)
             return
-        checksum = ror13_hash(first)
         self._log(f"Entrypoint bytes at {entry:#010x}: {_hex_bytes(first[:DISPLAY_SPAN])}")
         self._log(f"CreateProcessNotify: ImageBaseAddress={base:#010x} "
-                  f"EntryPoint={entry:#010x} EntrypointChecksum={checksum:#010x}")
-        self.records[pid] = IntegrityRecord(entrypoint=entry, baseline_hash=checksum,
-                                            hashed=first)
+                  f"EntryPoint={entry:#010x} EntrypointChecksum={ror13_hash(first):#010x}")
+        self.records[pid] = IntegrityRecord(entrypoint=entry, hashed=first)
 
     def on_image_load(self, event: NotificationEvent) -> None:
-        """Re-verify the stored checksum on every load for a watched pid.
+        """Re-verify the stored entrypoint bytes on every load for a watched pid.
 
         Unwatched pids are ignored without touching their memory.
         """
@@ -131,8 +128,7 @@ class SentinelDriver(Driver):
             return
         self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: "
                   f"{_hex_bytes(current[:DISPLAY_SPAN])}")
-        # Unchanged bytes hash the same, so only changed ones are rehashed.
-        if current == record.hashed or ror13_hash(current) == record.baseline_hash:
+        if current == record.hashed:
             self._log("-> OK!")
             self.verdicts.append((module, "OK"))
         else:

@@ -2,13 +2,15 @@
 
 Everything here is written against the raw formats, not against the
 package's own code paths, so a bug in the implementation cannot hide in
-its tests.  The one exception is the step-by-step header decoder at the
-end: the package's decoder must match it exactly, so it builds the
-package's own dataclasses and shares its unchanged relocation decoder.
+its tests.  The one exception is the step-by-step decoder at the end: the
+package's decoder must match it exactly, so it builds the package's own
+dataclasses, raises its exception classes with the same messages, checks
+the same ``MAX_IMAGE_SIZE`` and shares its relocation decoder,
+``_parse_relocations``.  It reads a file image through its own reader, a
+byte at a time, and export names through its own byte walk.
 """
 
 import struct
-from functools import partial
 
 from duqusim.peformat import (
     MAX_IMAGE_SIZE,
@@ -17,11 +19,11 @@ from duqusim.peformat import (
     NotMz,
     NotPe,
     NtHeaders,
+    OutOfImage,
     PeImage,
     Section,
     Truncated,
     _parse_relocations,
-    _read_file,
 )
 
 MASK32 = 0xFFFFFFFF
@@ -265,6 +267,39 @@ def _parse_sections_oracle(data: bytes, table_off: int, count: int):
     return sections
 
 
+def file_reader_oracle(image):
+    """``read(rva, n)`` over a file image, a byte at a time.
+
+    Each RVA goes through the section table on its own; the headers region
+    below the first section maps identically.  The first byte whose RVA is
+    past size_of_image or in no section, or whose offset is past the file,
+    raises."""
+    data = image.raw
+    first_va = min(s.virtual_address for s in image.sections)
+    size = image.nt.size_of_image
+
+    def offset(p):
+        if p >= size:
+            raise OutOfImage(f"rva {p:#x} past size_of_image {size:#x}")
+        if p < first_va:
+            return p
+        for s in image.sections:
+            if s.virtual_address <= p < s.virtual_address + (s.virtual_size or s.raw_size):
+                return s.raw_offset + p - s.virtual_address
+        raise OutOfImage(f"rva {p:#x} in no section")
+
+    def read(rva, n):
+        out = bytearray()
+        for p in range(rva, rva + n):
+            off = offset(p)
+            if off >= len(data):
+                raise Truncated(f"{n:#x} bytes at rva {rva:#x} past end of buffer")
+            out.append(data[off])
+        return bytes(out)
+
+    return read
+
+
 def cstring_oracle(read, rva: int) -> bytes:
     """The NUL-terminated string at ``rva``, read one byte at a time."""
     name = bytearray()
@@ -318,13 +353,14 @@ def _decode_headers_oracle(data: bytes, layout: str):
 
 
 def parse_pe_oracle(data: bytes):
-    """What ``parse_pe`` returned, or raised, when it decoded step by step.
-    The relocation directory goes through the package's decoder."""
+    """What ``parse_pe`` returns, or raises, decoding step by step through
+    :func:`file_reader_oracle`.  The relocation directory goes through the
+    package's decoder."""
     image = _decode_headers_oracle(data, "file")
     for s in image.sections:
         if s.raw_offset + s.raw_size > len(data):
             raise Truncated(f"section {s.name!r} raw data past end of buffer")
-    read = partial(_read_file, image)
+    read = file_reader_oracle(image)
     image.exports = _parse_exports_oracle(read, image.nt)
     image.relocations = _parse_relocations(read, image.nt)
     return image

@@ -3,11 +3,12 @@
 ``parse_pe``, ``parse_headers``, ``read_headers`` and ``read_module`` must
 give the oracle's ``PeImage``, or raise the same exception type with the
 same message, on the shipped fixtures, on every cut of their header
-region, on seeded header mutants and on scan-corpus-shaped images.  Export
-names that do not end inside the export directory are read one contiguous
-file run (or one memory chunk) at a time, with the result, or the error,
-of reading them byte by byte; a crafted table of N suffix names costs time
-linear in its size.
+region, on seeded header mutants and on scan-corpus-shaped images.  A file
+image is read by RVA with the result, or the error, of the oracle's
+byte-at-a-time file reader.  Export names that do not end inside the
+export directory are read in chunks, from a file or from memory, with the
+result, or the error, of reading them byte by byte; a crafted table of N
+suffix names costs time linear in its size.
 """
 
 import random
@@ -28,7 +29,8 @@ from duqusim.pebuild import (
     build_pe32,
 )
 from duqusim.peformat import (
-    _file_cstring,
+    DIR_BASERELOC,
+    OutOfImage,
     _read_cstring,
     _read_file,
     assemble_mapped,
@@ -42,6 +44,7 @@ from duqusim.scan import scan_pe
 from oracles import (
     cstring_oracle,
     dump_pe_oracle,
+    file_reader_oracle,
     parse_headers_oracle,
     parse_pe_oracle,
     read_headers_oracle,
@@ -194,25 +197,58 @@ class TestNameReads:
         read = buffer_reader(bytes(assemble_mapped(image)))
         assert read_module(read) == read_module_oracle(read)
 
-    @pytest.mark.parametrize("first_va", [0x1000, 0x600])
-    def test_file_runs_match_byte_walk(self, first_va):
+    @staticmethod
+    def runs_image(first_va: int):
         # .a's virtual tail maps onto .b's raw data; .b is RVA-adjacent to .a;
         # a gap lies before .c, whose virtual span runs past the end of the
         # file.  With .a at 0x600 the headers region runs, through file bytes
         # that are .a's raw data, into .a itself.
         rng = random.Random("file-cstring")
-        data = build_pe32(PeSpec(
+        return parse_pe(build_pe32(PeSpec(
             image_base=0x00400000, entry_rva=first_va,
             sections=[SectionDef(".a", first_va, sparse_bytes(rng, 0x200, 40),
                                  DATA_SECTION, virtual_size=0x280),
                       SectionDef(".b", first_va + 0x280, sparse_bytes(rng, 0x200, 40),
                                  DATA_SECTION),
                       SectionDef(".c", 0x2000, sparse_bytes(rng, 0x100, 40), DATA_SECTION,
-                                 virtual_size=0x200)]))
-        image = parse_pe(data)
+                                 virtual_size=0x200)])))
+
+    @pytest.mark.parametrize("first_va", [0x1000, 0x600])
+    def test_file_runs_match_byte_walk(self, first_va):
+        image = self.runs_image(first_va)
         read = partial(_read_file, image)
         for rva in range(0x2300):
-            assert outcome(_file_cstring, image, rva) == outcome(cstring_oracle, read, rva), rva
+            assert outcome(_read_cstring, read, rva) == outcome(cstring_oracle, read, rva), rva
+
+    @pytest.mark.parametrize("first_va", [0x1000, 0x600])
+    def test_file_reads_match_byte_walk(self, first_va):
+        # Reads cross run ends into the next section, into a gap and past
+        # the end of the file; their bytes, or errors, are the oracle's.
+        image = self.runs_image(first_va)
+        oracle = file_reader_oracle(image)
+        for rva in range(0, 0x2300, 7):
+            for n in (0, 1, 0x11, 0x100, 0x600):
+                assert (outcome(_read_file, image, rva, n) == outcome(oracle, rva, n)), (rva, n)
+
+    def test_sections_sharing_file_bytes_read_no_more_than_the_image(self):
+        # 64 RVA-adjacent sections each map the same 64 KiB of the file, and
+        # the relocation directory claims all 4 MiB of them: the read stops
+        # at size_of_image instead of returning the file's bytes 64 times.
+        span, count = 0x10000, 64
+        pe = bytearray(build_pe32(PeSpec(
+            image_base=0x01000000, entry_rva=0x1000,
+            sections=[SectionDef(f".s{i}", 0x1000 + span * i, bytes(span if i == 0 else 1),
+                                 DATA_SECTION, virtual_size=span) for i in range(count)],
+            size_of_image=0x2000)))
+        table = 0x80 + 24 + 0xE0
+        shared = struct.unpack_from("<I", pe, table + 20)[0]
+        for i in range(1, count):
+            struct.pack_into("<II", pe, table + 40 * i + 16, span, shared)
+        struct.pack_into("<II", pe, 0x80 + 24 + 96 + 8 * DIR_BASERELOC, 0x1000, span * count)
+        data = bytes(pe)
+        with pytest.raises(OutOfImage, match=r"^rva 0x2000 past size_of_image 0x2000$"):
+            parse_pe(data)
+        assert outcome(parse_pe, data) == outcome(parse_pe_oracle, data)
 
     def test_memory_chunks_match_byte_walk(self):
         rng = random.Random("read-cstring")

@@ -22,6 +22,8 @@ from duqusim.pebuild import (
     reloc_block,
 )
 from duqusim.peformat import (
+    DIR_BASERELOC,
+    DIR_EXPORT,
     FixupOutOfRange,
     NotPe,
     Section,
@@ -29,6 +31,8 @@ from duqusim.peformat import (
     apply_fixups,
     apply_relocations,
     assemble_mapped,
+    encode_export_table,
+    encode_relocations,
     mapped_spans,
     parse_headers,
     parse_pe,
@@ -113,7 +117,27 @@ def edge_images() -> dict[str, bytes]:
             sections=[SectionDef(".text", 0x1000, b"\xAA" * 0x100, CODE_SECTION),
                       SectionDef(".data", 0x2000, b"\x55" * 0x100, DATA_SECTION)],
             relocations=[reloc_block(0x1000, [0x8, 0xFE])], reloc_va=0x3000)),
+        # .b and .c are RVA-adjacent to the section before them, but start
+        # at the next file boundary: the export directory runs from .a into
+        # .b, the relocation directory from .b into .c
+        "directories_straddle_sections": straddling_directories_image(),
     }
+
+
+def straddling_directories_image() -> bytes:
+    edata = encode_export_table([(b"Hello", 0x1010)], 0x1150)
+    relocs = encode_relocations([reloc_block(0x1000, [0x10, 0x20, 0x100, 0x140])])
+    cut = 0x1180 - 0x1150
+    pe = bytearray(build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".a", 0x1000, b"A" * 0x150 + edata[:cut], CODE_SECTION),
+                  SectionDef(".b", 0x1180, edata[cut:].ljust(0x178, b"B") + relocs[:8],
+                             DATA_SECTION),
+                  SectionDef(".c", 0x1300, relocs[8:].ljust(0x80, b"C"), DATA_SECTION)])))
+    directories = 0x80 + 24 + 96
+    struct.pack_into("<II", pe, directories + 8 * DIR_EXPORT, 0x1150, len(edata))
+    struct.pack_into("<II", pe, directories + 8 * DIR_BASERELOC, 0x12F8, len(relocs))
+    return bytes(pe)
 
 
 def fixup_image(rng: random.Random) -> bytes:

@@ -25,12 +25,20 @@ from duqusim.peformat import (
 )
 from duqusim.simkernel import PERM_RW, Driver, EventKind, SimKernel
 
+from test_mapping import edge_images
+
 PE_FIXTURES = sorted(name for name, build in FIXTURE_BUILDERS.items()
                      if build()[:2] == b"MZ")
-# Each PE fixture at its preferred base, and each relocatable one rebased.
-CASES = [(name, False) for name in PE_FIXTURES] + [
-    (name, True) for name in PE_FIXTURES
-    if parse_pe(FIXTURE_BUILDERS[name]()).relocations]
+EDGE_IMAGES = edge_images()
+
+
+def cases(images: dict[str, bytes]) -> list[tuple[str, bool]]:
+    """Each image at its preferred base, then each relocatable one rebased."""
+    return [(name, False) for name in images] + [
+        (name, True) for name, data in images.items() if parse_pe(data).relocations]
+
+
+CASES = cases({name: FIXTURE_BUILDERS[name]() for name in PE_FIXTURES}) + cases(EDGE_IMAGES)
 REBASE_BY = 0x00100000
 
 
@@ -56,10 +64,9 @@ def patch(kernel, pid, addr: int, value: bytes) -> None:
 @pytest.mark.parametrize("name, rebase", CASES)
 class TestReaderMatchesFileParse:
     def load(self, fixture_bytes, name, rebase):
-        data = fixture_bytes(name)
-        expected = parse_pe(data)
+        expected = parse_pe(EDGE_IMAGES.get(name) or fixture_bytes(name))
         base = expected.nt.image_base + REBASE_BY if rebase else None
-        kernel, pid, at, read = mapped(data, base)
+        kernel, pid, at, read = mapped(expected.raw, base)
         assert at == expected.nt.image_base + (REBASE_BY if rebase else 0)
         return expected, kernel, pid, at, read
 
@@ -74,7 +81,7 @@ class TestReaderMatchesFileParse:
         assert image.layout == "mapped"
         table_end = (expected.dos.e_lfanew + 24 + 0xE0
                      + 40 * expected.nt.number_of_sections)
-        assert image.raw == fixture_bytes(name)[:table_end]
+        assert image.raw == expected.raw[:table_end]
 
     def test_header_reader_decodes_no_directory(self, fixture_bytes, name, rebase):
         expected, _, _, _, read = self.load(fixture_bytes, name, rebase)

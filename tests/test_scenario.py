@@ -176,18 +176,6 @@ def duqu_line(fixture_dir, extra=""):
 
 
 class TestDriverOptions:
-    @pytest.mark.parametrize("value", ["abc", "0x40", "-1"])
-    def test_bad_window(self, fixture_dir, tmp_path, value):
-        path = write_scenario(tmp_path, "w.scenario",
-                              duqu_line(fixture_dir, f"window={value}"))
-        with pytest.raises(ScenarioError, match=f"line 1: bad window '{value}'"):
-            run_scenario(path)
-
-    def test_window_zero_accepted(self, fixture_dir, tmp_path):
-        path = write_scenario(tmp_path, "w0.scenario",
-                              duqu_line(fixture_dir, "window=0"))
-        assert run_scenario(path).drivers["duqu"].window == 0
-
     @pytest.mark.parametrize("value", ["zz", "0x", "4OOOOO"])
     def test_bad_kernel_base(self, fixture_dir, tmp_path, value):
         path = write_scenario(tmp_path, "kb.scenario",
@@ -235,6 +223,7 @@ class TestDriverOptions:
         ("driver sentinel reportonly=1", "reportonly"),
         ("driver Sentinel watch=a.exe base=0x1000", "base"),
         ("driver duqu config=c stub1=a stub2=b kernelbase=0x400000", "kernelbase"),
+        ("driver duqu config=c stub1=a stub2=b window=64", "window"),
         ("run a.exe base=0x1000", "base"),
     ])
     def test_unknown_option_key(self, line, key):
@@ -320,7 +309,7 @@ class RecordingOptions(dict):
 DRIVER_OPTIONS = {
     "sentinel": {"watch": "services.exe", "report-only": "1"},
     "duqu": {"config": "duqu_config.bin", "stub1": "stub1.bin", "stub2": "stub2.bin",
-             "mask": "maskspec.json", "kernel-base": "00400000", "window": "64"},
+             "mask": "maskspec.json", "kernel-base": "00400000"},
 }
 
 

@@ -30,8 +30,10 @@ class TestMemorization:
         kernel, sentinel, proc = watched_process(fixture_dir)
         record = sentinel.records[proc.pid]
         assert record.entrypoint == 0x01012475
-        assert record.hashed[:8] == bytes([0x6A, 0x70, 0x68, 0xE0, 0x15, 0x00, 0x01, 0xE8])
-        assert record.baseline_hash == ror13_oracle(SERVICES_ENTRY_BYTES)
+        assert record.hashed == SERVICES_ENTRY_BYTES
+        assert (f"CreateProcessNotify: ImageBaseAddress=0x01000000 EntryPoint=0x01012475 "
+                f"EntrypointChecksum={ror13_oracle(SERVICES_ENTRY_BYTES):#010x}"
+                in [t for _, t in kernel.log])
 
     def test_unwatched_name_ignored(self, fixture_dir):
         kernel = SimKernel()
@@ -70,6 +72,29 @@ class TestVerification:
         assert not proc.alive
         texts = [t for _, t in kernel.log]
         assert "-> Checksum error !!!!" in texts
+        assert "-> Terminating services.exe" in texts
+
+    def test_hook_keeping_the_checksum_is_mismatch(self, fixture_dir):
+        # The hook's 7 bytes and 5 more chosen so that the 12 hash to the
+        # services.exe baseline: only the bytes themselves tell them apart.
+        forged = bytes.fromhex("b8bd180a00ffd010cc092f26")
+        kernel, sentinel, proc = watched_process(fixture_dir)
+        kernel.load_module(proc.pid, "kernel32.dll",
+                           (fixture_dir / "kernel32.dll").read_bytes(), base=0x7C800000)
+        record = sentinel.records[proc.pid]
+        assert forged != record.hashed
+        assert ror13_oracle(forged) == ror13_oracle(record.hashed) == 0xE8E5C2FE
+        old = kernel.protect_memory(proc.pid, record.entrypoint, HASH_SPAN, PERM_RWX)
+        kernel.write_memory(proc.pid, record.entrypoint, forged)
+        kernel.protect_memory(proc.pid, record.entrypoint, HASH_SPAN, old)
+        kernel.load_module(proc.pid, "shell32.dll",
+                           (fixture_dir / "shell32.dll").read_bytes(), base=0x7C9D0000)
+        assert sentinel.verdicts == [("services.exe", "OK"), ("kernel32.dll", "OK"),
+                                     ("shell32.dll", "MISMATCH")]
+        assert not proc.alive
+        texts = [t for _, t in kernel.log]
+        assert ("Entrypoint bytes at 0x01012475: "
+                "0xb8 0xbd 0x18 0x0a 0x00 0xff 0xd0 0x10") in texts
         assert "-> Terminating services.exe" in texts
 
     def test_unwatched_pid_load_does_not_read(self, fixture_dir, monkeypatch):
