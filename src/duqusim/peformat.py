@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import errno
 import os
+import re
 import stat
 import struct
 from bisect import bisect_right
@@ -86,6 +87,9 @@ SCN_MEM_EXECUTE = 0x20000000
 
 CALL_OPCODE = 0xE8
 PUSH_104H = bytes([0x68, 0x04, 0x01, 0x00, 0x00])
+# A compiled literal search: bytes.find of this needle tests every byte
+# of a zero or E8 fill.
+_search_push_104h = re.compile(re.escape(PUSH_104H)).search
 DEFAULT_SCAN_WINDOW = 64
 HOOK_LEN = 7  # mov eax, imm32 / call eax
 # Largest size_of_image parsed: mapping an image allocates that many bytes.
@@ -804,12 +808,12 @@ def find_export_by_hash(image: PeImage, name_hash: int) -> tuple[bytes, int]:
 
 
 def section_data(image: PeImage, section: Section) -> bytes:
-    """A section's raw data in a file, or its mapped span read from memory."""
+    """A section's mapped span: read from memory, or as a loader maps a file."""
+    lo = section.virtual_address
+    n = max(0, min(section.virtual_span, image.nt.size_of_image - lo))
     if image.read is not None:
-        lo = section.virtual_address
-        return image.read(lo, max(0, min(section.virtual_span,
-                                         image.nt.size_of_image - lo)))
-    return image.raw[section.raw_offset:section.raw_offset + section.raw_size]
+        return image.read(lo, n)
+    return mapped_bytes(image, lo, n)
 
 
 def mapped_spans(image: PeImage) -> list[MapSpan]:
@@ -876,6 +880,8 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
     Scans executable sections for a near call resolving to the anchor
     export, looks forward up to ``window`` bytes for push 104h, and
     resolves the next near call after it.  Returns (call site, target).
+    A call is decoded only when the first push 104h after it is in reach,
+    so the work is set by the calls and pushes walked, not by the window.
     """
     if base is None:
         base = image.nt.image_base
@@ -889,18 +895,23 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
         call_end = max(len(data) - 4, 0)
         off = -1
         while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
-            site = section_va + off
-            if resolve_near_call(site, data[off:off + 5]) != anchor_va:
-                continue
-            lo = off + 5
-            hi = min(lo + window, len(data))
-            push_at = data.find(PUSH_104H, lo, hi)
-            if push_at == -1:
-                continue
-            cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H), min(hi, call_end))
-            if cursor != -1:
-                call_site = section_va + cursor
-                return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
+            if (push := _search_push_104h(data, off + 5)) is None:
+                break
+            # Every call from off to calls_end has this push first after
+            # it; those within window bytes of it reach it.
+            push_at = push.start()
+            calls_end = push_at - 4
+            off = max(off, push_at - window) - 1
+            while (off := data.find(CALL_OPCODE, off + 1, calls_end)) != -1:
+                site = section_va + off
+                if resolve_near_call(site, data[off:off + 5]) != anchor_va:
+                    continue
+                cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H),
+                                   min(off + 5 + window, call_end))
+                if cursor != -1:
+                    call_site = section_va + cursor
+                    return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
+            off = calls_end - 1
     raise PatternNotFound(f"no call/push 104h/call pattern anchored at {anchor_name!r}")
 
 

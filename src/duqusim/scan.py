@@ -1,6 +1,9 @@
 """Static PE scanner for the injection artifacts.
 
-Three signatures, all file-level:
+Three signatures, all over file bytes read as the loader maps them
+(``section_data``, ``mapped_bytes``), so a file scan finds what a scan of
+the mapped module finds.  Both code searches run in C whatever the fill
+bytes; only a call with a push 104h in reach is decoded in Python:
 
 * ENTRY_HOOK          - entrypoint bytes, as the loader maps them (zero
                         past a section's raw data), decode as
@@ -15,6 +18,7 @@ Three signatures, all file-level:
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +43,9 @@ OBFUSCATED_PE_CONST = "OBFUSCATED_PE_CONST"
 
 # The one dword D with D ^ SIG_XOR_KEY == SIG_XOR_EXPECT, as file bytes.
 PE_CONST = struct.pack("<I", SIG_XOR_KEY ^ SIG_XOR_EXPECT)
+# One compiled literal search; PE\0\0 cannot overlap itself, so the
+# matches are every occurrence.
+_find_pe_consts = re.compile(re.escape(PE_CONST)).finditer
 
 
 @dataclass
@@ -91,12 +98,10 @@ def scan_pe(data: bytes, path: str = "<buffer>",
     for section in image.sections:
         if not section.executable:
             continue
-        blob = section_data(image, section)
-        i = -1
-        while (i := blob.find(PE_CONST, i + 1)) != -1:
+        section_va = image.nt.image_base + section.virtual_address
+        for match in _find_pe_consts(section_data(image, section)):
             report.findings.append(Finding(
-                OBFUSCATED_PE_CONST,
-                image.nt.image_base + section.virtual_address + i,
+                OBFUSCATED_PE_CONST, section_va + match.start(),
                 "code carries the de-obfuscated signature dword"))
     return report
 

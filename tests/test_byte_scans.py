@@ -1,16 +1,23 @@
 """The byte-pattern searches agree with the per-byte loops they replaced.
 
-``scan_pe``'s OBFUSCATED_PE_CONST search and ``scan_call_push_call`` hop
-with ``bytes.find``; ``decrypt_blob`` XORs whole integers.  The reference
+``scan_pe``'s OBFUSCATED_PE_CONST search is one compiled literal search
+per code section.  ``scan_call_push_call`` hops between ``E8`` bytes with
+``bytes.find`` and decodes a call only when the first push 104h after it
+is in reach.  ``decrypt_blob`` XORs whole integers.  The reference
 functions below are the straightforward per-byte loops, kept here only to
-pin that the fast forms report the same offsets, in the same order.
+pin that the fast forms report the same offsets, in the same order, on
+random code and on sections of one fill byte.  A counter on
+``resolve_near_call`` pins how many calls the search decodes, without
+timing it.
 """
 
 import random
 import struct
+from bisect import bisect_left
 
 import pytest
 
+from duqusim import peformat
 from duqusim.duqu import PatternNotFound, decrypt_blob, scan_call_push_call
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import (
@@ -33,6 +40,10 @@ ANCHOR_RVA = 0x1DDC
 PUSH_104H = bytes([0x68, 0x04, 0x01, 0x00, 0x00])
 PE_DWORD = b"PE\x00\x00"
 WINDOWS = (0, 16, 64)
+# Shorter than a push, just long enough, and far wider than the trains.
+FILL_WINDOWS = (*range(7), 16, 64, 200, -1, -64)
+FILLS = {"zeros": b"\x00", "nop": b"\x90", "int3": b"\xCC", "push_eax": b"\x50",
+         "call": b"\xE8", "pushes": PUSH_104H}
 
 
 def pe_const_reference(data: bytes) -> list[int]:
@@ -67,7 +78,7 @@ def call_push_call_reference(image, anchor_name, window=64, base=None):
             if resolve_near_call(site, data[off:off + 5]) != anchor_va:
                 continue
             lo = off + 5
-            hi = min(lo + window, len(data))
+            hi = min(lo + max(window, 0), len(data))  # a negative window holds no push
             push_at = data.find(PUSH_104H, lo, hi)
             if push_at == -1:
                 continue
@@ -133,6 +144,10 @@ def random_code(rng: random.Random, size: int, section_va: int, base: int) -> by
                                            rng.randrange(1 << 32)))
     for _ in range(rng.randrange(4)):
         put(buf, rng.randrange(size), PE_DWORD * rng.randrange(1, 3))
+    for _ in range(rng.randrange(3)):  # doubled pushes, back to back or apart
+        at = rng.randrange(size)
+        put(buf, at, PUSH_104H + bytes(rng.choice(hot) for _ in range(rng.randrange(8)))
+            + PUSH_104H)
     return bytes(buf)
 
 
@@ -182,7 +197,7 @@ class TestCallPushCallEquivalence:
         base = rng.choice([IMAGE_BASE, 0x00800000])
         data = build(random_code(rng, rng.randrange(1, 0x300), TEXT_VA, base),
                      random_code(rng, rng.randrange(1, 0x300), PAGE_VA, base))
-        for window in WINDOWS + (rng.randrange(0, 200),):
+        for window in FILL_WINDOWS + (rng.randrange(0, 200),):
             assert_pattern_agrees(data, window, base)
 
     @pytest.mark.parametrize("size", range(1, 9))
@@ -229,6 +244,112 @@ class TestCallPushCallEquivalence:
         text = self.train(push_gap=2, call_gap=3, size=5 + 2 + 5 + 3 + 5)
         site = IMAGE_BASE + TEXT_VA + 5 + 2 + 5 + 3
         assert assert_pattern_agrees(build(text), 64) == (site, 0x00406882)
+
+
+def filled(fill: bytes, size: int) -> bytearray:
+    return bytearray((fill * (size // len(fill) + 1))[:size])
+
+
+def trains_at_start(text: bytearray) -> None:
+    put(text, 0, anchor_call(TEXT_VA, 0))
+    put(text, 7, PUSH_104H)
+    put(text, 14, encode_near_call(IMAGE_BASE + TEXT_VA + 14, 0x00406882))
+
+
+def trains_at_end(text: bytearray) -> None:
+    end = len(text)
+    put(text, end - 20, anchor_call(TEXT_VA, end - 20))
+    put(text, end - 12, PUSH_104H)
+    put(text, end - 5, encode_near_call(IMAGE_BASE + TEXT_VA + end - 5, 0x00406882))
+
+
+def anchors_before_one_push(text: bytearray) -> None:
+    for off in (0x40, 0x47, 0x4E, 0x60, 0x90):
+        put(text, off, anchor_call(TEXT_VA, off))
+    put(text, 0xA0, PUSH_104H)
+    put(text, 0xB0, encode_near_call(IMAGE_BASE + TEXT_VA + 0xB0, 0x00406882))
+
+
+def two_pushes_in_one_window(text: bytearray) -> None:
+    put(text, 0x100, anchor_call(TEXT_VA, 0x100))
+    put(text, 0x108, PUSH_104H)
+    put(text, 0x110, PUSH_104H)
+    put(text, 0x118, encode_near_call(IMAGE_BASE + TEXT_VA + 0x118, 0x00406882))
+
+
+LAYOUTS = [None, trains_at_start, trains_at_end, anchors_before_one_push,
+           two_pushes_in_one_window]
+
+
+@pytest.mark.parametrize("fill", FILLS.values(), ids=FILLS.keys())
+class TestOnEachFill:
+    """Sections of one repeated byte, or of back-to-back pushes, with trains
+    planted at their start, at their end, after several anchor calls that
+    share one push, and around two pushes in one window."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda f: getattr(f, "__name__", "bare"))
+    def test_call_push_call(self, fill, layout):
+        text = filled(fill, 0x200)
+        if layout is not None:
+            layout(text)
+        data = build(bytes(text), page=bytes(filled(fill, 0x80)))
+        for window in FILL_WINDOWS:
+            assert_pattern_agrees(data, window)
+
+    def test_pe_const(self, fill):
+        text = filled(fill, 0x200)
+        for at in (0, 0x20, 0x24, 0x1FC):
+            put(text, at, PE_DWORD)
+        for data in (build(bytes(filled(fill, 0x200))), build(bytes(text), page=bytes(text))):
+            assert pe_const_found(data) == pe_const_reference(data)
+
+
+class TestDecodeBound:
+    """Which calls the search decodes, counted on ``resolve_near_call``."""
+
+    SIZE = 64 * 1024
+
+    def decoded(self, monkeypatch, text: bytes, window: int) -> list[int]:
+        sites = []
+        real = peformat.resolve_near_call
+
+        def counting(site, data):
+            sites.append(site)
+            return real(site, data)
+
+        image = parse_pe(build_pe32(PeSpec(
+            image_base=IMAGE_BASE, entry_rva=TEXT_VA,
+            sections=[SectionDef(".text", TEXT_VA, text, CODE_SECTION)],
+            exports=[(ANCHOR, ANCHOR_RVA)], export_va=TEXT_VA + len(text))))
+        monkeypatch.setattr(peformat, "resolve_near_call", counting)
+        assert outcome(scan_call_push_call, image, window) is None
+        return sites
+
+    def test_no_push_decodes_no_call(self, monkeypatch):
+        assert self.decoded(monkeypatch, b"\xE8" * self.SIZE, 64) == []
+
+    @pytest.mark.parametrize("window", [0, 5, 6, 16, 64, 200])
+    def test_only_calls_reaching_the_push_are_decoded(self, monkeypatch, window):
+        push = self.SIZE // 2
+        text = bytearray(b"\xE8" * self.SIZE)
+        text[push:push + len(PUSH_104H)] = PUSH_104H
+        # A call at off reaches a push at P when P + 5 <= off + 5 + window.
+        expected = [IMAGE_BASE + TEXT_VA + off for off in range(push - window, push - 4)]
+        assert self.decoded(monkeypatch, bytes(text), window) == expected
+
+    @pytest.mark.parametrize("every", [5, 22, 64, 71])
+    @pytest.mark.parametrize("window", [0, 5, 6, 16, 64, 200])
+    def test_calls_between_pushes(self, monkeypatch, every, window):
+        text = bytearray(b"\xE8" * 0x1000)
+        for at in range(0, len(text) - 4, every):
+            text[at:at + len(PUSH_104H)] = PUSH_104H
+        pushes = [at for at in range(len(text) - 4) if text[at:at + 5] == PUSH_104H]
+        expected = []
+        for off in range(len(text) - 4):
+            i = bisect_left(pushes, off + 5)
+            if text[off] == 0xE8 and i < len(pushes) and pushes[i] - off <= window:
+                expected.append(IMAGE_BASE + TEXT_VA + off)
+        assert self.decoded(monkeypatch, bytes(text), window) == expected
 
 
 class TestDecryptBlob:

@@ -13,16 +13,25 @@ from duqusim.fixtures import FIXTURE_BUILDERS
 from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import (
     DIR_EXPORT,
+    HOOK_LEN,
+    PUSH_104H,
     AmbiguousHash,
     NotPe,
+    PatternNotFound,
+    assemble_mapped,
+    decode_entry_hook,
+    encode_entry_hook,
+    encode_near_call,
     find_export_by_hash,
     find_export_by_name,
     parse_pe,
     read_headers,
     read_module,
     ror13_hash,
+    scan_call_push_call,
     section_data,
 )
+from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, PE_CONST, ZWPROTECT_PATTERN, scan_pe
 from duqusim.simkernel import PERM_RW, Driver, EventKind, SimKernel
 
 from test_mapping import edge_images
@@ -93,12 +102,80 @@ class TestReaderMatchesFileParse:
         expected, kernel, pid, at, read = self.load(fixture_bytes, name, rebase)
         image = read_module(read)
         loaded = kernel.read_image(pid, at)
+        # The file image reads as mapped at its preferred base, unrelocated.
+        file_mapped = assemble_mapped(expected) if rebase else loaded
         size = expected.nt.size_of_image
         for section in image.sections:
             if section.executable:
                 lo = section.virtual_address
                 span = min(section.virtual_span, size - lo)
                 assert section_data(image, section) == loaded[lo:lo + span]
+                assert section_data(expected, section) == file_mapped[lo:lo + span]
+
+
+class TestFileScanReadsTheMapping:
+    """``scan_pe`` of file bytes finds what the same signatures find in the
+    module the loader maps from them, where a section's raw data runs past
+    its virtual size or stops short of it."""
+
+    ANCHOR = "ZwAllocateVirtualMemory"
+    BASE = 0x00400000
+
+    def image(self, text: bytes, virtual_size: int) -> bytes:
+        return build_pe32(PeSpec(
+            image_base=self.BASE, entry_rva=0x1000,
+            sections=[SectionDef(".text", 0x1000, text, CODE_SECTION,
+                                 virtual_size=virtual_size)],
+            exports=[(self.ANCHOR, 0x1010)], export_va=0x2000))
+
+    def train(self, text: bytearray, at: int) -> None:
+        """Anchor call at ``at``, push 104h 8 bytes on, second call 16 on."""
+        text[at:at + 5] = encode_near_call(self.BASE + 0x1000 + at, self.BASE + 0x1010)
+        text[at + 8:at + 13] = PUSH_104H
+        text[at + 16:at + 21] = encode_near_call(self.BASE + 0x1000 + at + 16, 0x00406882)
+
+    def memory_scan(self, data: bytes) -> list[tuple[str, int]]:
+        _, _, at, read = mapped(data)
+        image = read_module(read)
+        found = []
+        if decode_entry_hook(read(image.nt.entry_point_rva, HOOK_LEN)) is not None:
+            found.append((ENTRY_HOOK, at + image.nt.entry_point_rva))
+        try:
+            found.append((ZWPROTECT_PATTERN, scan_call_push_call(image, self.ANCHOR)[0]))
+        except PatternNotFound:
+            pass
+        for section in image.sections:
+            if section.executable:
+                blob = section_data(image, section)
+                found += [(OBFUSCATED_PE_CONST, at + section.virtual_address + i)
+                          for i in range(len(blob) - 3) if blob[i:i + 4] == PE_CONST]
+        return found
+
+    def assert_scans_agree(self, data: bytes, expected: list[tuple[str, int]]) -> None:
+        from_file = [(f.kind, f.address)
+                     for f in scan_pe(data, anchor_export=self.ANCHOR).findings]
+        assert from_file == self.memory_scan(data) == expected
+
+    def test_raw_past_virtual_size_is_not_scanned(self):
+        text = bytearray(b"\x90" * 0x200)
+        text[0x180:0x184] = PE_CONST
+        self.train(text, 0x1A0)
+        self.assert_scans_agree(self.image(bytes(text), 0x100), [])
+
+    def test_raw_past_virtual_size_scanned_up_to_it(self):
+        text = bytearray(b"\x90" * 0x200)
+        text[0:HOOK_LEN] = encode_entry_hook(0x00406882)
+        text[0x40:0x44] = text[0x17C:0x180] = text[0x180:0x184] = PE_CONST
+        self.train(text, 0x60)
+        self.assert_scans_agree(self.image(bytes(text), 0x180), [
+            (ENTRY_HOOK, 0x00401000), (ZWPROTECT_PATTERN, 0x00401070),
+            (OBFUSCATED_PE_CONST, 0x00401040), (OBFUSCATED_PE_CONST, 0x0040117C)])
+
+    def test_zero_tail_completes_a_dword(self):
+        # The raw data ends in "PE"; the loader maps zeros after it.
+        text = b"\x90" * 0xFE + b"PE"
+        self.assert_scans_agree(self.image(text, 0x200),
+                                [(OBFUSCATED_PE_CONST, 0x004010FE)])
 
 
 class TestExportNames:
