@@ -847,10 +847,11 @@ def mapped_bytes(image: PeImage, rva: int, n: int) -> bytes:
     else, a gap, a virtual tail or a byte past the image, reads as zero.
     """
     size = image.nt.size_of_image
-    for s in image.sections:  # most reads lie in one section's file bytes
+    for s in image.sections:  # most reads lie in one section's span: file bytes, then zeros
         lo = rva - s.virtual_address
-        if 0 <= lo and lo + n <= min(s.raw_size, s.virtual_span, size - s.virtual_address):
-            return image.raw[s.raw_offset + lo:s.raw_offset + lo + n]
+        if 0 <= lo and lo + n <= min(s.virtual_span, size - s.virtual_address):
+            end = s.raw_offset + min(lo + n, s.raw_size)
+            return image.raw[s.raw_offset + lo:end].ljust(n, b"\x00")  # one allocation
     out = bytearray(n)
     for at, _, offset, copy, _ in mapped_spans(image):
         lo, hi = max(rva, at), min(rva + n, at + copy)

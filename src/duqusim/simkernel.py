@@ -20,15 +20,17 @@ whole point of the launch-order experiments.
 
 A process works out each distinct image once: every kernel maps the same
 bytes from one :class:`ImageCache` entry, a :class:`LoadPlan` holding the
-parsed image and, per mapped span, its RVA, file slice, zero tail and
-permissions.  Each region is one copy of its span from the file bytes.
-The image's first rebase resolves its fixups to places in those regions
-(:func:`~duqusim.peformat.resolve_fixups`), and every rebase patches them
-there in place; no load builds a size_of_image layout.  A base is found
-by one walk over the sorted regions (:meth:`SimProcess.free_base`).  An
-image's regions enter the process in one splice, after relocation
-succeeds.  Every mapping gets bytes of its own, and a load that fails
-leaves nothing mapped and, for a new process, no process behind.
+parsed image and, per mapped span, its RVA, permissions and read-only
+view of its bytes.  Every mapping reads as its own and shares until
+written, as Windows maps an image copy-on-write: a region starts as its
+span's view, and only :meth:`MemoryRegion.writable` gives it bytes of
+its own.  The image's first rebase resolves its fixups to places in the
+regions (:func:`~duqusim.peformat.resolve_fixups`), and every rebase
+patches them there in place, in the regions they make private; no load
+builds a size_of_image layout.  A base is found by one walk over the
+sorted regions (:meth:`SimProcess.free_base`).  An image's regions enter
+the process in one splice, after relocation succeeds, and a load that
+fails leaves nothing mapped and, for a new process, no process behind.
 
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
@@ -68,7 +70,7 @@ PID_START = 0x910
 PID_STEP = 4
 PEB_START = 0x7FFD5000
 SYSTEM_VERSION = "5.1.2600"
-IMAGE_CACHE_BYTES = 8 << 20  # file bytes the parsed-image cache may hold
+IMAGE_CACHE_BYTES = 8 << 20  # file bytes plus span copies the image cache may hold
 
 
 class Perm(enum.Flag):
@@ -179,9 +181,12 @@ class _WeakReferable:
 @dataclass(slots=True)
 class MemoryRegion(_WeakReferable):
     """A mapped span.  Slotted, as a run makes thousands of them; a weak
-    reference shows when one is freed."""
+    reference shows when one is freed.  ``data`` is a bytearray of its
+    own, or an image span's shared read-only view until the first write
+    goes through :meth:`writable`; a write that skips it raises
+    ``TypeError`` and so reaches no other mapping."""
     base: int
-    data: bytearray
+    data: bytearray | memoryview
     perms: Perm
     tag: str
     code: Optional[Callable[[int], None]] = None  # run with the pid on entry
@@ -190,6 +195,12 @@ class MemoryRegion(_WeakReferable):
 
     def __post_init__(self) -> None:
         self.end = self.base + len(self.data)
+
+    def writable(self) -> bytearray:
+        """The region's bytes, made its own on the first call."""
+        if type(self.data) is not bytearray:
+            self.data = bytearray(self.data)
+        return self.data
 
 
 _region_base = attrgetter("base")
@@ -267,19 +278,30 @@ class Driver:
 class LoadPlan:
     """What every map of one file image repeats, worked out once.
 
-    ``spans`` gives, per mapped span in RVA order, its RVA, the slice of
-    the file bytes it copies, the length of its zero tail and its region's
-    permissions.  ``fixups`` is built by the first rebase.  A plan holds
-    no bytes of its own and no kernel.
+    ``spans`` gives, per mapped span in RVA order, its RVA and its region's
+    permissions, and ``views`` its mapped bytes, read-only and shared by
+    every mapping: a slice of the file bytes or, for a span with a zero
+    tail, one copy that holds the tail; ``nbytes`` is the length of those
+    copies.  ``fixups`` is built by the first rebase.  A plan holds no
+    kernel.
     """
     image: PeImage
-    spans: list[tuple[int, slice, int, Perm]] = field(repr=False)
+    spans: list[tuple[int, Perm]] = field(repr=False)
+    views: list[memoryview] = field(repr=False)
+    nbytes: int
     fixups: list | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, image: PeImage) -> LoadPlan:
-        spans = []
+        spans, views, nbytes = [], [], 0
+        raw = memoryview(image.raw)
         for rva, span, offset, copy, section in mapped_spans(image):
+            view = raw[offset:offset + copy]
+            if copy < span:  # one allocation: the file bytes, then the zero tail
+                buf = bytearray(span)
+                buf[:copy] = view
+                view = memoryview(buf).toreadonly()
+                nbytes += span
             if section is None:
                 perms = PERM_R
             elif section.executable:
@@ -288,15 +310,17 @@ class LoadPlan:
                 perms = PERM_RW
             else:
                 perms = PERM_R
-            spans.append((rva, slice(offset, offset + copy), span - copy, perms))
-        return cls(image, spans)
+            spans.append((rva, perms))
+            views.append(view)
+        return cls(image, spans, views, nbytes)
 
 
 @dataclass
 class ImageCache:
     """File bytes -> load plan for every kernel, evicting the oldest first.
-    A failed parse is never stored, nor an image over ``IMAGE_CACHE_BYTES``,
-    whose plan is built again on each load."""
+    ``nbytes`` counts each key and its plan's span copies against
+    ``IMAGE_CACHE_BYTES``.  A failed parse is never stored, nor a plan over
+    the bound, which is built again on each load."""
     plans: dict[bytes, LoadPlan] = field(default_factory=dict, repr=False)
     nbytes: int = 0
 
@@ -305,11 +329,12 @@ class ImageCache:
         plan = self.plans.get(key)
         if plan is None:
             plan = LoadPlan.build(parse_pe(key))
-            if len(key) <= IMAGE_CACHE_BYTES:
+            if len(key) + plan.nbytes <= IMAGE_CACHE_BYTES:
                 self.plans[key] = plan
-                self.nbytes += len(key)
+                self.nbytes += len(key) + plan.nbytes
                 while self.nbytes > IMAGE_CACHE_BYTES:  # raw is the whole key
-                    self.nbytes -= len(self.plans.pop(next(iter(self.plans))).image.raw)
+                    old = self.plans.pop(next(iter(self.plans)))
+                    self.nbytes -= len(old.image.raw) + old.nbytes
         return plan
 
 
@@ -463,7 +488,7 @@ class SimKernel:
         pieces = self._walk_span(proc, addr, len(data), Perm.WRITE)
         pos = 0
         for r, lo, hi in pieces:
-            r.data[lo:hi] = data[pos:pos + (hi - lo)]
+            r.writable()[lo:hi] = data[pos:pos + (hi - lo)]
             pos += hi - lo
 
     def _walk_span(self, proc: SimProcess, addr: int, length: int,
@@ -555,18 +580,16 @@ class SimKernel:
             raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
         if base != preferred and not image.relocations:
             raise CannotRelocate(f"{name} must rebase but has no relocations")
-        raw = memoryview(image.raw)
         tag = f"image:{name}"
-        regions = []
-        for rva, file, tail, perms in plan.spans:
-            data = bytearray(raw[file])  # the raw bytes, then a zero tail
-            if tail:
-                data += bytes(tail)
-            regions.append(MemoryRegion(base + rva, data, perms, tag))
+        regions = [MemoryRegion(base + rva, view, perms, tag)
+                   for (rva, perms), view in zip(plan.spans, plan.views)]
         if base != preferred:
             if plan.fixups is None:  # a bad fixup is never kept: it raises on every rebase
                 plan.fixups = resolve_fixups([(r.base - base, len(r.data)) for r in regions],
                                              size, image.relocations)
+            for i, cells in plan.fixups:  # each region a fixup patches gets bytes of its own
+                for j in ((i,) if i >= 0 else (k for k, _ in cells if k >= 0)):
+                    regions[j].writable()
             apply_fixups([r.data for r in regions], plan.fixups, base - preferred)
         proc.insert_regions(base, size, regions)
         return base

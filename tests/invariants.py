@@ -78,15 +78,24 @@ def _holds_bytes(value) -> bool:
 def check_image_cache() -> None:
     """The shared cache is within its bound and holds only plans of file
     images: each image keeps its own key as ``raw`` and no ``read`` into a
-    kernel, and its plan holds no bytes and is the one its image builds."""
+    kernel, its spans and fixups hold no bytes, its views are read-only,
+    each reads as the loader maps its span, and ``nbytes`` counts exactly
+    the views that are copies; the plan is the one its image builds."""
     cache = simkernel.image_cache
-    assert cache.nbytes == sum(map(len, cache.plans)), "cache byte count drifted"
+    assert cache.nbytes == sum(len(key) + plan.nbytes for key, plan in cache.plans.items()), \
+        "cache byte count drifted"
     assert cache.nbytes <= simkernel.IMAGE_CACHE_BYTES, "cache over its bound"
     for key, plan in cache.plans.items():
         image = plan.image
         assert image.raw is key and image.layout == "file", "cached image is not its key"
         assert image.read is None, "cached image reads through a kernel"
-        assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan holds bytes"
+        assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan spans hold bytes"
+        assert all(view.readonly for view in plan.views), "cached view is writable"
+        assert [bytes(view) for view in plan.views] == [
+            peformat.mapped_bytes(image, span.rva, span.span)
+            for span in peformat.mapped_spans(image)], "cached view is not the mapped span"
+        copies = [view for view in plan.views if view.obj is not key]
+        assert plan.nbytes == sum(map(len, copies)), "span copies miscounted"
         assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
 
 

@@ -6,8 +6,10 @@ regions from the reference layout the way the loader did when it built a
 size_of_image buffer for every load.
 """
 
+import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -42,6 +44,8 @@ from duqusim.peformat import (
 from duqusim.scan import scan_pe
 from duqusim.simkernel import (
     PERM_R,
+    PERM_RW,
+    AccessViolation,
     AddressSpaceExhausted,
     CannotRelocate,
     MemoryRegion,
@@ -288,6 +292,37 @@ class TestMappedBytes:
         for _ in range(40):
             self.check(parse_pe(random_pe32(rng)))
 
+    def test_zero_tail_read_in_one_allocation(self):
+        data = huge_tail_image()
+        assert len(data) == 0x400
+        image = parse_pe(data)
+        text = image.sections[0]
+        tracemalloc.start()
+        try:
+            got = peformat.section_data(image, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == text_bytes(data) + bytes(HUGE_TAIL - 0x200)
+        assert peak <= 1.25 * HUGE_TAIL, peak
+
+
+HUGE_TAIL = 16 << 20
+
+
+def huge_tail_image() -> bytes:
+    """A 1,024-byte file whose ``.text`` holds 0x200 file bytes and claims
+    a 16 MiB mapped span."""
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x1F0 + b"\xC3" * 0x10, CODE_SECTION,
+                             virtual_size=HUGE_TAIL)]))
+
+
+def text_bytes(data: bytes) -> bytes:
+    text = parse_pe(data).sections[0]
+    return data[text.raw_offset:text.raw_offset + text.raw_size]
+
 
 class TestLoaderRegions:
     @pytest.mark.parametrize("name", PE_FIXTURES)
@@ -464,8 +499,8 @@ class TestMappingsShareNoBytes:
         assert bases[0] == bases[1] == image.nt.image_base != bases[2] == bases[3]
         for base in (bases[0], bases[2]):
             for span in mapped_spans(image):
-                region = a.region_at(base + span.rva)
-                region.data[:] = b"\xCC" * len(region.data)
+                kernel.protect_memory(a.pid, base + span.rva, span.span, PERM_RW)
+                kernel.write_memory(a.pid, base + span.rva, b"\xCC" * span.span)
         check_mapping(b, "k.dll", data)
         check_mapping(b, "k2.dll", data)
         c = kernel.create_process("c.exe", fixture_bytes("services.exe"))
@@ -473,6 +508,158 @@ class TestMappingsShareNoBytes:
         kernel.load_module(c.pid, "k2.dll", data)
         check_mapping(c, "k.dll", data)
         check_mapping(c, "k2.dll", data)
+
+
+def fleet_dll() -> bytes:
+    """A relocatable DLL shaped like the benchmark's fleet DLLs: fixups in
+    ``.text`` only, beside an export table and its relocations."""
+    text = bytearray(random.Random("fleet-dll").randbytes(0x1800))
+    slots = [0x10, 0x200, 0x7F0, 0xFFC]
+    for off in slots:
+        text[off:off + 4] = (0x10001000 + off).to_bytes(4, "little")
+    return build_pe32(PeSpec(
+        image_base=0x10000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, bytes(text), CODE_SECTION)],
+        exports=[(f"FleetFn{i}", 0x1000 + 0x40 * i) for i in range(4)], export_va=0x3000,
+        relocations=[reloc_block(0x1000, slots)], reloc_va=0x4000, dll=True))
+
+
+def crossing_fixup_image() -> bytes:
+    """A fixup whose last two bytes are the only ones it patches in
+    ``.data``: it crosses ``.text``'s zero tail into the next region."""
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION,
+                             virtual_size=0x1000),
+                  SectionDef(".data", 0x2000, b"\x77" * 0x40, DATA_SECTION)],
+        relocations=[reloc_block(0x1000, [0x10, 0xFFE])], reloc_va=0x3000))
+
+
+def region_names(proc, base: int, image, private: bool) -> list[str]:
+    """The sections (``headers`` for the header span) of the module at
+    ``base`` whose regions hold bytes of their own, or share them."""
+    return [span.section.name if span.section else "headers"
+            for span in mapped_spans(image)
+            if (type(proc.region_at(base + span.rva).data) is bytearray) == private]
+
+
+def fixup_sections(image) -> set[str]:
+    """The sections a rebase patches, worked out from the fixups alone."""
+    cells = {block.page_rva + off + k for block in image.relocations
+             for ftype, off in block.fixups if ftype for k in range(4)}
+    return {span.section.name if span.section else "headers" for span in mapped_spans(image)
+            if any(span.rva <= cell < span.rva + span.span for cell in cells)}
+
+
+class TestCopyOnWrite:
+    """A mapped span reads its cached image's bytes in place until its
+    first write gives it bytes of its own."""
+
+    def test_two_mappings_share_their_untouched_spans(self, fixture_bytes):
+        data = fixture_bytes("services.exe")
+        image = parse_pe(data)
+        kernel = SimKernel()
+        a = kernel.create_process("a.exe", data)
+        b = kernel.create_process("b.exe", data)
+        views = simkernel.image_cache.plans[data].views
+        for span, view in zip(mapped_spans(image), views):
+            ra, rb = a.region_at(a.image_base + span.rva), b.region_at(b.image_base + span.rva)
+            assert ra.data is rb.data is view and view.readonly
+        check_mapping(a, "a.exe", data)
+        check_mapping(b, "b.exe", data)
+
+    def test_write_makes_exactly_the_written_region_private(self, fixture_bytes):
+        data = fixture_bytes("kernel32.dll")
+        image = parse_pe(data)
+        kernel = SimKernel()
+        a = kernel.create_process("a.exe", fixture_bytes("services.exe"))
+        b = kernel.create_process("b.exe", fixture_bytes("services.exe"))
+        base = kernel.load_module(a.pid, "k.dll", data)
+        assert kernel.load_module(b.pid, "k.dll", data) == base == image.nt.image_base
+        plan = simkernel.image_cache.plans[data]
+
+        def digests():
+            return [hashlib.sha256(b).hexdigest() for b in (data, *plan.views)]
+
+        before = digests()
+        text = next(s for s in mapped_spans(image) if s.section and s.section.name == ".text")
+        kernel.protect_memory(a.pid, base + text.rva, text.span, PERM_RW)
+        with pytest.raises(AccessViolation):  # runs on into read-only .edata: refused whole
+            kernel.write_memory(a.pid, base + text.rva + text.span - 4, b"\xCC" * 8)
+        assert region_names(a, base, image, private=True) == []
+        kernel.write_memory(a.pid, base + text.rva + 8, b"\xCC" * 4)
+        assert region_names(a, base, image, private=True) == [".text"]
+        written = bytearray(data[text.offset:text.offset + 16])
+        written[8:12] = b"\xCC" * 4
+        assert kernel.read_memory(a.pid, base + text.rva, 16) == written
+        assert region_names(b, base, image, private=True) == []
+        assert digests() == before
+        check_mapping(b, "k.dll", data)
+
+    @pytest.mark.parametrize("make", [fleet_dll, crossing_fixup_image, tail_fixup_image])
+    def test_rebase_makes_only_its_fixup_regions_private(self, make):
+        data = make()
+        image = parse_pe(data)
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", data)
+        rebased = kernel.load_module(proc.pid, "again.dll", data)
+        assert rebased != image.nt.image_base
+        private = region_names(proc, rebased, image, private=True)
+        assert set(private) == fixup_sections(image) and private
+        assert region_names(proc, rebased, image, private=False)
+        assert region_names(proc, proc.image_base, image, private=True) == []
+        check_mapping(proc, "again.dll", data)
+        check_mapping(proc, "host.exe", data)
+
+    def test_fleet_dll_rebase_shares_headers_exports_and_relocations(self):
+        data = fleet_dll()
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", data)
+        rebased = kernel.load_module(proc.pid, "again.dll", data)
+        image = parse_pe(data)
+        assert region_names(proc, rebased, image, private=True) == [".text"]
+        assert region_names(proc, rebased, image, private=False) == [
+            "headers", ".edata", ".reloc"]
+
+    def test_direct_write_into_a_fresh_mapping_raises(self, fixture_bytes):
+        data = fixture_bytes("services.exe")
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", data)
+        for region in proc.regions:
+            with pytest.raises(TypeError):
+                region.data[0] = 0xCC
+            with pytest.raises(TypeError):
+                region.data[:] = b"\xCC" * len(region.data)
+        check_mapping(proc, "a.exe", data)
+
+    def test_zero_tail_span_copied_in_one_allocation(self, monkeypatch):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = huge_tail_image()
+        kernel = SimKernel()
+        tracemalloc.start()
+        try:
+            proc = kernel.create_process("big.exe", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * HUGE_TAIL, peak
+        assert kernel.read_memory(proc.pid, proc.image_base + 0x1000, 0x210) == \
+            text_bytes(data) + bytes(0x10)
+
+    def test_twenty_mappings_cost_less_than_two_copies(self, fixture_bytes, monkeypatch):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = fixture_bytes("services.exe")
+        mapped = sum(span.span for span in mapped_spans(parse_pe(data)))
+        kernel = SimKernel()
+        tracemalloc.start()
+        try:
+            for i in range(20):
+                kernel.create_process(f"p{i}.exe", data)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kernel.processes) == 20
+        assert held < 2 * mapped, (held, mapped)
 
 
 class TestHeaderSpan:

@@ -550,6 +550,12 @@ def image_regions(proc):
     return [(r.base, r.perms, r.tag, bytes(r.data)) for r in proc.regions]
 
 
+def cached_size(image: bytes) -> int:
+    """What an image counts against ``IMAGE_CACHE_BYTES``: its file bytes
+    and its plan's span copies."""
+    return len(image) + simkernel.LoadPlan.build(parse_pe(image)).nbytes
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """Every real parse the loader makes, into an empty image cache that is
@@ -612,12 +618,14 @@ class TestImageReuse:
 
     def test_bound_evicts_the_oldest_image_first(self, parsed, monkeypatch):
         images = [exe_fixture(base=0x01000000 + i * REBASE_STEP) for i in range(5)]
-        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", 3 * len(images[0]))
+        assert len({cached_size(image) for image in images}) == 1
+        bound = 3 * cached_size(images[0])
+        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", bound)
         cache = simkernel.image_cache
         kernel = SimKernel()
         for i, image in enumerate(images):
             kernel.create_process(f"p{i}.exe", image)
-            assert cache.nbytes == sum(map(len, cache.plans)) <= 3 * len(images[0])
+            assert cache.nbytes == sum(map(cached_size, cache.plans)) <= bound
             assert list(cache.plans) == images[max(0, i - 2):i + 1]
         kernel.create_process("again.exe", images[4])
         kernel.create_process("again.exe", images[0])
@@ -626,16 +634,23 @@ class TestImageReuse:
 
     def test_image_over_the_bound_loads_but_is_not_kept(self, parsed, monkeypatch):
         small = exe_fixture()
-        big = exe_fixture(base=0x02000000) + bytes(4 * len(small))  # trailing overlay
-        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", 2 * len(small))
+        bound = 2 * cached_size(small)
+        big = exe_fixture(base=0x02000000) + bytes(bound)  # trailing overlay
+        # file bytes within the bound, but not with the copy holding its zero tail
+        tailed = build_pe32(PeSpec(
+            image_base=0x03000000, entry_rva=0x1000,
+            sections=[SectionDef(".text", 0x1000, b"\x90" * 0x200, CODE_SECTION,
+                                 virtual_size=bound)]))
+        assert len(tailed) < bound < cached_size(tailed)
+        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", bound)
         kernel = SimKernel()
         kernel.create_process("small.exe", small)
         for i in range(2):
-            proc = kernel.create_process(f"big{i}.exe", big)
-            assert proc.image_base == 0x02000000
-        assert parsed == [small, big, big]
+            assert kernel.create_process(f"big{i}.exe", big).image_base == 0x02000000
+            assert kernel.create_process(f"tailed{i}.exe", tailed).image_base == 0x03000000
+        assert parsed == [small, big, tailed, big, tailed]
         assert list(simkernel.image_cache.plans) == [small]
-        assert simkernel.image_cache.nbytes == len(small)
+        assert simkernel.image_cache.nbytes == cached_size(small)
 
     def test_bytearray_image_loads(self):
         data = dll_fixture()
