@@ -27,10 +27,8 @@ from typing import Optional
 
 from . import simkernel
 from .peformat import (
-    DEFAULT_SCAN_WINDOW,
     PatternNotFound,
     PeError,
-    PeImage,
     apply_relocations,
     assemble_mapped,
     encode_entry_hook,
@@ -233,14 +231,6 @@ def validate_function(addr: int, first_bytes: bytes, mask: IntegrityMask,
         if (first_bytes[i] & mask.mask[i]) != (mask.reference[i] & mask.mask[i]):
             return False, f"mask byte {i}"
     return True, None
-
-
-def locate_unexported(image: PeImage, anchor_name: bytes | str,
-                      window: int = DEFAULT_SCAN_WINDOW,
-                      base: int | None = None) -> int:
-    """Address of the unexported function reached by the pattern."""
-    _, target = scan_call_push_call(image, anchor_name, window=window, base=base)
-    return target
 
 
 @dataclass

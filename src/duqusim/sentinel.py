@@ -36,13 +36,11 @@ DEFAULT_WATCH = ("services.exe",)
 class IntegrityRecord:
     entrypoint: int
     hashed: bytes  # the HASH_SPAN entrypoint bytes the checksum was taken over
-
-
-_HEX = tuple(f"0x{b:02x}" for b in range(256))
+    line: str      # their "Entrypoint bytes" log line, logged again while they match
 
 
 def _hex_bytes(data: bytes) -> str:
-    return " ".join(map(_HEX.__getitem__, data))
+    return "0x" + data.hex(" ").replace(" ", " 0x") if data else ""
 
 
 class SentinelDriver(Driver):
@@ -99,10 +97,11 @@ class SentinelDriver(Driver):
             self._log(f"ProcessImageInformation: headers unreadable ({exc})")
             self._mismatch(pid, proc.name, proc.name)
             return
-        self._log(f"Entrypoint bytes at {entry:#010x}: {_hex_bytes(first[:DISPLAY_SPAN])}")
+        line = f"Entrypoint bytes at {entry:#010x}: {_hex_bytes(first[:DISPLAY_SPAN])}"
+        self._log(line)
         self._log(f"CreateProcessNotify: ImageBaseAddress={base:#010x} "
                   f"EntryPoint={entry:#010x} EntrypointChecksum={ror13_hash(first):#010x}")
-        self.records[pid] = IntegrityRecord(entrypoint=entry, hashed=first)
+        self.records[pid] = IntegrityRecord(entrypoint=entry, hashed=first, line=line)
 
     def on_image_load(self, event: NotificationEvent) -> None:
         """Re-verify the stored entrypoint bytes on every load for a watched pid.
@@ -126,12 +125,13 @@ class SentinelDriver(Driver):
             self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: unreadable")
             self._mismatch(event.pid, name, module)
             return
-        self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: "
-                  f"{_hex_bytes(current[:DISPLAY_SPAN])}")
         if current == record.hashed:
+            self._log(record.line)
             self._log("-> OK!")
             self.verdicts.append((module, "OK"))
         else:
+            self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: "
+                      f"{_hex_bytes(current[:DISPLAY_SPAN])}")
             self._mismatch(event.pid, name, module)
 
     def _mismatch(self, pid: int, name: str, module: str) -> None:

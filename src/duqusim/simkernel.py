@@ -476,6 +476,12 @@ class SimKernel:
 
     def read_memory(self, pid: int, addr: int, length: int) -> bytes:
         proc = self.process(pid)
+        # Inside one readable region: one slice.  Any other read is walked,
+        # so its error names the first address refused.
+        region = proc.region_at(addr)
+        if region is not None and addr + length <= region.end and Perm.READ in region.perms:
+            lo = addr - region.base
+            return bytes(region.data[lo:lo + length])
         pieces = self._walk_span(proc, addr, length, Perm.READ)
         return b"".join(r.data[lo:hi] for r, lo, hi in pieces)
 

@@ -12,6 +12,7 @@ from duqusim.fixtures import write_fixture_set
 def fixture_dir(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("fixtures")
     write_fixture_set(directory)
+    (directory / "fleet_shaped.scenario").write_text(FLEET_SHAPED_SCENARIO, encoding="utf-8")
     return directory
 
 
@@ -29,27 +30,10 @@ def fixture_bytes(fixture_dir):
 
 # The shipped relocatable DLLs loaded by several processes at their
 # preferred base, at a requested base and over an occupied one, beside the
-# sparse ntoskrnl.exe image and an image that cannot rebase.
-FLEET_SHAPED_SCENARIO = """\
-driver sentinel watch=a.exe,b.exe
-process a.exe services.exe
-process b.exe services.exe base=0x01000000
-process c.exe system.bin
-module a.exe kernel32.dll kernel32.dll
-module a.exe kernel32b.dll kernel32.dll
-module a.exe ntdll.dll ntdll.dll base=0x20000000
-module a.exe hal.dll hal.dll
-module b.exe shell32.dll shell32.dll base=0x7c9d0000
-module b.exe ntdll.dll ntdll.dll
-module b.exe kernel32.dll kernel32.dll base=0x7c9d0000
-module b.exe hal.dll hal.dll base=0x20000000
-module b.exe hal2.dll hal.dll base=0x20000000
-module c.exe stub1.bin stub1.bin
-module c.exe stub1b.bin stub1.bin base=0x10000000
-module c.exe ntoskrnl.exe ntoskrnl.exe
-module c.exe shell32.dll shell32.dll base=0x00301000
-module c.exe system2.bin system.bin base=0x30000000
-"""
+# sparse ntoskrnl.exe image and an image that cannot rebase.  Two of its
+# processes are watched; its transcripts are pinned beside it in golden/.
+FLEET_SHAPED_SCENARIO = (Path(__file__).parent / "golden"
+                         / "fleet_shaped.scenario").read_text(encoding="utf-8")
 
 
 def small_image() -> bytes:

@@ -12,7 +12,7 @@ import struct
 import pytest
 
 from duqusim.cli import main
-from duqusim.duqu import PatternNotFound, locate_unexported, scan_call_push_call
+from duqusim.duqu import PatternNotFound, scan_call_push_call
 from duqusim.fixtures import SERVICES_ENTRY_BYTES
 from duqusim.pebuild import random_pe32
 from duqusim.peformat import (
@@ -96,7 +96,7 @@ def test_pattern_discovery(fixture_bytes):
     push_at = mutated.find(bytes([0x68, 0x04, 0x01, 0x00, 0x00]))
     mutated[push_at:push_at + 5] = b"\x90" * 5
     with pytest.raises(PatternNotFound):
-        locate_unexported(parse_pe(bytes(mutated)), "ZwAllocateVirtualMemory")
+        scan_call_push_call(parse_pe(bytes(mutated)), "ZwAllocateVirtualMemory")
 
 
 @criterion(3, "near-call arithmetic")

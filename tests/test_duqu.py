@@ -22,7 +22,6 @@ from duqusim.duqu import (
     decrypt_blob,
     default_mask,
     encode_config,
-    locate_unexported,
     scan_call_push_call,
     validate_function,
 )
@@ -108,14 +107,13 @@ class TestLocateUnexported:
         site, target = scan_call_push_call(image, "ZwAllocateVirtualMemory")
         assert site == PROTECT_CALL_SITE == 0x004ED1EA
         assert target == 0x00406882
-        assert locate_unexported(image, "ZwAllocateVirtualMemory") == 0x00406882
 
     def test_missing_push_means_not_found(self):
         data = bytearray(kernel_image_with_train())
         push_at = data.find(bytes([0x68, 0x04, 0x01, 0x00, 0x00]))
         data[push_at:push_at + 5] = b"\x90" * 5
         with pytest.raises(PatternNotFound):
-            locate_unexported(parse_pe(bytes(data)), "ZwAllocateVirtualMemory")
+            scan_call_push_call(parse_pe(bytes(data)), "ZwAllocateVirtualMemory")
 
     def test_empty_code_section(self):
         data = build_pe32(PeSpec(
@@ -123,7 +121,7 @@ class TestLocateUnexported:
             sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION)],
             exports=[("ZwAllocateVirtualMemory", 0x1000)], export_va=0x2000))
         with pytest.raises(PatternNotFound):
-            locate_unexported(parse_pe(data), "ZwAllocateVirtualMemory")
+            scan_call_push_call(parse_pe(data), "ZwAllocateVirtualMemory")
 
     def test_target_independent_of_train_position(self):
         # Re-encode the train's two calls for each placement (near-call
@@ -158,9 +156,9 @@ class TestLocateUnexported:
         # cannot reach it, the default 64-byte window can.
         image = parse_pe(kernel_image_with_train())
         with pytest.raises(PatternNotFound):
-            locate_unexported(image, "ZwAllocateVirtualMemory", window=16)
-        assert locate_unexported(image, "ZwAllocateVirtualMemory",
-                                 window=64) == 0x00406882
+            scan_call_push_call(image, "ZwAllocateVirtualMemory", window=16)
+        assert scan_call_push_call(image, "ZwAllocateVirtualMemory",
+                                   window=64)[1] == 0x00406882
 
     def test_anchor_must_resolve_to_export(self):
         # Same train, but the export table points elsewhere: no anchor.
@@ -174,7 +172,7 @@ class TestLocateUnexported:
             exports=[("ZwAllocateVirtualMemory", 0x4000)],
             export_va=0x6000))
         with pytest.raises(PatternNotFound):
-            locate_unexported(parse_pe(data), "ZwAllocateVirtualMemory")
+            scan_call_push_call(parse_pe(data), "ZwAllocateVirtualMemory")
 
 
 class TestValidateFunction:

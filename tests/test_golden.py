@@ -1,8 +1,10 @@
 """Byte-for-byte gate on the shipped PoC transcripts and scanner output.
 
 ``tests/golden/`` holds the plain and JSON output of ``duqusim run`` for
-both generated PoC scenarios.  Any change to what the simulator logs, or
-to how a log line is rendered, shows up here first.  It also holds
+both generated PoC scenarios and for the fleet-shaped one, whose two
+watched processes each re-verify their own entrypoint on every load.  Any
+change to what the simulator logs, or to how a log line is rendered, shows
+up here first.  It also holds
 ``scan_fixtures.txt``: ``duqusim scan`` of every file ``make-fixtures``
 writes, with and without an anchor export, so a change to the parser's
 section reads shows up in the scanner's findings.  And it holds
@@ -33,7 +35,7 @@ from test_detection_matrix import KNOBS, matrix_row
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("scenario", ["poc_duqu_attack", "duqu_unopposed"])
+@pytest.mark.parametrize("scenario", ["poc_duqu_attack", "duqu_unopposed", "fleet_shaped"])
 @pytest.mark.parametrize("fmt, suffix", [("plain", "txt"), ("json", "jsonl")])
 def test_run_matches_golden_transcript(fixture_dir, capsys, monkeypatch,
                                        scenario, fmt, suffix):

@@ -2,7 +2,7 @@ import pytest
 
 from duqusim.cli import main
 from duqusim.fixtures import SERVICES_ENTRY_BYTES
-from duqusim.sentinel import HASH_SPAN, SentinelDriver
+from duqusim.sentinel import DISPLAY_SPAN, HASH_SPAN, SentinelDriver, _hex_bytes
 from duqusim.simkernel import (
     PERM_RWX,
     Driver,
@@ -97,6 +97,31 @@ class TestVerification:
                 "0xb8 0xbd 0x18 0x0a 0x00 0xff 0xd0 0x10") in texts
         assert "-> Terminating services.exe" in texts
 
+    @pytest.mark.parametrize("report_only", [False, True])
+    def test_change_past_the_echoed_bytes_is_mismatch(self, fixture_dir, report_only):
+        # Bytes 8-11 are compared but not echoed: the verify logs the very
+        # line memorized at creation, and the verdict still reads MISMATCH.
+        kernel, sentinel, proc = watched_process(fixture_dir, report_only=report_only)
+        record = sentinel.records[proc.pid]
+        memorized = "Entrypoint bytes at 0x01012475: 0x6a 0x70 0x68 0xe0 0x15 0x00 0x01 0xe8"
+        assert record.line == memorized
+        tail = bytes(b ^ 0xFF for b in SERVICES_ENTRY_BYTES[DISPLAY_SPAN:])
+        old = kernel.protect_memory(proc.pid, record.entrypoint + DISPLAY_SPAN,
+                                    HASH_SPAN - DISPLAY_SPAN, PERM_RWX)
+        kernel.write_memory(proc.pid, record.entrypoint + DISPLAY_SPAN, tail)
+        kernel.protect_memory(proc.pid, record.entrypoint + DISPLAY_SPAN,
+                              HASH_SPAN - DISPLAY_SPAN, old)
+        kernel.load_module(proc.pid, "shell32.dll",
+                           (fixture_dir / "shell32.dll").read_bytes(), base=0x7C9D0000)
+        texts = [t for _, t in kernel.log]
+        verify_at = len(texts) - 1 - texts[::-1].index("-> Verify services.exe process:")
+        assert texts[verify_at + 1] == memorized
+        assert sentinel.verdicts[-1] == ("shell32.dll", "MISMATCH")
+        assert texts[verify_at + 2] == "-> Checksum error !!!!"
+        assert proc.alive is report_only
+        assert texts[verify_at + 3] == ("-> Flagged services.exe (report-only)" if report_only
+                                        else "-> Terminating services.exe")
+
     def test_unwatched_pid_load_does_not_read(self, fixture_dir, monkeypatch):
         kernel = SimKernel()
         sentinel = SentinelDriver(kernel, watch=("nothing.exe",))
@@ -145,6 +170,12 @@ class TestVerification:
         assert sentinel.verdicts[-1] == ("x.dll", "MISMATCH")
         assert proc.alive
         assert any("report-only" in t for _, t in kernel.log)
+
+
+@pytest.mark.parametrize("length", range(HASH_SPAN + 1))
+def test_hex_bytes_renders_like_one_format_per_byte(length):
+    data = bytes((0x00, 0x0F, 0xF0, 0xFF, 0x7A, 0x81, 0x10, 0x09, 0xE8, 0x6A, 0x20, 0x30))
+    assert _hex_bytes(data[:length]) == " ".join(f"0x{b:02x}" for b in data[:length])
 
 
 class TestSensitivity:

@@ -352,46 +352,76 @@ class TestReentrancy:
 
 class TestPermissionFuzz:
     def test_against_shadow_model(self):
+        # Half the spans start or end within a few bytes of a region's edge,
+        # so reads that end exactly at a region's end, and reads that run one
+        # byte past it into a neighbour, a gap or a region without READ, are
+        # all drawn; each error must name the first byte the shadow refuses.
         rng = random.Random(1234)
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", exe_fixture())
-        perms_by_choice = [PERM_R, PERM_RW, PERM_RX, PERM_RWX]
-        shadow = {}  # addr -> (value, perms)
+        shadow = {}  # addr -> (value, perms, end of its region)
 
         for region in proc.regions:
             for i in range(len(region.data)):
-                shadow[region.base + i] = (region.data[i], region.perms)
-        for _ in range(6):
-            perms = rng.choice(perms_by_choice)
+                shadow[region.base + i] = (region.data[i], region.perms, region.end)
+        # Allocated one after another, so each of these abuts the next.
+        for perms in (PERM_R, PERM_RW, Perm.WRITE, PERM_RX, PERM_RWX, Perm.EXECUTE):
             size = rng.randrange(1, 0x40)
             base = kernel.allocate_memory(proc.pid, size, perms)
             for i in range(size):
-                shadow[base + i] = (0, perms)
+                shadow[base + i] = (0, perms, base + size)
 
+        def first_fault(span, needed):
+            for a in span:
+                if a not in shadow:
+                    return UnmappedAddress, a
+                if needed not in shadow[a][1]:
+                    return AccessViolation, a
+            return None
+
+        edges = sorted({r.base for r in proc.regions} | {r.end for r in proc.regions})
         lo = min(shadow) - 0x80
         hi = max(shadow) + 0x80
+        drawn = dict.fromkeys(["ends at its region's end", "one past into a neighbour",
+                               "one past into a gap", "one past into no READ"], 0)
         for _ in range(2000):
-            addr = rng.randrange(lo, hi)
             length = rng.randrange(0, 0x30)
-            span = range(addr, addr + length)
             if rng.random() < 0.5:
-                expect_ok = all(a in shadow and Perm.READ in shadow[a][1] for a in span)
+                near = rng.choice(edges) + rng.randrange(-2, 3)
+                addr = near if rng.random() < 0.5 else near - length
+            else:
+                addr = rng.randrange(lo, hi)
+            span = range(addr, addr + length)
+            needed = Perm.READ if rng.random() < 0.5 else Perm.WRITE
+            fault = first_fault(span, needed)
+            if needed is Perm.READ:
+                if length and addr in shadow and Perm.READ in shadow[addr][1]:
+                    end = shadow[addr][2]
+                    if addr + length == end:
+                        drawn["ends at its region's end"] += 1
+                    elif addr + length == end + 1:
+                        drawn["one past into a gap" if end not in shadow
+                              else "one past into a neighbour" if Perm.READ in shadow[end][1]
+                              else "one past into no READ"] += 1
                 try:
                     data = kernel.read_memory(proc.pid, addr, length)
-                    assert expect_ok
+                except (UnmappedAddress, AccessViolation) as exc:
+                    assert (type(exc), exc.addr) == fault
+                else:
+                    assert fault is None
+                    assert type(data) is bytes
                     assert list(data) == [shadow[a][0] for a in span]
-                except (UnmappedAddress, AccessViolation):
-                    assert not expect_ok
             else:
                 payload = bytes(rng.randrange(256) for _ in span)
-                expect_ok = all(a in shadow and Perm.WRITE in shadow[a][1] for a in span)
                 try:
                     kernel.write_memory(proc.pid, addr, payload)
-                    assert expect_ok
+                except (UnmappedAddress, AccessViolation) as exc:
+                    assert (type(exc), exc.addr) == fault
+                else:
+                    assert fault is None
                     for a, value in zip(span, payload):
-                        shadow[a] = (value, shadow[a][1])
-                except (UnmappedAddress, AccessViolation):
-                    assert not expect_ok
+                        shadow[a] = (value, *shadow[a][1:])
+        assert all(drawn.values()), drawn
         # no write ever landed on a WRITE-less region
         for region in proc.regions:
             if Perm.WRITE not in region.perms:
