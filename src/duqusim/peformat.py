@@ -3,8 +3,9 @@
 Implements the 32-bit subset the pipeline actually touches: machine 0x014C,
 optional-header magic 0x010B, export directory (index 0) and base-relocation
 directory (index 5), HIGHLOW fixups only.  Everything is plain ``struct``
-over byte buffers; there is no global state, so every function here is safe
-to call concurrently.  The injector, the kernel and the scanner share its
+over byte buffers.  The one module state is :func:`parse_headers`' memo
+of decoded header blocks, which holds bytes and decoded headers, never a
+kernel.  The injector, the kernel and the scanner share its
 entrypoint-hook and call / push 104h / call codecs.
 
 An image comes from one of two places:
@@ -110,6 +111,8 @@ _SECTION = struct.Struct("<8sIIII12xI")
 
 # The first chunk of an export name read outside the directory's span.
 _CSTRING_CHUNK = 64
+HEADER_MEMO_ENTRIES = 64   # header blocks parse_headers keeps decoded
+HEADER_MEMO_BLOCK = 4096   # a longer block is decoded on every call
 
 # Non-blocking, so opening a FIFO returns at once and it is refused.
 _OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
@@ -576,23 +579,46 @@ def parse_pe(data: bytes) -> PeImage:
     return image
 
 
+# Header bytes -> the DOS header, NT headers, sections and headers_end
+# parse_headers decoded from them, oldest first.
+_header_memo: dict[bytes, tuple[DosHeader, NtHeaders, list[Section], int]] = {}
+
+
 def parse_headers(data: bytes) -> PeImage:
     """Parse only DOS/NT headers and the section table.
 
     Intended for header bytes read out of a mapped module where the rest
     of the image is not at hand.  Directories are left undecoded and the
     result uses the mapped layout.
+
+    Decodes are kept by content: equal header bytes share one decoded DOS
+    header, NT headers and section list, in a memo of at most
+    ``HEADER_MEMO_ENTRIES`` blocks of at most ``HEADER_MEMO_BLOCK`` bytes,
+    evicting the oldest first.  Each call still returns a fresh
+    :class:`PeImage`, and an error is never kept, so it raises again.
     """
-    return _decode_headers(data, "mapped")
+    key = bytes(data)
+    decoded = _header_memo.get(key)
+    if decoded is None:
+        image = _decode_headers(key, "mapped")
+        if len(key) <= HEADER_MEMO_BLOCK:
+            if len(_header_memo) >= HEADER_MEMO_ENTRIES:
+                del _header_memo[next(iter(_header_memo))]
+            _header_memo[key] = (image.dos, image.nt, image.sections, image.headers_end)
+        return image
+    dos, nt, sections, headers_end = decoded
+    return PeImage(dos, nt, sections, None, [], key, "mapped", headers_end=headers_end)
 
 
 def read_headers(read: Reader) -> PeImage:
     """Headers and section table of a module mapped in memory.
 
     Reads the DOS header, then exactly the NT headers and the section
-    table, each through ``read(rva, n)``, and decodes them with
-    :func:`parse_headers`.  The image keeps ``read`` for
-    :func:`section_data`; its ``raw`` is the header bytes.
+    table, each through ``read(rva, n)``, on every call, and decodes them
+    with :func:`parse_headers`, so header bytes it has decoded before are
+    not decoded again and a changed header byte is decoded afresh.  The
+    image keeps ``read`` for :func:`section_data`; its ``raw`` is the
+    header bytes.
     """
     head = read(0, E_LFANEW_OFFSET + 4)
     fh = _parse_dos(head).e_lfanew + 4
@@ -921,6 +947,8 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
 
     One open, then one ``fstat``: a missing path, a directory, a FIFO or a
     device is None.  Any other error, a denied permission say, is raised.
+    A file that still has the size ``fstat`` gave is read by one
+    ``os.read``, which asks for one byte more and comes back short.
     """
     try:
         fd = os.open(path, _OPEN_FLAGS)
@@ -934,7 +962,10 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             return None
-        parts = []
+        data = os.read(fd, st.st_size + 1)
+        if len(data) == st.st_size:  # one byte short: the whole file
+            return data
+        parts = [data]
         while part := os.read(fd, st.st_size + 1):
             parts.append(part)
         return b"".join(parts)

@@ -248,13 +248,16 @@ def parse_scenario(text: str) -> list[Command]:
                 raise ScenarioError("expect needs a pattern", line_no)
             commands.append(Command(op, [rest.strip()], {}, line_no))
             continue
-        parts = rest.split()
-        args = [p for p in parts if "=" not in p]
+        args: list[str] = []
         options: dict[str, str] = {}
-        for key, _, value in (p.partition("=") for p in parts if "=" in p):
-            if key in options:
+        for part in rest.split():
+            key, eq, value = part.partition("=")
+            if not eq:
+                args.append(part)
+            elif key in options:
                 raise ScenarioError(f"repeated option {key!r}", line_no)
-            options[key] = value
+            else:
+                options[key] = value
         syntax = COMMANDS.get(op)
         if syntax is None:
             raise ScenarioError(f"unknown command {op!r}", line_no)
@@ -265,8 +268,9 @@ def parse_scenario(text: str) -> list[Command]:
             syntax = DRIVERS.get(name)
             if syntax is None:
                 raise ScenarioError(f"unknown driver {name!r}", line_no)
+        allowed = syntax.optional + syntax.required
         for key in options:
-            if key not in syntax.optional + syntax.required:
+            if key not in allowed:
                 raise ScenarioError(f"unknown option {key!r}", line_no)
         if op == "driver" and any(c.op == op and c.args[0].lower() == name for c in commands):
             raise ScenarioError(f"driver {name!r} declared twice", line_no)

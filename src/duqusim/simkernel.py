@@ -46,6 +46,7 @@ import bisect
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -100,8 +101,12 @@ class EventKind(enum.Enum):
     PROCESS_EXIT = "PROCESS_EXIT"
     IMAGE_LOAD = "IMAGE_LOAD"
 
+    # The members are singletons, so identity hashes them; Enum.__hash__
+    # runs in Python on every handler lookup.
+    __hash__ = object.__hash__
 
-@dataclass
+
+@dataclass(slots=True)
 class NotificationEvent:
     kind: EventKind
     pid: int
@@ -178,7 +183,7 @@ class _WeakReferable:
     __slots__ = ("__weakref__",)
 
 
-@dataclass(slots=True)
+@dataclass(init=False, slots=True)
 class MemoryRegion(_WeakReferable):
     """A mapped span.  Slotted, as a run makes thousands of them; a weak
     reference shows when one is freed.  ``data`` is a bytearray of its
@@ -189,12 +194,18 @@ class MemoryRegion(_WeakReferable):
     data: bytearray | memoryview
     perms: Perm
     tag: str
-    code: Optional[Callable[[int], None]] = None  # run with the pid on entry
+    code: Optional[Callable[[int], None]]  # run with the pid on entry
     # A region's length never changes, so its end is set once.
-    end: int = field(init=False, repr=False, compare=False)
+    end: int = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.end = self.base + len(self.data)
+    def __init__(self, base: int, data: bytearray | memoryview, perms: Perm, tag: str,
+                 code: Optional[Callable[[int], None]] = None) -> None:
+        self.base = base
+        self.data = data
+        self.perms = perms
+        self.tag = tag
+        self.code = code
+        self.end = base + len(data)
 
     def writable(self) -> bytearray:
         """The region's bytes, made its own on the first call."""
@@ -244,7 +255,7 @@ class SimProcess:
         regions = self.regions
         i = max(bisect.bisect_right(regions, base, key=_region_base) - 1, 0)
         end = base + size
-        for region in regions[i:]:
+        for region in islice(regions, i, None):
             if region.base >= end:
                 break
             if region.end > base:
@@ -259,8 +270,11 @@ class SimProcess:
     def insert_regions(self, base: int, size: int, regions: list[MemoryRegion]) -> None:
         """Splice ``regions``, sorted, disjoint and inside the free span
         ``[base, base + size)``, into the region list in one step."""
-        assert all(a.end <= b.base for a, b in zip(regions, regions[1:])), "regions unsorted"
-        assert base <= regions[0].base and regions[-1].end <= base + size, "region outside span"
+        end = base  # the span's base, then the end of the last region checked
+        for region in regions:
+            assert end <= region.base, "region unsorted, overlapping or before the span"
+            end = region.end
+        assert end <= base + size, "region past the span"
         assert self.span_free(base, size), "region overlap"
         i = bisect.bisect_left(self.regions, base + size, key=_region_base)
         self.regions[i:i] = regions

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -113,3 +114,68 @@ def boot_kernel(fixture_dir, *, sentinel_first=True, with_sentinel=True,
                        (fixture_dir / "ntoskrnl.exe").read_bytes(), base=0x00400000)
     kernel.load_module(system.pid, "hal.dll", (fixture_dir / "hal.dll").read_bytes())
     return kernel, drivers
+
+
+def _page_align(value: int) -> int:
+    return (value + 0xFFF) & ~0xFFF
+
+
+def random_pe32(rng: random.Random) -> bytes:
+    """Small randomized PE32 for parser and scanner soundness tests.
+
+    Section contents are arbitrary bytes; the entry point is kept clear of
+    the mov/call hook shape so a generated image never looks injected.
+    """
+    from duqusim.pebuild import (
+        CODE_SECTION,
+        DATA_SECTION,
+        RODATA_SECTION,
+        PeSpec,
+        SectionDef,
+        build_pe32,
+        reloc_block,
+    )
+
+    n_sections = rng.randint(1, 3)
+    sections = []
+    va = 0x1000
+    for i in range(n_sections):
+        size = rng.randrange(0x40, 0x400)
+        data = bytes(rng.randrange(256) for _ in range(size))
+        characteristics = CODE_SECTION if i == 0 else rng.choice(
+            [CODE_SECTION, DATA_SECTION, RODATA_SECTION])
+        sections.append(SectionDef(f".s{i}", va, data, characteristics))
+        va += _page_align(size) + rng.choice([0, 0x1000])
+    entry_section = sections[0]
+    entry_off = rng.randrange(0, max(1, len(entry_section.data) - 8))
+    entry = bytearray(entry_section.data)
+    if entry[entry_off] == 0xB8:
+        entry[entry_off] = 0x90
+    entry_section.data = bytes(entry)
+
+    relocations = []
+    reloc_va = 0
+    if rng.random() < 0.5:
+        page = entry_section.va & ~0xFFF
+        offsets = sorted(rng.sample(range(0, min(0xFFC, len(entry_section.data))),
+                                    k=rng.randint(1, 3)))
+        relocations = [reloc_block(page, [entry_section.va - page + o for o in offsets
+                                          if entry_section.va - page + o < 0x1000])]
+        reloc_va = _page_align(va)
+        va = reloc_va + 0x1000
+    exports = None
+    export_va = 0
+    if rng.random() < 0.5:
+        exports = [(f"Fn{i}_{rng.randrange(1000)}".encode(), rng.randrange(0x1000, va))
+                   for i in range(rng.randint(1, 4))]
+        export_va = _page_align(va)
+    return build_pe32(PeSpec(
+        image_base=rng.choice([0x00400000, 0x10000000, 0x01000000]),
+        entry_rva=entry_section.va + entry_off,
+        sections=sections,
+        exports=exports,
+        export_va=export_va,
+        relocations=relocations,
+        reloc_va=reloc_va,
+        dll=rng.random() < 0.5,
+    ))

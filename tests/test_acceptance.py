@@ -14,7 +14,6 @@ import pytest
 from duqusim.cli import main
 from duqusim.duqu import PatternNotFound, scan_call_push_call
 from duqusim.fixtures import SERVICES_ENTRY_BYTES
-from duqusim.pebuild import random_pe32
 from duqusim.peformat import (
     apply_relocations,
     assemble_mapped,
@@ -39,7 +38,7 @@ from duqusim.simkernel import (
 )
 from duqusim.pebuild import reloc_block
 
-from conftest import boot_kernel
+from conftest import boot_kernel, random_pe32
 from oracles import apply_relocations_oracle, ror13_oracle
 
 HOOK = bytes([0xB8, 0xBD, 0x18, 0x0A, 0x00, 0xFF, 0xD0])

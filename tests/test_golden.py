@@ -48,6 +48,23 @@ def test_run_matches_golden_transcript(fixture_dir, capsys, monkeypatch,
     check_kernel(result.kernel)
 
 
+def test_transcripts_do_not_depend_on_event_kind_hashes(fixture_dir, capsys, monkeypatch):
+    """``EventKind`` hashes by identity, so a set of kinds may iterate in a
+    different order in each process.  Both orders give the pinned output."""
+    kinds = list(simkernel.EventKind)
+    orders = []
+    for ranks in (kinds, kinds[::-1]):
+        monkeypatch.setattr(simkernel.EventKind, "__hash__",
+                            lambda kind, ranks=ranks: ranks.index(kind) + 1)
+        orders.append(list(set(kinds)))
+        for scenario in ("poc_duqu_attack", "duqu_unopposed", "fleet_shaped"):
+            monkeypatch.setenv("SENTINEL_LOG_FORMAT", "plain")
+            assert main(["run", str(fixture_dir / f"{scenario}.scenario")]) == 0
+            assert capsys.readouterr().out.encode("utf-8") == (
+                GOLDEN / f"{scenario}.txt").read_bytes(), (scenario, orders[-1])
+    assert orders[0] != orders[1]
+
+
 @pytest.mark.parametrize("scenario, other", [("poc_duqu_attack", "duqu_unopposed"),
                                              ("duqu_unopposed", "poc_duqu_attack")])
 def test_transcripts_match_golden_cold_and_warm(fixture_dir, tmp_path, capsys, monkeypatch,

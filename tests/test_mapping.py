@@ -20,7 +20,6 @@ from duqusim.pebuild import (
     PeSpec,
     SectionDef,
     build_pe32,
-    random_pe32,
     reloc_block,
 )
 from duqusim.peformat import (
@@ -53,7 +52,7 @@ from duqusim.simkernel import (
     SimProcess,
 )
 
-from conftest import boot_kernel, displaced_headers_image, small_image
+from conftest import boot_kernel, displaced_headers_image, random_pe32, small_image
 from oracles import assemble_mapped_oracle, loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",

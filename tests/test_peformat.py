@@ -38,12 +38,12 @@ from duqusim.pebuild import (
     PeSpec,
     SectionDef,
     build_pe32,
-    random_pe32,
     reloc_block,
 )
 from duqusim.scan import scan_pe
 from duqusim.scenario import run_scenario
 
+from conftest import random_pe32
 from oracles import (
     apply_relocations_oracle,
     dump_pe_oracle,

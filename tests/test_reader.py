@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from duqusim import peformat
 from duqusim.duqu import DuquDriver, default_mask
 from duqusim.fixtures import FIXTURE_BUILDERS
 from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
@@ -254,6 +255,98 @@ class TestHashIndex:
         with pytest.raises(AmbiguousHash, match=f"^{h:#010x} matches multiple exports: "
                                                 f"{re.escape(names)}$"):
             find_export_by_hash(image, h)
+
+
+
+ENTRY_FIELD = 0x28  # AddressOfEntryPoint, from the NT signature
+
+
+class TestHeaderMemo:
+    """``parse_headers`` keeps decodes by header bytes, and no more."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """A fresh memo; the header blocks decoded in the mapped layout."""
+        decoded = []
+
+        def decode(data, layout):
+            if layout == "mapped":
+                decoded.append(bytes(data))
+            return real(data, layout)
+
+        real = peformat._decode_headers
+        monkeypatch.setattr(peformat, "_header_memo", {})
+        monkeypatch.setattr(peformat, "_decode_headers", decode)
+        return decoded
+
+    def test_equal_header_bytes_decode_once(self, fixture_bytes, decodes):
+        data = fixture_bytes("kernel32.dll")
+        kernel = SimKernel()
+        a = kernel.create_process("a.exe", data)
+        b = kernel.create_process("b.exe", data, base=a.image_base + REBASE_BY)
+        images = [read_headers(kernel.image_reader(p.pid, p.image_base))
+                  for p in (a, b, a, b)]
+        assert decodes == [images[0].raw]
+        expected = parse_pe(data)
+        assert all((i.dos, i.nt, i.sections, i.headers_end, i.layout, i.exports)
+                   == (expected.dos, expected.nt, expected.sections, expected.headers_end,
+                       "mapped", None) for i in images)
+
+    def test_results_are_independent(self, fixture_bytes, decodes):
+        read = mapped(fixture_bytes("kernel32.dll"))[3]
+        first, second = read_headers(read), read_headers(read)
+        assert first is not second and len(decodes) == 1
+        first.read = None
+        first.exports = read_module(read).exports
+        assert second.read is read and second.exports is None
+        assert second.relocations == [] and first.relocations is not second.relocations
+
+    def test_header_write_is_read_back(self, fixture_bytes, decodes):
+        kernel, pid, at, read = mapped(fixture_bytes("services.exe"))
+        before = read_headers(read)
+        entry = before.nt.entry_point_rva + 0x10
+        patch(kernel, pid, at + before.dos.e_lfanew + ENTRY_FIELD, struct.pack("<I", entry))
+        after = read_headers(read)
+        assert after.nt.entry_point_rva == entry != before.nt.entry_point_rva
+        assert read_headers(read).nt.entry_point_rva == entry
+        assert len(decodes) == 2 and before.nt.entry_point_rva == entry - 0x10
+
+    def test_malformed_header_raises_every_time_and_is_never_kept(self, fixture_bytes,
+                                                                   decodes):
+        head = bytearray(mapped(fixture_bytes("services.exe"))[3](0, 0x400))
+        head[struct.unpack_from("<I", head, 0x3C)[0]] ^= 0xFF  # the signature
+        errors = []
+        for _ in range(3):
+            with pytest.raises(NotPe) as caught:
+                peformat.parse_headers(bytes(head))
+            errors.append(str(caught.value))
+        assert len(set(errors)) == 1 and len(decodes) == 3
+        assert peformat._header_memo == {}
+
+    def test_long_block_not_kept_and_memo_bounded(self, fixture_bytes, decodes):
+        head = read_headers(mapped(fixture_bytes("services.exe"))[3]).raw
+        long = head + bytes(peformat.HEADER_MEMO_BLOCK + 1 - len(head))
+        peformat._header_memo.clear()
+        del decodes[:]
+        assert peformat.parse_headers(long) == peformat.parse_headers(long)
+        assert decodes == [long, long] and peformat._header_memo == {}
+        at_limit = head + bytes(peformat.HEADER_MEMO_BLOCK - len(head))
+        peformat.parse_headers(at_limit)
+        assert list(peformat._header_memo) == [at_limit]
+        image_base = struct.unpack_from("<I", head, 0x3C)[0] + 0x34
+        blocks = []
+        for i in range(peformat.HEADER_MEMO_ENTRIES + 6):
+            block = bytearray(head)
+            struct.pack_into("<I", block, image_base, 0x01000000 + i * 0x10000)
+            blocks.append(bytes(block))
+            assert peformat.parse_headers(block).nt.image_base == 0x01000000 + i * 0x10000
+            assert len(peformat._header_memo) <= peformat.HEADER_MEMO_ENTRIES
+        # The oldest go first: the block at the limit, then the first six.
+        assert list(peformat._header_memo) == blocks[6:]
+        del decodes[:]
+        peformat.parse_headers(blocks[-1])
+        peformat.parse_headers(blocks[0])
+        assert decodes == [blocks[0]]
 
 
 def boot(fixture_bytes, ntoskrnl: bytes, tamper: Driver | None = None):

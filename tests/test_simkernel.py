@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -24,6 +25,7 @@ from duqusim.simkernel import (
     NoSuchDevice,
     NoSuchProcess,
     NotSimulated,
+    NotificationEvent,
     Perm,
     SimKernel,
     SimProcess,
@@ -826,3 +828,32 @@ class TestRunEntrypoint:
         kernel.terminate_process(proc.pid)
         with pytest.raises(NoSuchProcess):
             kernel.run_entrypoint(proc.pid)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("data", [bytearray(b"\x01\x02\x03"),
+                                      memoryview(b"\x01\x02\x03").toreadonly()],
+                             ids=["bytearray", "view"])
+    def test_memory_region_end_eq_repr_and_weakref(self, data):
+        region = MemoryRegion(0x1000, data, PERM_RX, "image:a.dll")
+        assert region.end == 0x1003
+        assert region == MemoryRegion(base=0x1000, data=bytearray(b"\x01\x02\x03"),
+                                      perms=PERM_RX, tag="image:a.dll", code=None)
+        assert region != MemoryRegion(0x1000, data, PERM_RX, "image:a.dll", print)
+        assert region != MemoryRegion(0x1001, data, PERM_RX, "image:a.dll")
+        assert repr(region) == (f"MemoryRegion(base=4096, data={data!r}, "
+                                f"perms={PERM_RX!r}, tag='image:a.dll', code=None)")
+        assert not hasattr(region, "__dict__")
+        ref = weakref.ref(region)
+        assert ref() is region
+        del region
+        assert ref() is None
+
+    def test_event_kind_hashes_by_identity(self):
+        assert EventKind.__hash__ is object.__hash__
+        assert hash(EventKind.IMAGE_LOAD) == object.__hash__(EventKind.IMAGE_LOAD)
+        event = NotificationEvent(EventKind.IMAGE_LOAD, 4, "x", 5)
+        assert not hasattr(event, "__dict__")
+        assert repr(event) == ("NotificationEvent(kind=<EventKind.IMAGE_LOAD: 'IMAGE_LOAD'>, "
+                               "pid=4, module_name='x', base=5)")
+
