@@ -5,8 +5,9 @@ optional-header magic 0x010B, export directory (index 0) and base-relocation
 directory (index 5), HIGHLOW fixups only.  Everything is plain ``struct``
 over byte buffers.  The one module state is :func:`parse_headers`' memo
 of decoded header blocks, which holds bytes and decoded headers, never a
-kernel.  The injector, the kernel and the scanner share its
-entrypoint-hook and call / push 104h / call codecs.
+kernel; the header records are named tuples, so no caller can change a
+decode that other images share.  The injector, the kernel and the
+scanner share its entrypoint-hook and call / push 104h / call codecs.
 
 An image comes from one of two places:
 
@@ -180,14 +181,12 @@ class PatternNotFound(Exception):
     """No call / push 104h / call train is anchored at the export."""
 
 
-@dataclass
-class DosHeader:
+class DosHeader(NamedTuple):
     e_magic: int
     e_lfanew: int
 
 
-@dataclass
-class NtHeaders:
+class NtHeaders(NamedTuple):
     signature: int
     machine: int
     number_of_sections: int
@@ -195,7 +194,7 @@ class NtHeaders:
     entry_point_rva: int
     image_base: int
     size_of_image: int
-    data_directories: list[tuple[int, int]] = field(default_factory=list)
+    data_directories: tuple[tuple[int, int], ...] = ()
 
     def directory(self, index: int) -> tuple[int, int]:
         if index < len(self.data_directories):
@@ -203,8 +202,7 @@ class NtHeaders:
         return (0, 0)
 
 
-@dataclass
-class Section:
+class Section(NamedTuple):
     name: str
     virtual_address: int
     virtual_size: int
@@ -239,7 +237,7 @@ class RelocationBlock:
 class PeImage:
     dos: DosHeader
     nt: NtHeaders
-    sections: list[Section]
+    sections: tuple[Section, ...]
     exports: ExportTable | None
     relocations: list[RelocationBlock]
     raw: bytes  # the whole file, or only the headers of a mapped module
@@ -323,7 +321,7 @@ def _parse_dos(data: bytes) -> DosHeader:
         raise NotMz("no 'MZ' at offset 0")
     if e_lfanew < 64:
         raise NotPe(f"e_lfanew {e_lfanew:#x} overlaps the DOS header")
-    return DosHeader(e_magic=MZ_MAGIC, e_lfanew=e_lfanew)
+    return DosHeader(MZ_MAGIC, e_lfanew)
 
 
 def _check_nt(fields: tuple[int, ...], known: int = len(_NT_FIELDS)) -> None:
@@ -386,11 +384,11 @@ def _parse_nt(data: bytes, e_lfanew: int) -> tuple[NtHeaders, int]:
         raise Truncated(f"dword at {first_short:#x} past end of buffer")
     nt = NtHeaders(signature, machine, number_of_sections, optional_magic,
                    entry_point_rva, image_base, size_of_image,
-                   list(_DIRECTORY.iter_unpack(data[table:end])))
+                   tuple(_DIRECTORY.iter_unpack(data[table:end])))
     return nt, e_lfanew + 4 + FILE_HEADER_SIZE + size_of_optional
 
 
-def _parse_sections(data: bytes, table_off: int, count: int) -> list[Section]:
+def _parse_sections(data: bytes, table_off: int, count: int) -> tuple[Section, ...]:
     end = table_off + SECTION_HEADER_SIZE * count
     if end > len(data):
         raise Truncated("section table past end of buffer")
@@ -401,7 +399,7 @@ def _parse_sections(data: bytes, table_off: int, count: int) -> list[Section]:
     for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
         if lo2 < hi1:
             raise NotPe("section RVA ranges overlap")
-    return sections
+    return tuple(sections)
 
 
 def _file_run(image: PeImage, rva: int) -> tuple[int, int]:
@@ -581,7 +579,7 @@ def parse_pe(data: bytes) -> PeImage:
 
 # Header bytes -> the DOS header, NT headers, sections and headers_end
 # parse_headers decoded from them, oldest first.
-_header_memo: dict[bytes, tuple[DosHeader, NtHeaders, list[Section], int]] = {}
+_header_memo: dict[bytes, tuple[DosHeader, NtHeaders, tuple[Section, ...], int]] = {}
 
 
 def parse_headers(data: bytes) -> PeImage:
@@ -592,8 +590,8 @@ def parse_headers(data: bytes) -> PeImage:
     result uses the mapped layout.
 
     Decodes are kept by content: equal header bytes share one decoded DOS
-    header, NT headers and section list, in a memo of at most
-    ``HEADER_MEMO_ENTRIES`` blocks of at most ``HEADER_MEMO_BLOCK`` bytes,
+    header, NT headers and section tuple, all immutable, in a memo of at
+    most ``HEADER_MEMO_ENTRIES`` blocks of at most ``HEADER_MEMO_BLOCK`` bytes,
     evicting the oldest first.  Each call still returns a fresh
     :class:`PeImage`, and an error is never kept, so it raises again.
     """
@@ -947,8 +945,6 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
 
     One open, then one ``fstat``: a missing path, a directory, a FIFO or a
     device is None.  Any other error, a denied permission say, is raised.
-    A file that still has the size ``fstat`` gave is read by one
-    ``os.read``, which asks for one byte more and comes back short.
     """
     try:
         fd = os.open(path, _OPEN_FLAGS)
@@ -962,10 +958,7 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             return None
-        data = os.read(fd, st.st_size + 1)
-        if len(data) == st.st_size:  # one byte short: the whole file
-            return data
-        parts = [data]
+        parts = []
         while part := os.read(fd, st.st_size + 1):
             parts.append(part)
         return b"".join(parts)

@@ -183,7 +183,7 @@ class _WeakReferable:
     __slots__ = ("__weakref__",)
 
 
-@dataclass(init=False, slots=True)
+@dataclass(slots=True)
 class MemoryRegion(_WeakReferable):
     """A mapped span.  Slotted, as a run makes thousands of them; a weak
     reference shows when one is freed.  ``data`` is a bytearray of its
@@ -194,18 +194,12 @@ class MemoryRegion(_WeakReferable):
     data: bytearray | memoryview
     perms: Perm
     tag: str
-    code: Optional[Callable[[int], None]]  # run with the pid on entry
+    code: Optional[Callable[[int], None]] = None  # run with the pid on entry
     # A region's length never changes, so its end is set once.
-    end: int = field(repr=False, compare=False)
+    end: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, base: int, data: bytearray | memoryview, perms: Perm, tag: str,
-                 code: Optional[Callable[[int], None]] = None) -> None:
-        self.base = base
-        self.data = data
-        self.perms = perms
-        self.tag = tag
-        self.code = code
-        self.end = base + len(data)
+    def __post_init__(self) -> None:
+        self.end = self.base + len(self.data)
 
     def writable(self) -> bytearray:
         """The region's bytes, made its own on the first call."""

@@ -245,7 +245,7 @@ def _parse_nt_oracle(data: bytes, e_lfanew: int):
                    number_of_sections=number_of_sections,
                    optional_magic=optional_magic, entry_point_rva=entry_point_rva,
                    image_base=image_base, size_of_image=size_of_image,
-                   data_directories=list(zip(flat[::2], flat[1::2])))
+                   data_directories=tuple(zip(flat[::2], flat[1::2])))
     return nt, oh + size_of_optional
 
 
@@ -264,7 +264,7 @@ def _parse_sections_oracle(data: bytes, table_off: int, count: int):
     for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
         if lo2 < hi1:
             raise NotPe("section RVA ranges overlap")
-    return sections
+    return tuple(sections)
 
 
 def file_reader_oracle(image):

@@ -733,8 +733,8 @@ class TestDirectoryArray:
         data = fixture_bytes("kernel32.dll")
         oh = struct.unpack_from("<I", data, 60)[0] + 24
         image = parse_pe(data)
-        assert image.nt.data_directories == [
-            struct.unpack_from("<II", data, oh + 96 + 8 * i) for i in range(16)]
+        assert image.nt.data_directories == tuple(
+            struct.unpack_from("<II", data, oh + 96 + 8 * i) for i in range(16))
 
     def test_short_buffer_names_the_first_missing_dword(self, fixture_bytes):
         data = fixture_bytes("kernel32.dll")

@@ -301,6 +301,25 @@ class TestHeaderMemo:
         assert second.read is read and second.exports is None
         assert second.relocations == [] and first.relocations is not second.relocations
 
+    def test_shared_decode_cannot_be_changed(self, fixture_bytes, decodes):
+        data = fixture_bytes("kernel32.dll")
+        read = mapped(data)[3]
+        first = read_headers(read)
+        for record, name in ((first.dos, "e_lfanew"), (first.nt, "entry_point_rva"),
+                             (first.nt, "data_directories"), (first.sections[0], "raw_size")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(TypeError):
+            first.nt.data_directories[0] = (0, 0)
+        with pytest.raises(TypeError):
+            first.sections[0] = first.sections[-1]
+        first.sections = ()  # the image's own field, not the shared decode
+        second = read_headers(read)
+        expected = parse_pe(data)
+        assert len(decodes) == 1 and second.nt is first.nt
+        assert (second.dos, second.nt, second.sections) == (expected.dos, expected.nt,
+                                                            expected.sections)
+
     def test_header_write_is_read_back(self, fixture_bytes, decodes):
         kernel, pid, at, read = mapped(fixture_bytes("services.exe"))
         before = read_headers(read)
