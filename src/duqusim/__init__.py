@@ -17,7 +17,6 @@ from .peformat import (
     resolve_near_call,
     restore_headers,
     ror13_hash,
-    rva_to_offset,
     strip_headers,
 )
 from .simkernel import (
@@ -40,8 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PeError", "PeImage", "apply_relocations", "encode_near_call",
     "find_export_by_hash", "find_export_by_name", "parse_pe",
-    "resolve_near_call", "restore_headers", "ror13_hash", "rva_to_offset",
-    "strip_headers",
+    "resolve_near_call", "restore_headers", "ror13_hash", "strip_headers",
     "DeviceRequest", "Driver", "EventKind", "NotificationEvent", "Perm",
     "SimError", "SimKernel",
     "DuquDriver", "InjectionConfig", "IntegrityMask", "decrypt_blob",

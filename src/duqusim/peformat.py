@@ -11,24 +11,25 @@ scanner share its entrypoint-hook and call / push 104h / call codecs.
 
 An image comes from one of two places:
 
-* file bytes - :func:`parse_pe` decodes a whole on-disk image; RVAs
-  translate to file offsets through the section table.
+* file bytes - :func:`parse_pe` decodes a whole on-disk image, reading
+  its directories where a loader maps them.
 * a module mapped in memory - :func:`read_headers` and :func:`read_module`
   decode it through a ``read(rva, n)`` callable, reading only the
   headers, the directories and, on demand, the executable sections.
 
 Both decode the export and relocation directories with the same code,
 through a ``read(rva, n)`` that returns exactly ``n`` bytes or raises.
-A file image is read by RVA too (:func:`_read_file`): a read leaving a
-section's span goes on where the next RVA maps, or raises what that RVA
-raises.  The headers are decoded with precompiled structs: one unpack
-for the DOS header's two fields, one for the nine fixed NT fields,
-``iter_unpack`` for the data directories and the section table.  A
-buffer too short for the fixed NT fields goes to :func:`_nt_cut_short`,
-which raises what a field-by-field decode raises.  An export name
-outside the directory's span is read in growing chunks
-(:func:`_read_cstring`), with the result, or the error, of a
-byte-by-byte read.
+A file image's reader (:func:`_read_file`) returns what the loader maps:
+file bytes, then zeros in a section's virtual tail, and
+:class:`OutOfImage` at a byte in a gap or past the image.  The headers
+are decoded with precompiled structs: one unpack for the DOS header's
+two fields, one for the nine fixed NT fields, ``iter_unpack`` for the
+data directories and the section table.  A buffer too short for the
+fixed NT fields goes to :func:`_nt_cut_short`, which raises what a
+field-by-field decode raises.  An optional header too short for its
+fixed fields and directories is refused.  An export name outside the
+directory's span is read in growing chunks (:func:`_read_cstring`),
+with the result, or the error, of a byte-by-byte read.
 
 A file image's loader layout is a list of :class:`MapSpan`, built once per
 image by :func:`mapped_spans`: the headers and each mapped section, with
@@ -379,13 +380,16 @@ def _parse_nt(data: bytes, e_lfanew: int) -> tuple[NtHeaders, int]:
      entry_point_rva, image_base, size_of_image, dir_count) = fields
     table = e_lfanew + _NT.size
     end = table + 8 * min(dir_count, 16)
+    optional_end = e_lfanew + 4 + FILE_HEADER_SIZE + size_of_optional
+    if end > optional_end:
+        raise NotPe(f"optional header fields run to {end:#x}, past its end at {optional_end:#x}")
     if end > len(data):
         first_short = table + 4 * ((len(data) - table) // 4)
         raise Truncated(f"dword at {first_short:#x} past end of buffer")
     nt = NtHeaders(signature, machine, number_of_sections, optional_magic,
                    entry_point_rva, image_base, size_of_image,
                    tuple(_DIRECTORY.iter_unpack(data[table:end])))
-    return nt, e_lfanew + 4 + FILE_HEADER_SIZE + size_of_optional
+    return nt, optional_end
 
 
 def _parse_sections(data: bytes, table_off: int, count: int) -> tuple[Section, ...]:
@@ -402,52 +406,26 @@ def _parse_sections(data: bytes, table_off: int, count: int) -> tuple[Section, .
     return tuple(sections)
 
 
-def _file_run(image: PeImage, rva: int) -> tuple[int, int]:
-    """File offsets ``[start, end)`` that ``rva`` and the RVAs after it map to.
-
-    The run ends where the headers region or the virtual span of the
-    section holding ``rva`` ends; ``end`` may lie past the file.
-    """
-    first_va = min(s.virtual_address for s in image.sections)
-    if rva < first_va:
-        return rva, first_va
-    for s in image.sections:
-        if s.virtual_address <= rva < s.virtual_address + s.virtual_span:
-            return s.raw_offset + (rva - s.virtual_address), s.raw_offset + s.virtual_span
-    raise OutOfImage(f"rva {rva:#x} in no section")
-
-
-def rva_to_offset(image: PeImage, rva: int) -> int:
-    """Map an RVA to an offset in a file image's bytes.
-
-    The headers region (below the first section RVA) maps identically.
-    """
-    return _file_run(image, rva)[0]
-
-
 def _read_file(image: PeImage, rva: int, n: int) -> bytes:
     """The :data:`Reader` of a file image: ``n`` bytes from ``rva`` on.
 
-    Read one :func:`_file_run` at a time, each from the file offset its
-    first RVA maps to, so a read leaving a section's span goes on where the
-    next RVA maps, or raises what that RVA raises.  As in a mapping, no
-    byte lies at or past ``size_of_image``, so a read returns at most that
-    many bytes, however many sections share the same file bytes.
+    What :func:`mapped_bytes` returns, but a read reaching a byte that no
+    :func:`mapped_spans` span covers, in a gap or at or past
+    ``size_of_image``, raises :class:`OutOfImage` naming that byte.
     """
-    raw = image.raw
-    size = image.nt.size_of_image
-    parts = []
-    at, stop = rva, rva + n
-    while at < stop:
+    data = _section_bytes(image, rva, n)
+    if data is not None:
+        return data
+    at = rva
+    for span in mapped_spans(image):  # sorted and disjoint: the run covered from rva
+        if span.rva <= at < span.rva + span.span:
+            at = span.rva + span.span
+    if at < rva + n:
+        size = image.nt.size_of_image
         if at >= size:
             raise OutOfImage(f"rva {at:#x} past size_of_image {size:#x}")
-        start, end = _file_run(image, at)
-        take = min(stop - at, end - start, size - at)
-        if start + take > len(raw):
-            raise Truncated(f"{n:#x} bytes at rva {rva:#x} past end of buffer")
-        parts.append(raw[start:start + take])
-        at += take
-    return b"".join(parts)
+        raise OutOfImage(f"rva {at:#x} in no section")
+    return mapped_bytes(image, rva, n)
 
 
 def _read_cstring(read: Reader, rva: int) -> bytes:
@@ -565,7 +543,8 @@ def parse_pe(data: bytes) -> PeImage:
     """Parse PE32 file bytes into a :class:`PeImage`.
 
     Section raw data is validated against the buffer; the directories are
-    read through the section table.
+    read by :func:`_read_file`, as the loader maps them, so they decode as
+    :func:`read_module` decodes them from the mapping.
     """
     image = _decode_headers(data, "file")
     for s in image.sections:
@@ -864,24 +843,34 @@ def mapped_spans(image: PeImage) -> list[MapSpan]:
     return image.spans
 
 
+def _section_bytes(image: PeImage, rva: int, n: int) -> bytes | None:
+    """``n`` mapped bytes from ``rva`` if one section's mapped span holds
+    them all, else None: its file bytes, then zeros."""
+    size = image.nt.size_of_image
+    for s in image.sections:
+        lo = rva - s.virtual_address
+        if 0 <= lo and lo + n <= min(s.virtual_span, size - s.virtual_address):
+            end = s.raw_offset + min(lo + n, s.raw_size)
+            return image.raw[s.raw_offset + lo:end].ljust(n, b"\x00")  # one allocation
+    return None
+
+
 def mapped_bytes(image: PeImage, rva: int, n: int) -> bytes:
     """``n`` bytes from ``rva`` of a file image, as a loader maps them.
 
     The bytes each of :func:`mapped_spans` copies from the file; anything
     else, a gap, a virtual tail or a byte past the image, reads as zero.
+    Most reads lie in one section's span and build no span list.
     """
-    size = image.nt.size_of_image
-    for s in image.sections:  # most reads lie in one section's span: file bytes, then zeros
-        lo = rva - s.virtual_address
-        if 0 <= lo and lo + n <= min(s.virtual_span, size - s.virtual_address):
-            end = s.raw_offset + min(lo + n, s.raw_size)
-            return image.raw[s.raw_offset + lo:end].ljust(n, b"\x00")  # one allocation
-    out = bytearray(n)
-    for at, _, offset, copy, _ in mapped_spans(image):
-        lo, hi = max(rva, at), min(rva + n, at + copy)
-        if lo < hi:
-            out[lo - rva:hi - rva] = image.raw[offset + lo - at:offset + hi - at]
-    return bytes(out)
+    data = _section_bytes(image, rva, n)
+    if data is None:
+        out = bytearray(n)
+        for at, _, offset, copy, _ in mapped_spans(image):
+            lo, hi = max(rva, at), min(rva + n, at + copy)
+            if lo < hi:
+                out[lo - rva:hi - rva] = image.raw[offset + lo - at:offset + hi - at]
+        data = bytes(out)
+    return data
 
 
 def assemble_mapped(image: PeImage) -> bytearray:

@@ -70,6 +70,15 @@ def displaced_headers_image() -> bytes:
     return bytes(data)
 
 
+def entry_file_offset(image) -> int:
+    """The file offset of the byte the loader maps at the entrypoint."""
+    from duqusim.peformat import mapped_spans
+
+    rva = image.nt.entry_point_rva
+    span = next(s for s in mapped_spans(image) if s.rva <= rva < s.rva + s.copy)
+    return span.offset + rva - span.rva
+
+
 def boot_kernel(fixture_dir, *, sentinel_first=True, with_sentinel=True,
                 with_duqu=True, mode="normal", duqu_kwargs=None):
     """Kernel with drivers registered and the boot modules loaded."""

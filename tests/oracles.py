@@ -237,6 +237,9 @@ def _parse_nt_oracle(data: bytes, e_lfanew: int):
         raise NotPe(f"size_of_image {size_of_image:#x} above {MAX_IMAGE_SIZE:#x}")
     dir_count = min(_u32(data, oh + 92), 16)
     table = oh + 96
+    if table + 8 * dir_count > oh + size_of_optional:
+        raise NotPe(f"optional header fields run to {table + 8 * dir_count:#x}, "
+                    f"past its end at {oh + size_of_optional:#x}")
     if table + 8 * dir_count > len(data):
         first_short = table + 4 * ((len(data) - table) // 4)
         raise Truncated(f"dword at {first_short:#x} past end of buffer")
@@ -268,34 +271,29 @@ def _parse_sections_oracle(data: bytes, table_off: int, count: int):
 
 
 def file_reader_oracle(image):
-    """``read(rva, n)`` over a file image, a byte at a time.
+    """``read(rva, n)`` over a file image, a byte at a time, as it is mapped.
 
     Each RVA goes through the section table on its own; the headers region
-    below the first section maps identically.  The first byte whose RVA is
-    past size_of_image or in no section, or whose offset is past the file,
-    raises."""
+    below the first section maps identically.  A byte past a section's raw
+    data, or past the file in the headers region, reads as zero.  The first
+    byte whose RVA is past size_of_image or in no section raises."""
     data = image.raw
     first_va = min(s.virtual_address for s in image.sections)
     size = image.nt.size_of_image
 
-    def offset(p):
+    def byte(p):
         if p >= size:
             raise OutOfImage(f"rva {p:#x} past size_of_image {size:#x}")
         if p < first_va:
-            return p
+            return data[p] if p < len(data) else 0
         for s in image.sections:
-            if s.virtual_address <= p < s.virtual_address + (s.virtual_size or s.raw_size):
-                return s.raw_offset + p - s.virtual_address
+            k = p - s.virtual_address
+            if 0 <= k < (s.virtual_size or s.raw_size):
+                return data[s.raw_offset + k] if k < s.raw_size else 0
         raise OutOfImage(f"rva {p:#x} in no section")
 
     def read(rva, n):
-        out = bytearray()
-        for p in range(rva, rva + n):
-            off = offset(p)
-            if off >= len(data):
-                raise Truncated(f"{n:#x} bytes at rva {rva:#x} past end of buffer")
-            out.append(data[off])
-        return bytes(out)
+        return bytes(byte(p) for p in range(rva, rva + n))
 
     return read
 

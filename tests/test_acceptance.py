@@ -22,7 +22,6 @@ from duqusim.peformat import (
     resolve_near_call,
     restore_headers,
     ror13_hash,
-    rva_to_offset,
     strip_headers,
 )
 from duqusim.scan import ENTRY_HOOK, scan_pe
@@ -38,7 +37,7 @@ from duqusim.simkernel import (
 )
 from duqusim.pebuild import reloc_block
 
-from conftest import boot_kernel, random_pe32
+from conftest import boot_kernel, entry_file_offset, random_pe32
 from oracles import apply_relocations_oracle, ror13_oracle
 
 HOOK = bytes([0xB8, 0xBD, 0x18, 0x0A, 0x00, 0xFF, 0xD0])
@@ -247,7 +246,7 @@ def test_ordering_invariance(fixture_dir, fixture_bytes):
 def test_scanner_precision(fixture_bytes):
     data = bytearray(fixture_bytes("services.exe"))
     image = parse_pe(bytes(data))
-    off = rva_to_offset(image, image.nt.entry_point_rva)
+    off = entry_file_offset(image)
     data[off:off + 7] = HOOK
     report = scan_pe(bytes(data))
     assert any(f.kind == ENTRY_HOOK and f.address == 0x01012475

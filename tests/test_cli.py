@@ -10,9 +10,10 @@ import pytest
 from duqusim.cli import main
 from duqusim.fixtures import write_fixture_set
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32
-from duqusim.peformat import parse_pe, rva_to_offset
+from duqusim.peformat import parse_pe
 from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_pe
 
+from conftest import entry_file_offset
 from oracles import ror13_oracle
 
 HOOK_BYTES = bytes([0xB8, 0xBD, 0x18, 0x0A, 0x00, 0xFF, 0xD0])
@@ -21,7 +22,7 @@ HOOK_BYTES = bytes([0xB8, 0xBD, 0x18, 0x0A, 0x00, 0xFF, 0xD0])
 def hooked_services(fixture_bytes) -> bytes:
     data = bytearray(fixture_bytes("services.exe"))
     image = parse_pe(bytes(data))
-    off = rva_to_offset(image, image.nt.entry_point_rva)
+    off = entry_file_offset(image)
     data[off:off + 7] = HOOK_BYTES
     return bytes(data)
 

@@ -139,6 +139,7 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("field, value", [
         (0x80, b"PE\x00\x01"), (0x84, b"\x64\x86"), (0x86, b"\x00\x00"),
+        (0x94, b"\x4e\x00"), (0x94, b"\x80\x00"),  # optional header too short
         (0x98, b"\x0b\x02"), (0xA8, b"\xff\xff\xff\xff"), (0xD0, b"\x00\x00\x00\x7f"),
         (0xF4, b"\xff\xff\x00\x00")])
     def test_every_cut_of_headers_with_a_bad_field(self, fixture_bytes, field, value):
@@ -199,10 +200,11 @@ class TestNameReads:
 
     @staticmethod
     def runs_image(first_va: int):
-        # .a's virtual tail maps onto .b's raw data; .b is RVA-adjacent to .a;
-        # a gap lies before .c, whose virtual span runs past the end of the
-        # file.  With .a at 0x600 the headers region runs, through file bytes
-        # that are .a's raw data, into .a itself.
+        # .a's virtual tail reads as zeros, though the file holds .b's raw
+        # data there; .b is RVA-adjacent to .a; a gap lies before .c, whose
+        # virtual span runs past the end of the file.  With .a at 0x600 the
+        # headers region maps file bytes that are .a's and .b's raw data, and
+        # runs on into .a itself.
         rng = random.Random("file-cstring")
         return parse_pe(build_pe32(PeSpec(
             image_base=0x00400000, entry_rva=first_va,
@@ -222,8 +224,9 @@ class TestNameReads:
 
     @pytest.mark.parametrize("first_va", [0x1000, 0x600])
     def test_file_reads_match_byte_walk(self, first_va):
-        # Reads cross run ends into the next section, into a gap and past
-        # the end of the file; their bytes, or errors, are the oracle's.
+        # Reads cross span ends into the next section, into a zero tail,
+        # into a gap and past the image; their bytes, or errors, are the
+        # oracle's.
         image = self.runs_image(first_va)
         oracle = file_reader_oracle(image)
         for rva in range(0, 0x2300, 7):

@@ -12,18 +12,21 @@ checked after every scenario case, and the shared parsed-image cache is
 still within its bound after all of them.  Each mutated scenario is also
 run one line at a time, with the invariants checked after every line,
 and, with the cyclic garbage collector off, every finished run must be
-freed once dropped.
+freed once dropped.  Every header mutant that ``parse_pe`` accepts and the
+loader maps decodes the same from the file and from the mapping.
 """
 
 import random
 
 import pytest
 
+from duqusim import simkernel
 from duqusim.cli import main
 from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_fixture_set
-from duqusim.peformat import PeError, parse_pe
+from duqusim.peformat import PeError, parse_pe, read_module
 from duqusim.scan import scan_pe
 from duqusim.scenario import ScenarioError, ScenarioRunner, parse_scenario
+from duqusim.simkernel import SimError, SimKernel
 
 from conftest import entry_in_gap_image, small_image
 from invariants import (check_image_cache, check_kernel, gc_disabled, recording_runs, run_refs,
@@ -38,6 +41,7 @@ EXTREME_DWORDS = (b"\x00\x00\x00\x00", b"\xff\xff\xff\xff", b"\x00\x00\x00\x80",
 SCAN_CASES = 4500
 SCENARIO_CASES = 200
 LOADER_CASES = 400
+DIFFERENTIAL_CASES = 3000
 
 PIDS = ("services.exe", "System", "tiny.exe", "0x910", "0x914")
 MODULE_NAMES = ("kernel32.dll", "ntdll.dll", "shell32.dll", "x.dll")
@@ -66,6 +70,34 @@ def test_header_mutations_raise_only_pe_error(fixture_bytes):
         except PeError:
             outcomes["PeError"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_header_mutants_decode_alike_from_file_and_mapping(fixture_bytes, monkeypatch):
+    # read_module over the mapping at the preferred base is what both
+    # drivers decode; parse_pe of the file is what the loader and the
+    # scanner decode.  The mutants' plans go to a cache of their own, so
+    # later tests do not check them at every kernel invariant check.
+    monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    rng = random.Random("differential")
+    mapped = 0
+    for case in range(DIFFERENTIAL_CASES):
+        fixture = rng.choice(PE_FIXTURES)
+        data = mutate_header(rng, fixture_bytes(fixture))
+        try:
+            image = parse_pe(data)
+            kernel = SimKernel()
+            proc = kernel.create_process("mutant.exe", data)
+        except (PeError, SimError):
+            continue
+        mapped += 1
+        read = kernel.image_reader(proc.pid, proc.image_base)
+        try:
+            got = read_module(read)
+        except (PeError, SimError) as exc:
+            raise AssertionError(f"case {case} ({fixture}): mapping reads {exc!r}") from None
+        assert ((got.nt, got.sections, got.exports, got.relocations)
+                == (image.nt, image.sections, image.exports, image.relocations)), (case, fixture)
+    assert mapped > DIFFERENTIAL_CASES // 2, mapped
 
 
 def inserted_line(rng: random.Random) -> str:

@@ -17,6 +17,7 @@ from duqusim import duqu, peformat, simkernel
 from duqusim.pebuild import (
     CODE_SECTION,
     DATA_SECTION,
+    RODATA_SECTION,
     PeSpec,
     SectionDef,
     build_pe32,
@@ -25,6 +26,8 @@ from duqusim.pebuild import (
 from duqusim.peformat import (
     DIR_BASERELOC,
     DIR_EXPORT,
+    EXPORT_DIRECTORY_SIZE,
+    RELOC_ABS,
     FixupOutOfRange,
     NotPe,
     Section,
@@ -124,6 +127,11 @@ def edge_images() -> dict[str, bytes]:
         # at the next file boundary: the export directory runs from .a into
         # .b, the relocation directory from .b into .c
         "directories_straddle_sections": straddling_directories_image(),
+        # an export name in .text's zero tail, where the file holds .data's bytes
+        "export_name_in_tail": export_name_in_tail_image(),
+        # the relocation directory runs 0x10 bytes past .reloc's raw data,
+        # where the file holds a well-formed block
+        "relocations_run_into_tail": relocations_into_tail_image(),
     }
 
 
@@ -140,6 +148,39 @@ def straddling_directories_image() -> bytes:
     directories = 0x80 + 24 + 96
     struct.pack_into("<II", pe, directories + 8 * DIR_EXPORT, 0x1150, len(edata))
     struct.pack_into("<II", pe, directories + 8 * DIR_BASERELOC, 0x12F8, len(relocs))
+    return bytes(pe)
+
+
+def export_name_in_tail_image() -> bytes:
+    """.text maps 0x200 raw bytes in a 0x800-byte span, and the one export
+    name's RVA is 0x1201, in its zero tail; the file bytes from there on
+    are .data's 0x200 bytes of ``w``, then .edata's."""
+    pe = bytearray(build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x200, CODE_SECTION,
+                             virtual_size=0x800),
+                  SectionDef(".data", 0x2000, b"w" * 0x200, DATA_SECTION)],
+        exports=[("Tail", 0x1010)], export_va=0x3000,
+        relocations=[reloc_block(0x1000, [0x10])], reloc_va=0x4000)))
+    edata = next(s for s in parse_pe(bytes(pe)).sections if s.name == ".edata")
+    struct.pack_into("<I", pe, edata.raw_offset + EXPORT_DIRECTORY_SIZE + 4, 0x1201)
+    return bytes(pe)
+
+
+def relocations_into_tail_image() -> bytes:
+    """.reloc's 0x200 raw bytes are one block, in a 0x400-byte span; the
+    directory is 0x210 bytes long, and .data's raw bytes, next in the file,
+    start with a block of their own."""
+    block = reloc_block(0x1000, [0x10, 0x20])
+    block.fixups += [(RELOC_ABS, 0)] * 250
+    pe = bytearray(build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\xAA" * 0x100, CODE_SECTION),
+                  SectionDef(".reloc", 0x2000, encode_relocations([block]), RODATA_SECTION,
+                             virtual_size=0x400),
+                  SectionDef(".data", 0x3000, encode_relocations([reloc_block(0x1000, [0x40])])
+                             + b"\x55" * 0x100, DATA_SECTION)])))
+    struct.pack_into("<II", pe, 0x80 + 24 + 96 + 8 * DIR_BASERELOC, 0x2000, 0x210)
     return bytes(pe)
 
 

@@ -16,7 +16,6 @@ from duqusim.peformat import (
     NotMz,
     NotNearCall,
     NotPe,
-    OutOfImage,
     RelocationBlock,
     Truncated,
     Unencodable,
@@ -30,7 +29,6 @@ from duqusim.peformat import (
     resolve_near_call,
     restore_headers,
     ror13_hash,
-    rva_to_offset,
     strip_headers,
 )
 from duqusim.pebuild import (
@@ -251,26 +249,6 @@ class TestImageSizeBound:
         result = run_scenario(scenario)
         assert result.ok, result.text_lines()
         assert result.kernel.processes == {}
-
-
-class TestRvaToOffset:
-    def test_linear_section_map(self):
-        data = build_pe32(PeSpec(
-            image_base=0x400000, entry_rva=0x1000,
-            sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION)]))
-        image = parse_pe(data)
-        raw = image.sections[0].raw_offset
-        assert rva_to_offset(image, 0x1010) == raw + 0x10
-
-    def test_header_identity(self):
-        image = parse_pe(minimal_fixture())
-        assert rva_to_offset(image, 0) == 0
-        assert rva_to_offset(image, 0x80) == 0x80
-
-    def test_out_of_image(self):
-        image = parse_pe(minimal_fixture())
-        with pytest.raises(OutOfImage):
-            rva_to_offset(image, image.nt.size_of_image + 0x1000)
 
 
 class TestStripRestore:
