@@ -373,15 +373,19 @@ class DuquDriver(Driver):
         return b""
 
     def _on_image_load(self, event: NotificationEvent) -> None:
-        config = self.state.config
+        st = self.state
+        # Staged in another pid, or hooked: no load concerns the injection.
+        if st.target_pid is not None and (st.hooked or event.pid != st.target_pid):
+            return
+        config = st.config
         proc = self.kernel.processes.get(event.pid)
         if config is None or proc is None or not proc.alive:
             return
         module = (event.module_name or "").rsplit("\\", 1)[-1].lower()
-        if module == config.target_process.lower() and self.state.target_pid is None:
-            self.on_image_load_first(event)
-        elif (module == "kernel32.dll" and event.pid == self.state.target_pid
-              and not self.state.hooked):
+        if st.target_pid is None:
+            if module == config.target_process.lower():
+                self.on_image_load_first(event)
+        elif module == "kernel32.dll":
             self.on_image_load_second(event)
 
     def on_image_load_first(self, event: NotificationEvent) -> None:

@@ -248,16 +248,18 @@ def parse_scenario(text: str) -> list[Command]:
                 raise ScenarioError("expect needs a pattern", line_no)
             commands.append(Command(op, [rest.strip()], {}, line_no))
             continue
-        args: list[str] = []
+        args = rest.split()
         options: dict[str, str] = {}
-        for part in rest.split():
-            key, eq, value = part.partition("=")
-            if not eq:
-                args.append(part)
-            elif key in options:
-                raise ScenarioError(f"repeated option {key!r}", line_no)
-            else:
-                options[key] = value
+        if "=" in rest:
+            parts, args = args, []
+            for part in parts:
+                key, eq, value = part.partition("=")
+                if not eq:
+                    args.append(part)
+                elif key in options:
+                    raise ScenarioError(f"repeated option {key!r}", line_no)
+                else:
+                    options[key] = value
         syntax = COMMANDS.get(op)
         if syntax is None:
             raise ScenarioError(f"unknown command {op!r}", line_no)
@@ -268,15 +270,15 @@ def parse_scenario(text: str) -> list[Command]:
             syntax = DRIVERS.get(name)
             if syntax is None:
                 raise ScenarioError(f"unknown driver {name!r}", line_no)
-        allowed = syntax.optional + syntax.required
         for key in options:
-            if key not in allowed:
+            if key not in syntax.optional and key not in syntax.required:
                 raise ScenarioError(f"unknown option {key!r}", line_no)
-        if op == "driver" and any(c.op == op and c.args[0].lower() == name for c in commands):
-            raise ScenarioError(f"driver {name!r} declared twice", line_no)
-        for key in syntax.required:  # only drivers require keys
-            if key not in options:
-                raise ScenarioError(f"driver {name} needs {key}=<path>", line_no)
+        if op == "driver":
+            if any(c.op == op and c.args[0].lower() == name for c in commands):
+                raise ScenarioError(f"driver {name!r} declared twice", line_no)
+            for key in syntax.required:
+                if key not in options:
+                    raise ScenarioError(f"driver {name} needs {key}=<path>", line_no)
         commands.append(Command(op, args, options, line_no))
     return commands
 

@@ -108,31 +108,34 @@ class SentinelDriver(Driver):
 
         Unwatched pids are ignored without touching their memory.
         """
-        record = self.records.get(event.pid)
+        pid = event.pid
+        record = self.records.get(pid)
         if record is None:
             return
-        self._log(f"LoadImageNotifyRoutine: ImageBaseAddress={event.base:#010x} "
-                  f"ProcessId={event.pid:#x}")
+        kernel, source = self.kernel, self.name
+        log = kernel.log_line
+        log(source, f"LoadImageNotifyRoutine: ImageBaseAddress={event.base:#010x} "
+                    f"ProcessId={pid:#x}")
         try:
-            name = self.kernel.process(event.pid).name
+            name = kernel.process(pid).name
         except SimError:
-            name = f"pid {event.pid:#x}"
-        self._log(f"-> Verify {name} process:")
+            name = f"pid {pid:#x}"
+        log(source, f"-> Verify {name} process:")
         module = event.module_name or "?"
         try:
-            current = self.kernel.read_memory(event.pid, record.entrypoint, HASH_SPAN)
+            current = kernel.read_memory(pid, record.entrypoint, HASH_SPAN)
         except SimError:
-            self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: unreadable")
-            self._mismatch(event.pid, name, module)
+            log(source, f"Entrypoint bytes at {record.entrypoint:#010x}: unreadable")
+            self._mismatch(pid, name, module)
             return
         if current == record.hashed:
-            self._log(record.line)
-            self._log("-> OK!")
+            log(source, record.line)
+            log(source, "-> OK!")
             self.verdicts.append((module, "OK"))
         else:
-            self._log(f"Entrypoint bytes at {record.entrypoint:#010x}: "
-                      f"{_hex_bytes(current[:DISPLAY_SPAN])}")
-            self._mismatch(event.pid, name, module)
+            log(source, f"Entrypoint bytes at {record.entrypoint:#010x}: "
+                        f"{_hex_bytes(current[:DISPLAY_SPAN])}")
+            self._mismatch(pid, name, module)
 
     def _mismatch(self, pid: int, name: str, module: str) -> None:
         self._log("-> Checksum error !!!!")

@@ -79,6 +79,10 @@ class Perm(enum.Flag):
     WRITE = 2
     EXECUTE = 4
 
+    # Every value, combined or not, is a cached singleton, so identity
+    # hashes it, as it does EventKind.
+    __hash__ = object.__hash__
+
     def describe(self) -> str:
         out = ""
         if Perm.READ in self:
@@ -94,6 +98,10 @@ PERM_R = Perm.READ
 PERM_RW = Perm.READ | Perm.WRITE
 PERM_RX = Perm.READ | Perm.EXECUTE
 PERM_RWX = Perm.READ | Perm.WRITE | Perm.EXECUTE
+_PERMS = tuple(map(Perm, range(PERM_RWX.value + 1)))
+# needed -> every value that grants it: one set lookup, no Flag.__contains__.
+_GRANTING = {needed: frozenset(p for p in _PERMS if needed in p) for needed in _PERMS}
+_READABLE = _GRANTING[Perm.READ]
 
 
 class EventKind(enum.Enum):
@@ -290,14 +298,15 @@ class LoadPlan:
     permissions, and ``views`` its mapped bytes, read-only and shared by
     every mapping: a slice of the file bytes or, for a span with a zero
     tail, one copy that holds the tail; ``nbytes`` is the length of those
-    copies.  ``fixups`` is built by the first rebase.  A plan holds no
-    kernel.
+    copies.  The first rebase builds ``fixups`` and ``patched``, the spans
+    a fixup writes into.  A plan holds no kernel.
     """
     image: PeImage
     spans: list[tuple[int, Perm]] = field(repr=False)
     views: list[memoryview] = field(repr=False)
     nbytes: int
     fixups: list | None = field(default=None, repr=False)
+    patched: frozenset[int] = field(default=frozenset(), repr=False)
 
     @classmethod
     def build(cls, image: PeImage) -> LoadPlan:
@@ -444,8 +453,7 @@ class SimKernel:
         if not proc.alive:  # a create handler terminated it: nothing was loaded
             return proc
         self.log_line("loader", f"* Loaded module {name} *")
-        self._emit(NotificationEvent(EventKind.IMAGE_LOAD, pid, module_name=name,
-                                     base=mapped_base))
+        self._emit(NotificationEvent(EventKind.IMAGE_LOAD, pid, name, mapped_base))
         return proc
 
     def load_module(self, pid: int, name: str, image: bytes,
@@ -456,8 +464,7 @@ class SimKernel:
         mapped_base = self._map_image(proc, image_cache.plan(image), name, base)
         proc.modules.append((name, mapped_base))
         self.log_line("loader", f"* Loaded module {name} *")
-        self._emit(NotificationEvent(EventKind.IMAGE_LOAD, pid, module_name=name,
-                                     base=mapped_base))
+        self._emit(NotificationEvent(EventKind.IMAGE_LOAD, pid, name, mapped_base))
         return mapped_base
 
     def terminate_process(self, pid: int) -> None:
@@ -487,7 +494,7 @@ class SimKernel:
         # Inside one readable region: one slice.  Any other read is walked,
         # so its error names the first address refused.
         region = proc.region_at(addr)
-        if region is not None and addr + length <= region.end and Perm.READ in region.perms:
+        if region is not None and addr + length <= region.end and region.perms in _READABLE:
             lo = addr - region.base
             return bytes(region.data[lo:lo + length])
         pieces = self._walk_span(proc, addr, length, Perm.READ)
@@ -513,13 +520,14 @@ class SimKernel:
         whole span is mapped with the needed permission.
         """
         pieces: list[tuple[MemoryRegion, int, int]] = []
+        granting = _GRANTING[needed]
         cursor = addr
         end = addr + length
         while cursor < end:
             region = proc.region_at(cursor)
             if region is None:
                 raise UnmappedAddress(cursor)
-            if needed not in region.perms:
+            if region.perms not in granting:
                 raise AccessViolation(cursor, needed & ~region.perms)
             hi = min(end, region.end)
             pieces.append((region, cursor - region.base, hi - region.base))
@@ -599,11 +607,13 @@ class SimKernel:
                    for (rva, perms), view in zip(plan.spans, plan.views)]
         if base != preferred:
             if plan.fixups is None:  # a bad fixup is never kept: it raises on every rebase
-                plan.fixups = resolve_fixups([(r.base - base, len(r.data)) for r in regions],
-                                             size, image.relocations)
-            for i, cells in plan.fixups:  # each region a fixup patches gets bytes of its own
-                for j in ((i,) if i >= 0 else (k for k, _ in cells if k >= 0)):
-                    regions[j].writable()
+                fixups = resolve_fixups([(r.base - base, len(r.data)) for r in regions],
+                                        size, image.relocations)
+                plan.patched = frozenset(j for i, cells in fixups for j in (
+                    (i,) if i >= 0 else (k for k, _ in cells if k >= 0)))
+                plan.fixups = fixups
+            for j in plan.patched:  # each region a fixup patches gets bytes of its own
+                regions[j].writable()
             apply_fixups([r.data for r in regions], plan.fixups, base - preferred)
         proc.insert_regions(base, size, regions)
         return base

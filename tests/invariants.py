@@ -11,9 +11,12 @@ driver.  :func:`recorded_parses` lists every real parse the loader makes.
 freed by reference counting alone.
 """
 
+import copy
 import gc
+import operator
 import weakref
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from duqusim import cli, peformat, scenario, simkernel
 from duqusim.sentinel import SentinelDriver
@@ -75,28 +78,73 @@ def _holds_bytes(value) -> bool:
     return isinstance(value, (list, tuple)) and any(map(_holds_bytes, value))
 
 
+class _Checked(NamedTuple):
+    """A cached plan as its last passing content check saw it."""
+    plan: object
+    image: object
+    spans: list
+    views: list
+    fixups: list | None
+    patched: frozenset
+    nbytes: int
+
+    @classmethod
+    def of(cls, plan) -> "_Checked":
+        return cls(plan, plan.image, list(plan.spans), list(plan.views),
+                   copy.deepcopy(plan.fixups), plan.patched, plan.nbytes)
+
+    def holds(self, plan) -> bool:
+        """Whether ``plan`` is the same plan in the same state: the same
+        image and view objects, and equal spans, fixups, patched spans and
+        ``nbytes``.  A view is read-only, so its bytes change only if it is
+        replaced."""
+        return (self.plan is plan and self.image is plan.image and self.spans == plan.spans
+                and self.fixups == plan.fixups and self.patched == plan.patched
+                and self.nbytes == plan.nbytes
+                and len(self.views) == len(plan.views)
+                and all(map(operator.is_, self.views, plan.views)))
+
+
+# Key -> plan as its content checks last passed, for the cache last checked:
+# a plan still in that state needs no second content check.
+_checked: dict[bytes, _Checked] = {}
+
+
 def check_image_cache() -> None:
     """The shared cache is within its bound and holds only plans of file
     images: each image keeps its own key as ``raw`` and no ``read`` into a
-    kernel, its spans and fixups hold no bytes, its views are read-only,
-    each reads as the loader maps its span, and ``nbytes`` counts exactly
-    the views that are copies; the plan is the one its image builds."""
+    kernel, and its views are read-only.  A plan that is new, or changed
+    since it last passed, gets the content checks too: its spans and
+    fixups hold no bytes, each view reads as the loader maps its span,
+    ``nbytes`` counts exactly the views that are copies, the plan is the
+    one its image builds, and ``patched`` names every span a fixup writes
+    into."""
     cache = simkernel.image_cache
     assert cache.nbytes == sum(len(key) + plan.nbytes for key, plan in cache.plans.items()), \
         "cache byte count drifted"
     assert cache.nbytes <= simkernel.IMAGE_CACHE_BYTES, "cache over its bound"
+    checked = {}
     for key, plan in cache.plans.items():
         image = plan.image
         assert image.raw is key and image.layout == "file", "cached image is not its key"
         assert image.read is None, "cached image reads through a kernel"
-        assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan spans hold bytes"
         assert all(view.readonly for view in plan.views), "cached view is writable"
+        last = _checked.get(key)
+        if last is not None and last.holds(plan):
+            checked[key] = last
+            continue
+        assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan spans hold bytes"
         assert [bytes(view) for view in plan.views] == [
             peformat.mapped_bytes(image, span.rva, span.span)
             for span in peformat.mapped_spans(image)], "cached view is not the mapped span"
         copies = [view for view in plan.views if view.obj is not key]
         assert plan.nbytes == sum(map(len, copies)), "span copies miscounted"
         assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
+        assert plan.patched == {j for i, run in plan.fixups or () for j in (
+            [i] if i >= 0 else [k for k, _ in run]) if j >= 0}, "patched spans miscounted"
+        checked[key] = _Checked.of(plan)
+    _checked.clear()
+    _checked.update(checked)
 
 
 def recorded_parses(monkeypatch) -> list[bytes]:

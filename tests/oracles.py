@@ -7,7 +7,10 @@ package's decoder must match it exactly, so it builds the package's own
 dataclasses, raises its exception classes with the same messages, checks
 the same ``MAX_IMAGE_SIZE`` and shares its relocation decoder,
 ``_parse_relocations``.  It reads a file image through its own reader, a
-byte at a time, and export names through its own byte walk.
+byte at a time, and export names through its own byte walk.  The scenario
+parser's reference, :func:`parse_scenario_oracle`, is a plainer loop over
+the package's grammar tables: it splits every word on ``=`` and runs
+every check on every line.
 """
 
 import struct
@@ -25,6 +28,7 @@ from duqusim.peformat import (
     Truncated,
     _parse_relocations,
 )
+from duqusim.scenario import COMMANDS, DRIVERS, MODES, Command, ScenarioError
 
 MASK32 = 0xFFFFFFFF
 
@@ -384,3 +388,51 @@ def read_module_oracle(read):
     image.exports = _parse_exports_oracle(read, image.nt)
     image.relocations = _parse_relocations(read, image.nt)
     return image
+
+
+def parse_scenario_oracle(text: str) -> list[Command]:
+    """What ``parse_scenario`` must return: every word of every line split
+    on its first ``=``, and every check run for every command."""
+    commands: list[Command] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        op, _, rest = line.partition(" ")
+        op = op.lower()
+        if op == "expect":
+            if not rest.strip():
+                raise ScenarioError("expect needs a pattern", line_no)
+            commands.append(Command(op, [rest.strip()], {}, line_no))
+            continue
+        args: list[str] = []
+        options: dict[str, str] = {}
+        for part in rest.split():
+            key, eq, value = part.partition("=")
+            if not eq:
+                args.append(part)
+            elif key in options:
+                raise ScenarioError(f"repeated option {key!r}", line_no)
+            else:
+                options[key] = value
+        syntax = COMMANDS.get(op)
+        if syntax is None:
+            raise ScenarioError(f"unknown command {op!r}", line_no)
+        if len(args) != syntax.nargs or op == "set-mode" and args[0] not in MODES:
+            raise ScenarioError(f"{op} takes {syntax.usage}", line_no)
+        if op == "driver":
+            name = args[0].lower()
+            syntax = DRIVERS.get(name)
+            if syntax is None:
+                raise ScenarioError(f"unknown driver {name!r}", line_no)
+        allowed = syntax.optional + syntax.required
+        for key in options:
+            if key not in allowed:
+                raise ScenarioError(f"unknown option {key!r}", line_no)
+        if op == "driver" and any(c.op == op and c.args[0].lower() == name for c in commands):
+            raise ScenarioError(f"driver {name!r} declared twice", line_no)
+        for key in syntax.required:  # only drivers require keys
+            if key not in options:
+                raise ScenarioError(f"driver {name} needs {key}=<path>", line_no)
+        commands.append(Command(op, args, options, line_no))
+    return commands

@@ -348,6 +348,56 @@ class TestFirstNotification:
         assert duqu.state.target_pid is None
 
 
+def expected_stage(state, target: str, alive: bool, pid: int, module: str) -> str | None:
+    """Which stage a load runs, from the load alone: in a live process, the
+    first when the module's basename is the target (case-blind) and
+    nothing is staged, the second when it is kernel32.dll in the staged
+    pid and the hook is not yet written."""
+    name = module.rsplit("\\", 1)[-1].lower()
+    if not alive:
+        return None
+    if name == target.lower() and state.target_pid is None:
+        return "first"
+    if name == "kernel32.dll" and pid == state.target_pid and not state.hooked:
+        return "second"
+    return None
+
+
+class TestImageLoadStates:
+    """The injector's IMAGE_LOAD handler, in each of its states (before
+    staging, staged in pid A, hooked), against each kind of load, runs the
+    stage the rule above names and no other."""
+
+    @pytest.mark.parametrize("staged, hooked", [(False, False), (True, False), (True, True)],
+                             ids=["unstaged", "staged", "hooked"])
+    def test_each_state_against_each_load(self, fixture_dir, monkeypatch, staged, hooked):
+        kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False)
+        duqu = drivers["duqu"]
+        image = (fixture_dir / "services.exe").read_bytes()
+        a, b, dead = (kernel.create_process(name, image) for name in ("a.exe", "b.exe", "c.exe"))
+        kernel.terminate_process(dead.pid)
+        st = duqu.state
+        st.target_pid = a.pid if staged else None
+        st.hooked = hooked
+        ran = []
+        monkeypatch.setattr(duqu, "on_image_load_first", lambda event: ran.append("first"))
+        monkeypatch.setattr(duqu, "on_image_load_second", lambda event: ran.append("second"))
+        target = st.config.target_process
+        loads = [(proc, module) for proc in (a, b, dead)
+                 for module in (target, target.upper(), f"C:\\x\\{target}", "kernel32.dll",
+                                "C:\\WINDOWS\\system32\\KERNEL32.DLL", "ntdll.dll", "")]
+        seen = set()
+        for proc, module in loads:
+            ran.clear()
+            duqu._on_image_load(NotificationEvent(EventKind.IMAGE_LOAD, proc.pid, module,
+                                                  proc.image_base))
+            expected = expected_stage(st, target, proc.alive, proc.pid, module)
+            assert ran == ([expected] if expected else []), (proc.name, module)
+            seen.add(expected)
+        assert seen == {(False, False): {None, "first"}, (True, False): {None, "second"},
+                        (True, True): {None}}[staged, hooked]
+
+
 class TestSecondNotification:
     def hooked(self, fixture_dir):
         kernel, duqu, services = staged_kernel(fixture_dir)

@@ -13,7 +13,9 @@ still within its bound after all of them.  Each mutated scenario is also
 run one line at a time, with the invariants checked after every line,
 and, with the cyclic garbage collector off, every finished run must be
 freed once dropped.  Every header mutant that ``parse_pe`` accepts and the
-loader maps decodes the same from the file and from the mapping.
+loader maps decodes the same from the file and from the mapping.  Over
+mutated scenarios and lines, ``parse_scenario`` returns what a plainer
+reference loop returns: the same commands or the same first error.
 """
 
 import random
@@ -31,7 +33,7 @@ from duqusim.simkernel import SimError, SimKernel
 from conftest import entry_in_gap_image, small_image
 from invariants import (check_image_cache, check_kernel, gc_disabled, recording_runs, run_refs,
                         still_alive)
-from oracles import loader_regions_oracle
+from oracles import loader_regions_oracle, parse_scenario_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
                "shell32.dll", "stub1.bin", "stub2.bin", "system.bin")
@@ -42,6 +44,7 @@ SCAN_CASES = 4500
 SCENARIO_CASES = 200
 LOADER_CASES = 400
 DIFFERENTIAL_CASES = 3000
+PARSER_CASES = 2000
 
 PIDS = ("services.exe", "System", "tiny.exe", "0x910", "0x914")
 MODULE_NAMES = ("kernel32.dll", "ntdll.dll", "shell32.dll", "x.dll")
@@ -129,6 +132,36 @@ def mutate_scenario(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+STRAY_OPTIONS = ("base=0x20000000", "base=", "=0x1000", "x=y", "a=b=c", "watch=tiny.exe",
+                 "report-only=1", "config=c.bin", "stub1=s1", "stub2=s2", "mask=m.json",
+                 "kernel-base=0x400000")
+
+
+def mutate_line(rng: random.Random, line: str) -> str:
+    """``line`` with tabs for spaces, a stray ``=`` in a word, an option
+    added or repeated, every ``=`` taken out, or a word dropped or
+    replaced."""
+    words = line.split(" ")
+    i = rng.randrange(len(words))
+    how = rng.randrange(7)
+    if how == 0:
+        return line.replace(" ", rng.choice(("\t", " \t", "\t\t")), rng.randint(1, 3))
+    if how == 1:
+        at = rng.randint(0, len(words[i]))
+        words[i] = words[i][:at] + "=" + words[i][at:]
+    elif how == 2:
+        words.insert(rng.randint(1, len(words)), rng.choice(STRAY_OPTIONS))
+    elif how == 3:
+        words.append(rng.choice([w for w in words if "=" in w] or STRAY_OPTIONS))
+    elif how == 4:
+        return line.replace("=", rng.choice((" ", "")))
+    elif how == 5:
+        del words[i]
+    else:
+        words[i] = rng.choice(("spy", "Sentinel", "DUQU", "debug", "bogus", "set-mode", "expect"))
+    return " ".join(words)
+
+
 # The monitor terminates gap.exe in its create handler, so no IMAGE_LOAD
 # may follow for it.
 CREATE_KILL_SCENARIO = """\
@@ -200,6 +233,29 @@ def test_scenario_mutations_exit_cleanly(tmp_path, capsys, monkeypatch, base):
             assert still_alive(refs) == [], (case, mutated)
             capsys.readouterr()
     assert codes == {0, 1, 2}
+
+
+def parsed_or_error(parse, text: str):
+    try:
+        return parse(text)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+def test_parser_matches_the_reference_loop():
+    rng = random.Random("parser-differential")
+    texts = [text() for text in BASE_SCENARIOS.values()]
+    outcomes = {"parsed": 0, "error": 0}
+    for case in range(PARSER_CASES):
+        lines = mutate_scenario(rng, rng.choice(texts)).splitlines()
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(lines))
+            lines[i] = mutate_line(rng, lines[i])
+        text = "\n".join(lines) + "\n"
+        got = parsed_or_error(parse_scenario, text)
+        assert got == parsed_or_error(parse_scenario_oracle, text), (case, text)
+        outcomes["error" if isinstance(got, str) else "parsed"] += 1
+    assert min(outcomes.values()) > PARSER_CASES // 10, outcomes
 
 
 def loader_case(rng: random.Random) -> tuple[str, dict[str, str]]:

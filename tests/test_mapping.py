@@ -56,6 +56,7 @@ from duqusim.simkernel import (
 )
 
 from conftest import boot_kernel, displaced_headers_image, random_pe32, small_image
+from invariants import check_image_cache
 from oracles import assemble_mapped_oracle, loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
@@ -646,6 +647,9 @@ class TestCopyOnWrite:
         assert rebased != image.nt.image_base
         private = region_names(proc, rebased, image, private=True)
         assert set(private) == fixup_sections(image) and private
+        assert simkernel.image_cache.plans[data].patched == {
+            i for i, span in enumerate(mapped_spans(image))
+            if (span.section.name if span.section else "headers") in private}
         assert region_names(proc, rebased, image, private=False)
         assert region_names(proc, proc.image_base, image, private=True) == []
         check_mapping(proc, "again.dll", data)
@@ -700,6 +704,43 @@ class TestCopyOnWrite:
             tracemalloc.stop()
         assert len(kernel.processes) == 20
         assert held < 2 * mapped, (held, mapped)
+
+
+class TestImageCacheCheck:
+    """The cache invariant checks a plan's content once per state: a plan
+    whose views, spans, fixups, patched spans or copy count change is
+    checked again."""
+
+    @pytest.mark.parametrize("change, error", [
+        ("view", "cached view is not the mapped span"),
+        ("spans", "cached plan drifted"),
+        ("fixups", "cached plan spans hold bytes"),
+        ("patched", "patched spans miscounted"),
+        ("nbytes", "span copies miscounted"),
+    ])
+    def test_a_changed_plan_fails_the_next_check(self, monkeypatch, change, error):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = fleet_dll()
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", data)
+        kernel.load_module(proc.pid, "again.dll", data)
+        plan = simkernel.image_cache.plans[data]
+        assert plan.fixups and plan.patched
+        check_image_cache()
+        check_image_cache()
+        if change == "view":  # a read-only view of the key, of the right length
+            plan.views[1] = memoryview(data)[:len(plan.views[1])]
+        elif change == "spans":
+            plan.spans[1] = (plan.spans[1][0], PERM_RW)
+        elif change == "fixups":  # in place: the same list holds bytes now
+            plan.fixups[0][1].append(b"\x00")
+        elif change == "patched":
+            plan.patched = frozenset()
+        else:  # the cache's own count agrees
+            plan.nbytes += 1
+            simkernel.image_cache.nbytes += 1
+        with pytest.raises(AssertionError, match=error):
+            check_image_cache()
 
 
 class TestHeaderSpan:

@@ -441,6 +441,44 @@ class TestPermissionFuzz:
             assert end1 <= start2
 
 
+ALL_PERMS = [Perm(value) for value in range(8)]
+
+
+class TestPermissionTable:
+    """For each of the eight permission sets, each access is refused
+    exactly when the permission it needs is not in the set, and the fault
+    names what is missing, ``needed & ~perms``."""
+
+    @pytest.mark.parametrize("perms", ALL_PERMS, ids=lambda p: p.describe())
+    def test_each_access_against_each_set(self, perms):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        pid = proc.pid
+        calls = []
+        neighbour = kernel.allocate_memory(pid, 0x40, PERM_RWX)
+        target = kernel.allocate_memory(pid, 0x40, PERM_RWX, code=calls.append)
+        assert target == neighbour + 0x40
+        kernel.protect_memory(pid, proc.entry_point, HOOK_LEN, PERM_RWX)
+        kernel.write_memory(pid, proc.entry_point, encode_entry_hook(target + 0x10))
+        assert kernel.protect_memory(pid, target, 0x40, perms) == PERM_RWX
+        assert proc.region_at(target).perms == perms
+        accesses = [  # (needed, access, the address a fault names)
+            (Perm.READ, lambda: kernel.read_memory(pid, target + 0x10, 12), target + 0x10),
+            (Perm.READ, lambda: kernel.read_memory(pid, target - 8, 16), target),  # walked
+            (Perm.WRITE, lambda: kernel.write_memory(pid, target - 8, bytes(16)), target),
+            (Perm.EXECUTE, lambda: kernel.run_entrypoint(pid), target + 0x10),
+        ]
+        for needed, access, at in accesses:
+            if needed in perms:
+                access()
+            else:
+                with pytest.raises(AccessViolation) as info:
+                    access()
+                assert info.value.missing == needed & ~perms
+                assert info.value.addr == at
+        assert calls == ([pid] if Perm.EXECUTE in perms else [])
+
+
 class TestReadImage:
     def test_reassembles_mapped_view(self, fixture_bytes):
         kernel = SimKernel()
@@ -848,6 +886,14 @@ class TestRecords:
         assert ref() is region
         del region
         assert ref() is None
+
+    def test_perm_values_are_singletons_hashed_by_identity(self):
+        assert Perm.__hash__ is object.__hash__
+        for a in ALL_PERMS:
+            assert Perm(a.value) is a and hash(a) == object.__hash__(a)
+            for b in ALL_PERMS:
+                assert a | b is Perm(a.value | b.value)
+                assert a & ~b is Perm(a.value & ~b.value)
 
     def test_event_kind_hashes_by_identity(self):
         assert EventKind.__hash__ is object.__hash__
