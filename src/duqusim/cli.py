@@ -18,22 +18,23 @@ import os
 import sys
 from pathlib import Path
 
-from .fixtures import write_fixture_set
 from .peformat import PeError, read_regular_file, ror13_hash
-from .scan import scan_file
-from .scenario import ScenarioError, run_scenario
 
-
-def _log_format() -> str:
-    fmt = os.environ.get("SENTINEL_LOG_FORMAT", "plain")
-    if fmt not in ("plain", "json"):
-        raise ScenarioError(f"SENTINEL_LOG_FORMAT must be plain or json, not {fmt!r}")
-    return fmt
+# Each handler imports the modules its subcommand needs, so ``scan`` and
+# ``hash`` never load the attacking driver.
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    fmt = _log_format()
-    result = run_scenario(args.scenario)
+    from .scenario import ScenarioError, run_scenario
+
+    try:
+        fmt = os.environ.get("SENTINEL_LOG_FORMAT", "plain")
+        if fmt not in ("plain", "json"):
+            raise ScenarioError(f"SENTINEL_LOG_FORMAT must be plain or json, not {fmt!r}")
+        result = run_scenario(args.scenario)
+    except ScenarioError as exc:  # an input error, as main reports the others
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     rendered = result.render(fmt)
     sys.stdout.write(rendered)
     if args.log:
@@ -44,12 +45,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .scan import scan_file
+
     report = scan_file(args.pe, anchor_export=args.anchor_export)
     sys.stdout.write(report.render())
     return 0 if report.clean else 1
 
 
 def _cmd_make_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import write_fixture_set
+
     written = write_fixture_set(args.directory)
     for name in written:
         sys.stdout.write(f"{name}\n")
@@ -97,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, PeError, OSError) as exc:
+    except (PeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -294,12 +294,6 @@ def resolve_near_call(call_site: int, data: bytes) -> int:
     return (call_site + 5 + rel) & _M32
 
 
-def encode_near_call(call_site: int, target: int) -> bytes:
-    """Inverse of :func:`resolve_near_call`; used by fixture builders."""
-    rel = (target - call_site - 5) & _M32
-    return b"\xE8" + struct.pack("<I", rel)
-
-
 def encode_entry_hook(target: int) -> bytes:
     """The ``mov eax, target / call eax`` bytes written over an entrypoint."""
     return b"\xB8" + struct.pack("<I", target) + b"\xFF\xD0"
@@ -894,39 +888,49 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
     Scans executable sections for a near call resolving to the anchor
     export, looks forward up to ``window`` bytes for push 104h, and
     resolves the next near call after it.  Returns (call site, target).
-    A call is decoded only when the first push 104h after it is in reach,
-    so the work is set by the calls and pushes walked, not by the window.
     """
     if base is None:
         base = image.nt.image_base
     anchor_va = base + (find_export_by_name(image, anchor_name) - image.nt.image_base)
     for section in image.sections:
-        if not section.executable:
-            continue
-        data = section_data(image, section)
-        section_va = base + section.virtual_address
-        # A near call is 5 bytes, so it can only start before len - 4.
-        call_end = max(len(data) - 4, 0)
-        off = -1
-        while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
-            if (push := _search_push_104h(data, off + 5)) is None:
-                break
-            # Every call from off to calls_end has this push first after
-            # it; those within window bytes of it reach it.
-            push_at = push.start()
-            calls_end = push_at - 4
-            off = max(off, push_at - window) - 1
-            while (off := data.find(CALL_OPCODE, off + 1, calls_end)) != -1:
-                site = section_va + off
-                if resolve_near_call(site, data[off:off + 5]) != anchor_va:
-                    continue
-                cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H),
-                                   min(off + 5 + window, call_end))
-                if cursor != -1:
-                    call_site = section_va + cursor
-                    return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
-            off = calls_end - 1
+        if section.executable:
+            found = find_call_push_call(section_data(image, section),
+                                        base + section.virtual_address, anchor_va, window)
+            if found is not None:
+                return found
     raise PatternNotFound(f"no call/push 104h/call pattern anchored at {anchor_name!r}")
+
+
+def find_call_push_call(data: bytes, section_va: int, anchor_va: int,
+                        window: int = DEFAULT_SCAN_WINDOW) -> tuple[int, int] | None:
+    """:func:`scan_call_push_call` over one section's bytes, mapped at
+    ``section_va``: (call site, target), or None.
+
+    A call is decoded only when the first push 104h after it is in reach,
+    so the work is set by the calls and pushes walked, not by the window.
+    """
+    # A near call is 5 bytes, so it can only start before len - 4.
+    call_end = max(len(data) - 4, 0)
+    off = -1
+    while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
+        if (push := _search_push_104h(data, off + 5)) is None:
+            return None
+        # Every call from off to calls_end has this push first after
+        # it; those within window bytes of it reach it.
+        push_at = push.start()
+        calls_end = push_at - 4
+        off = max(off, push_at - window) - 1
+        while (off := data.find(CALL_OPCODE, off + 1, calls_end)) != -1:
+            site = section_va + off
+            if resolve_near_call(site, data[off:off + 5]) != anchor_va:
+                continue
+            cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H),
+                               min(off + 5 + window, call_end))
+            if cursor != -1:
+                call_site = section_va + cursor
+                return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
+        off = calls_end - 1
+    return None
 
 
 def read_regular_file(path: str | os.PathLike) -> bytes | None:

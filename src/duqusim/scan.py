@@ -27,13 +27,13 @@ from .peformat import (
     HOOK_LEN,
     SIG_XOR_EXPECT,
     SIG_XOR_KEY,
-    PatternNotFound,
     PeError,
     decode_entry_hook,
+    find_call_push_call,
+    find_export_by_name,
     mapped_bytes,
     parse_pe,
     read_regular_file,
-    scan_call_push_call,
     section_data,
 )
 
@@ -86,23 +86,29 @@ def scan_pe(data: bytes, path: str = "<buffer>",
         report.findings.append(Finding(
             ENTRY_HOOK, entry_va,
             f"mov eax, {target:#010x} / call eax at the entrypoint"))
-    if anchor_export:
-        try:
-            site, target = scan_call_push_call(image, anchor_export)
-            report.findings.append(Finding(
-                ZWPROTECT_PATTERN, site,
-                f"near call resolves to unexported {target:#010x} "
-                f"(anchor {anchor_export})"))
-        except (PatternNotFound, PeError):
-            pass
+    try:
+        anchor_va = find_export_by_name(image, anchor_export) if anchor_export else None
+    except PeError:  # no export to anchor a train
+        anchor_va = None
+    consts = []
     for section in image.sections:
         if not section.executable:
             continue
+        data = section_data(image, section)  # one read for both code searches
         section_va = image.nt.image_base + section.virtual_address
-        for match in _find_pe_consts(section_data(image, section)):
-            report.findings.append(Finding(
-                OBFUSCATED_PE_CONST, section_va + match.start(),
-                "code carries the de-obfuscated signature dword"))
+        if anchor_va is not None:
+            found = find_call_push_call(data, section_va, anchor_va)
+            if found is not None:
+                site, target = found
+                report.findings.append(Finding(
+                    ZWPROTECT_PATTERN, site,
+                    f"near call resolves to unexported {target:#010x} "
+                    f"(anchor {anchor_export})"))
+                anchor_va = None
+        consts += [Finding(OBFUSCATED_PE_CONST, section_va + match.start(),
+                           "code carries the de-obfuscated signature dword")
+                   for match in _find_pe_consts(data)]
+    report.findings += consts
     return report
 
 

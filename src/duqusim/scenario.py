@@ -39,7 +39,7 @@ from .duqu import (
 )
 from .peformat import PeError, read_regular_file
 from .sentinel import SentinelDriver
-from .simkernel import Driver, SimError, SimKernel
+from .simkernel import SimError, SimKernel
 
 MODES = ("normal", "debug", "failsafe")
 
@@ -66,11 +66,6 @@ class ScenarioResult:
     lines: list[tuple[str, str]] = field(default_factory=list)
     unmet: list[str] = field(default_factory=list)
     kernel: SimKernel | None = None
-
-    @property
-    def drivers(self) -> dict[str, Driver]:
-        """The kernel's drivers by name, in dispatch order."""
-        return {} if self.kernel is None else {d.name: d for d in self.kernel.drivers}
 
     @property
     def ok(self) -> bool:

@@ -24,13 +24,14 @@ parsed image and, per mapped span, its RVA, permissions and read-only
 view of its bytes.  Every mapping reads as its own and shares until
 written, as Windows maps an image copy-on-write: a region starts as its
 span's view, and only :meth:`MemoryRegion.writable` gives it bytes of
-its own.  The image's first rebase resolves its fixups to places in the
-regions (:func:`~duqusim.peformat.resolve_fixups`), and every rebase
-patches them there in place, in the regions they make private; no load
-builds a size_of_image layout.  A base is found by one walk over the
-sorted regions (:meth:`SimProcess.free_base`).  An image's regions enter
-the process in one splice, after relocation succeeds, and a load that
-fails leaves nothing mapped and, for a new process, no process behind.
+its own.  An image's first rebase resolves its fixups to places in its
+spans (:func:`~duqusim.peformat.resolve_fixups`); the first rebase by a
+delta relocates copies of just the spans they patch, which every mapping
+rebased by that delta, in any kernel, then shares; no load builds a
+size_of_image layout.  A base is found by one walk over the sorted regions
+(:meth:`SimProcess.free_base`).  An image's regions enter the process in
+one splice, after relocation succeeds, and a load that fails leaves
+nothing mapped and, for a new process, no process behind.
 
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
@@ -71,7 +72,7 @@ PID_START = 0x910
 PID_STEP = 4
 PEB_START = 0x7FFD5000
 SYSTEM_VERSION = "5.1.2600"
-IMAGE_CACHE_BYTES = 8 << 20  # file bytes plus span copies the image cache may hold
+IMAGE_CACHE_BYTES = 8 << 20  # file bytes plus span and layout copies the image cache may hold
 
 
 class Perm(enum.Flag):
@@ -297,9 +298,12 @@ class LoadPlan:
     ``spans`` gives, per mapped span in RVA order, its RVA and its region's
     permissions, and ``views`` its mapped bytes, read-only and shared by
     every mapping: a slice of the file bytes or, for a span with a zero
-    tail, one copy that holds the tail; ``nbytes`` is the length of those
-    copies.  The first rebase builds ``fixups`` and ``patched``, the spans
-    a fixup writes into.  A plan holds no kernel.
+    tail, one copy that holds the tail.  The first rebase builds ``fixups``
+    and ``patched``, the spans a fixup writes into.  ``layouts`` maps a
+    delta, base minus preferred base, to the views of a mapping rebased by
+    it: ``views`` with each patched span swapped for a read-only relocated
+    copy.  ``nbytes`` is the length of every copy, span and layout.  A plan
+    holds no kernel.
     """
     image: PeImage
     spans: list[tuple[int, Perm]] = field(repr=False)
@@ -307,6 +311,7 @@ class LoadPlan:
     nbytes: int
     fixups: list | None = field(default=None, repr=False)
     patched: frozenset[int] = field(default=frozenset(), repr=False)
+    layouts: dict[int, list[memoryview]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, image: PeImage) -> LoadPlan:
@@ -331,13 +336,32 @@ class LoadPlan:
             views.append(view)
         return cls(image, spans, views, nbytes)
 
+    def relocated(self, delta: int) -> list[memoryview]:
+        """``views`` with each patched span swapped for a read-only copy
+        relocated by ``delta``.  A bad fixup raises, and is never kept."""
+        if self.fixups is None:
+            fixups = resolve_fixups([(rva, len(view)) for (rva, _), view
+                                     in zip(self.spans, self.views)],
+                                    self.image.nt.size_of_image, self.image.relocations)
+            self.patched = frozenset(j for i, cells in fixups for j in (
+                (i,) if i >= 0 else (k for k, _ in cells if k >= 0)))
+            self.fixups = fixups
+        bufs = list(self.views)
+        for j in self.patched:
+            bufs[j] = bytearray(bufs[j])
+        apply_fixups(bufs, self.fixups, delta)
+        for j in self.patched:
+            bufs[j] = memoryview(bufs[j]).toreadonly()
+        return bufs
+
 
 @dataclass
 class ImageCache:
     """File bytes -> load plan for every kernel, evicting the oldest first.
-    ``nbytes`` counts each key and its plan's span copies against
+    ``nbytes`` counts each key and its plan's copies against
     ``IMAGE_CACHE_BYTES``.  A failed parse is never stored, nor a plan over
-    the bound, which is built again on each load."""
+    the bound, which is built again on each load; a relocated layout that
+    does not fit, or of a plan not stored, serves its one mapping."""
     plans: dict[bytes, LoadPlan] = field(default_factory=dict, repr=False)
     nbytes: int = 0
 
@@ -353,6 +377,20 @@ class ImageCache:
                     old = self.plans.pop(next(iter(self.plans)))
                     self.nbytes -= len(old.image.raw) + old.nbytes
         return plan
+
+    def layout(self, plan: LoadPlan, delta: int) -> list[memoryview]:
+        """``plan``'s views for a mapping ``delta`` bytes off its preferred
+        base, built by the first such map: every later one reads the same."""
+        views = plan.layouts.get(delta)
+        if views is None:
+            views = plan.relocated(delta)
+            nbytes = sum(len(views[j]) for j in plan.patched)
+            if (self.nbytes + nbytes <= IMAGE_CACHE_BYTES
+                    and self.plans.get(plan.image.raw) is plan):
+                plan.layouts[delta] = views
+                plan.nbytes += nbytes
+                self.nbytes += nbytes
+        return views
 
 
 image_cache = ImageCache()
@@ -602,19 +640,10 @@ class SimKernel:
             raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
         if base != preferred and not image.relocations:
             raise CannotRelocate(f"{name} must rebase but has no relocations")
+        views = plan.views if base == preferred else image_cache.layout(plan, base - preferred)
         tag = f"image:{name}"
         regions = [MemoryRegion(base + rva, view, perms, tag)
-                   for (rva, perms), view in zip(plan.spans, plan.views)]
-        if base != preferred:
-            if plan.fixups is None:  # a bad fixup is never kept: it raises on every rebase
-                fixups = resolve_fixups([(r.base - base, len(r.data)) for r in regions],
-                                        size, image.relocations)
-                plan.patched = frozenset(j for i, cells in fixups for j in (
-                    (i,) if i >= 0 else (k for k, _ in cells if k >= 0)))
-                plan.fixups = fixups
-            for j in plan.patched:  # each region a fixup patches gets bytes of its own
-                regions[j].writable()
-            apply_fixups([r.data for r in regions], plan.fixups, base - preferred)
+                   for (rva, perms), view in zip(plan.spans, views)]
         proc.insert_regions(base, size, regions)
         return base
 

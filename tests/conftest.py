@@ -37,6 +37,17 @@ FLEET_SHAPED_SCENARIO = (Path(__file__).parent / "golden"
                          / "fleet_shaped.scenario").read_text(encoding="utf-8")
 
 
+def driver_named(result, name: str):
+    """The driver ``name`` registered in a scenario result's kernel."""
+    return next(d for d in result.kernel.drivers if d.name == name)
+
+
+def encode_near_call(call_site: int, target: int) -> bytes:
+    """``E8 rel32`` at ``call_site`` calling ``target``: the inverse of
+    :func:`duqusim.peformat.resolve_near_call`."""
+    return b"\xE8" + ((target - call_site - 5) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
 def small_image() -> bytes:
     """A valid PE32 whose 0x300-byte image holds its headers in 0x1a0 bytes."""
     from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32

@@ -18,7 +18,7 @@ import weakref
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from duqusim import cli, peformat, scenario, simkernel
+from duqusim import peformat, scenario, simkernel
 from duqusim.sentinel import SentinelDriver
 from duqusim.simkernel import ADDRESS_LIMIT, Driver, EventKind, SimKernel
 
@@ -86,23 +86,31 @@ class _Checked(NamedTuple):
     views: list
     fixups: list | None
     patched: frozenset
+    layouts: dict
     nbytes: int
 
     @classmethod
     def of(cls, plan) -> "_Checked":
         return cls(plan, plan.image, list(plan.spans), list(plan.views),
-                   copy.deepcopy(plan.fixups), plan.patched, plan.nbytes)
+                   copy.deepcopy(plan.fixups), plan.patched,
+                   {delta: list(views) for delta, views in plan.layouts.items()}, plan.nbytes)
 
     def holds(self, plan) -> bool:
         """Whether ``plan`` is the same plan in the same state: the same
-        image and view objects, and equal spans, fixups, patched spans and
-        ``nbytes``.  A view is read-only, so its bytes change only if it is
-        replaced."""
+        image, view and layout view objects, and equal spans, fixups,
+        patched spans and ``nbytes``.  A view is read-only, so its bytes
+        change only if it is replaced."""
         return (self.plan is plan and self.image is plan.image and self.spans == plan.spans
                 and self.fixups == plan.fixups and self.patched == plan.patched
                 and self.nbytes == plan.nbytes
-                and len(self.views) == len(plan.views)
-                and all(map(operator.is_, self.views, plan.views)))
+                and _same_views(self.views, plan.views)
+                and self.layouts.keys() == plan.layouts.keys()
+                and all(_same_views(views, plan.layouts[delta])
+                        for delta, views in self.layouts.items()))
+
+
+def _same_views(old: list, new: list) -> bool:
+    return len(old) == len(new) and all(map(operator.is_, old, new))
 
 
 # Key -> plan as its content checks last passed, for the cache last checked:
@@ -113,12 +121,14 @@ _checked: dict[bytes, _Checked] = {}
 def check_image_cache() -> None:
     """The shared cache is within its bound and holds only plans of file
     images: each image keeps its own key as ``raw`` and no ``read`` into a
-    kernel, and its views are read-only.  A plan that is new, or changed
-    since it last passed, gets the content checks too: its spans and
-    fixups hold no bytes, each view reads as the loader maps its span,
-    ``nbytes`` counts exactly the views that are copies, the plan is the
-    one its image builds, and ``patched`` names every span a fixup writes
-    into."""
+    kernel, and its views, its layouts' too, are read-only.  A plan that
+    is new, or changed since it last passed, gets the content checks too:
+    its spans and fixups hold no bytes, each view reads as the loader maps
+    its span, the plan is the one its image builds, ``patched`` names
+    every span a fixup writes into, each layout's patched views read as
+    relocating the mapped layout by its delta and its others are the
+    plan's own views, and ``nbytes`` counts exactly the span and layout
+    views that are copies."""
     cache = simkernel.image_cache
     assert cache.nbytes == sum(len(key) + plan.nbytes for key, plan in cache.plans.items()), \
         "cache byte count drifted"
@@ -128,20 +138,38 @@ def check_image_cache() -> None:
         image = plan.image
         assert image.raw is key and image.layout == "file", "cached image is not its key"
         assert image.read is None, "cached image reads through a kernel"
-        assert all(view.readonly for view in plan.views), "cached view is writable"
+        assert all(view.readonly for views in (plan.views, *plan.layouts.values())
+                   for view in views), "cached view is writable"
         last = _checked.get(key)
         if last is not None and last.holds(plan):
             checked[key] = last
             continue
         assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan spans hold bytes"
+        spans = peformat.mapped_spans(image)
         assert [bytes(view) for view in plan.views] == [
             peformat.mapped_bytes(image, span.rva, span.span)
-            for span in peformat.mapped_spans(image)], "cached view is not the mapped span"
-        copies = [view for view in plan.views if view.obj is not key]
-        assert plan.nbytes == sum(map(len, copies)), "span copies miscounted"
+            for span in spans], "cached view is not the mapped span"
         assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
         assert plan.patched == {j for i, run in plan.fixups or () for j in (
             [i] if i >= 0 else [k for k, _ in run]) if j >= 0}, "patched spans miscounted"
+        assert not plan.layouts or plan.fixups is not None, "layout without fixups"
+        mapped = bytes(peformat.assemble_mapped(image)) if plan.layouts else b""
+        preferred = image.nt.image_base
+        for delta, views in plan.layouts.items():
+            assert 0 < abs(delta) < simkernel.ADDRESS_LIMIT and len(views) == len(plan.views), \
+                "layout misshapen"
+            layout = peformat.apply_relocations(mapped, preferred + delta, preferred,
+                                                image.relocations)
+            for j, (span, view, own) in enumerate(zip(spans, views, plan.views)):
+                if j in plan.patched:
+                    assert view is not own and view.obj is not key and \
+                        view == layout[span.rva:span.rva + span.span], \
+                        "layout view is not the relocated span"
+                else:
+                    assert view is own, "unpatched layout view is not the plan's own"
+        copies = [view for view in plan.views if view.obj is not key]
+        copies += [views[j] for views in plan.layouts.values() for j in plan.patched]
+        assert plan.nbytes == sum(map(len, copies)), "span copies miscounted"
         checked[key] = _Checked.of(plan)
     _checked.clear()
     _checked.update(checked)
@@ -169,7 +197,7 @@ def recording_runs(monkeypatch) -> list:
     Each of their kernels has an :class:`ImageLoadRecorder` registered first.
     """
     results = []
-    original = cli.run_scenario
+    original = scenario.run_scenario
     monkeypatch.setattr(scenario, "SimKernel", recorded_kernel)
 
     def run_and_record(path):
@@ -178,7 +206,7 @@ def recording_runs(monkeypatch) -> list:
         results.append(result)
         return result
 
-    monkeypatch.setattr(cli, "run_scenario", run_and_record)
+    monkeypatch.setattr(scenario, "run_scenario", run_and_record)
     return results
 
 

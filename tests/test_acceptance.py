@@ -17,7 +17,6 @@ from duqusim.fixtures import SERVICES_ENTRY_BYTES
 from duqusim.peformat import (
     apply_relocations,
     assemble_mapped,
-    encode_near_call,
     parse_pe,
     resolve_near_call,
     restore_headers,
@@ -37,7 +36,7 @@ from duqusim.simkernel import (
 )
 from duqusim.pebuild import reloc_block
 
-from conftest import boot_kernel, entry_file_offset, random_pe32
+from conftest import boot_kernel, driver_named, encode_near_call, entry_file_offset, random_pe32
 from oracles import apply_relocations_oracle, ror13_oracle
 
 HOOK = bytes([0xB8, 0xBD, 0x18, 0x0A, 0x00, 0xFF, 0xD0])
@@ -161,7 +160,7 @@ def test_permission_round_trip(fixture_dir, fixture_bytes):
     # permissions are back and the same write faults again.
     result = run_scenario(fixture_dir / "duqu_unopposed.scenario")
     assert result.ok
-    duqu = result.drivers["duqu"]
+    duqu = driver_named(result, "duqu")
     target = duqu.state.target_pid
     region = result.kernel.process(target).region_at(duqu.state.entry_va)
     assert region.perms == PERM_RX == old
@@ -173,7 +172,7 @@ def test_permission_round_trip(fixture_dir, fixture_bytes):
 def test_restore_completeness(fixture_dir):
     result = run_scenario(fixture_dir / "duqu_unopposed.scenario")
     assert result.ok
-    duqu = result.drivers["duqu"]
+    duqu = driver_named(result, "duqu")
     state = duqu.state
     current = result.kernel.read_memory(state.target_pid, state.entry_va, 12)
     assert current == state.saved_entry_bytes == SERVICES_ENTRY_BYTES

@@ -17,20 +17,20 @@ from bisect import bisect_left
 
 import pytest
 
-from duqusim import peformat
+from duqusim import peformat, scan
 from duqusim.duqu import PatternNotFound, decrypt_blob, scan_call_push_call
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import (
     SIG_XOR_EXPECT,
     SIG_XOR_KEY,
-    encode_near_call,
     find_export_by_name,
     parse_pe,
     resolve_near_call,
     section_data,
 )
-from duqusim.scan import OBFUSCATED_PE_CONST, scan_pe
+from duqusim.scan import OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_pe
 
+from conftest import encode_near_call
 from oracles import xor_stream_oracle
 
 IMAGE_BASE = 0x00400000
@@ -188,6 +188,22 @@ class TestPeConstEquivalence:
         data = build(b"\x90" * 4 + PE_DWORD, page=PE_DWORD + b"\x90" * 4)
         expected = [IMAGE_BASE + TEXT_VA + 4, IMAGE_BASE + PAGE_VA]
         assert pe_const_found(data) == pe_const_reference(data) == expected
+
+
+class TestOneReadPerCodeSection:
+    """``scan_pe`` builds each executable section's bytes once and runs
+    both code searches over them, with an anchor or without."""
+
+    @pytest.mark.parametrize("anchor, trains", [(None, 0), (ANCHOR, 1)])
+    def test_ntoskrnl(self, fixture_bytes, monkeypatch, anchor, trains):
+        data = fixture_bytes("ntoskrnl.exe")
+        reads = []
+        for module in (scan, peformat):
+            monkeypatch.setattr(module, "section_data", lambda image, section: (
+                reads.append(section.name), section_data(image, section))[1])
+        report = scan.scan_pe(data, anchor_export=anchor)
+        assert reads == [s.name for s in parse_pe(data).sections if s.executable]
+        assert [f.kind for f in report.findings].count(ZWPROTECT_PATTERN) == trains
 
 
 class TestCallPushCallEquivalence:

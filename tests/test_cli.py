@@ -285,3 +285,20 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "-> Terminating services.exe" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["-c", "import duqusim.scan, duqusim.sentinel"], "duqusim.sentinel"),
+    (["-m", "duqusim", "scan", "ntoskrnl.exe"], "duqusim.scan"),
+])
+def test_defensive_tooling_never_imports_the_attacker(fixture_dir, argv, loads):
+    """The monitor and the scanner, and ``duqusim scan``, load no
+    ``duqusim.duqu``: ``-X importtime`` lists every module a run imports."""
+    argv = [str(fixture_dir / arg) if arg.endswith(".exe") else arg for arg in argv]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert loads in imported and "duqusim.peformat" in imported
+    assert "duqusim.duqu" not in imported

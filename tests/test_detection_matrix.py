@@ -18,6 +18,7 @@ import pytest
 from duqusim.fixtures import poc_scenario_text, write_fixture_set
 from duqusim.scenario import run_scenario
 
+from conftest import driver_named
 from invariants import check_kernel
 
 GOLDEN = Path(__file__).parent / "golden" / "detection_matrix.txt"
@@ -57,7 +58,7 @@ def matrix_row(directory: Path, knobs: tuple[str, str, str, str]) -> dict:
         fate = "neither"
     return {
         "knobs": knobs,
-        "verdicts": [verdict for _, verdict in result.drivers["sentinel"].verdicts],
+        "verdicts": [verdict for _, verdict in driver_named(result, "sentinel").verdicts],
         "fate": fate,
         "hook": any("entrypoint hook written at" in line for line in lines),
         "payload": any("PAYLOAD_STARTED" in line for line in lines),

@@ -41,7 +41,7 @@ from duqusim.simkernel import (
     SimKernel,
 )
 
-from conftest import boot_kernel
+from conftest import boot_kernel, encode_near_call
 from oracles import xor_stream_oracle
 
 
@@ -128,7 +128,6 @@ class TestLocateUnexported:
         # displacements are position relative); the resolved target must
         # come out the same wherever the train sits, with random filler
         # around it that contains no competing anchor call.
-        from duqusim.peformat import encode_near_call
         rng = random.Random(77)
         for offset in (0x000, 0x123, 0x7A0, 0xF00 - len(CALL_TRAIN)):
             filler = bytes(rng.choice([b for b in range(256) if b != 0xE8])

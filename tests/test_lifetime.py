@@ -82,8 +82,8 @@ def test_dropped_result_frees_its_run(tmp_path, monkeypatch, name):
 
 def test_driver_outliving_its_kernel_has_none_to_act_on(fixture_dir):
     result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
-    drivers = result.drivers
+    drivers = list(result.kernel.drivers)
     del result
-    for driver in drivers.values():
+    for driver in drivers:
         with pytest.raises(ReferenceError):
             driver.kernel.processes

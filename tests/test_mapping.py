@@ -7,6 +7,7 @@ size_of_image buffer for every load.
 """
 
 import hashlib
+import operator
 import random
 import struct
 import tracemalloc
@@ -44,6 +45,7 @@ from duqusim.peformat import (
     strip_headers,
 )
 from duqusim.scan import scan_pe
+from duqusim.scenario import run_scenario
 from duqusim.simkernel import (
     PERM_R,
     PERM_RW,
@@ -56,7 +58,7 @@ from duqusim.simkernel import (
 )
 
 from conftest import boot_kernel, displaced_headers_image, random_pe32, small_image
-from invariants import check_image_cache
+from invariants import check_image_cache, check_kernel
 from oracles import assemble_mapped_oracle, loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
@@ -420,7 +422,8 @@ class TestLoaderRegions:
                     kernel.load_module(proc.pid, "again.dll", data, base=base)
                 assert proc.regions == before and proc.modules == modules
         assert len(resolves) == 6 and applies == []
-        assert simkernel.image_cache.plans[data].fixups is None
+        plan = simkernel.image_cache.plans[data]
+        assert plan.fixups is None and plan.layouts == {}
 
     def test_fixups_resolved_once_across_kernels(self, monkeypatch):
         resolves, applies = recorded_relocations(monkeypatch)
@@ -432,7 +435,11 @@ class TestLoaderRegions:
             kernel.load_module(proc.pid, "moved.dll", data, base=REBASE_TO)
             check_mapping(proc, "again.dll", data)
             check_mapping(proc, "moved.dll", data)
-        assert len(resolves) == 1 and len(applies) == 4
+        # resolved by the first rebase, applied once per delta: the second
+        # kernel's rebases, by the same two deltas, relocate nothing
+        assert len(resolves) == 1 and len(applies) == 2
+        assert sorted(delta for _, _, delta in applies) == sorted(
+            simkernel.image_cache.plans[data].layouts)
 
     @pytest.mark.parametrize("name", ["fixups_in_tails", *sorted(edge_images())])
     def test_rebase_through_the_plan_matches_relocating_the_layout(self, name):
@@ -485,7 +492,7 @@ class TestLoaderRegions:
         assert resolves == applies == []
         k2 = kernel.load_module(proc.pid, "k2.dll", data)
         kernel.load_module(proc.pid, "k3.dll", data, base=REBASE_TO)
-        # resolved once, by the first rebase; applied once per rebase
+        # resolved once, by the first rebase; applied once per delta
         assert len(resolves) == 1
         fixups = simkernel.image_cache.plans[data].fixups
         assert [(run is fixups, delta) for _, run, delta in applies] == [
@@ -576,12 +583,25 @@ def crossing_fixup_image() -> bytes:
         relocations=[reloc_block(0x1000, [0x10, 0xFFE])], reloc_va=0x3000))
 
 
-def region_names(proc, base: int, image, private: bool) -> list[str]:
-    """The sections (``headers`` for the header span) of the module at
-    ``base`` whose regions hold bytes of their own, or share them."""
-    return [span.section.name if span.section else "headers"
-            for span in mapped_spans(image)
-            if (type(proc.region_at(base + span.rva).data) is bytearray) == private]
+def region_sources(proc, base: int, image) -> list[tuple[str, str]]:
+    """Per mapped span of the module at ``base``, its section (``headers``
+    for the header span) and where its region's bytes are: ``own`` for a
+    bytearray of its own, ``plan`` for its cached plan's view of the file,
+    ``relocated`` for a read-only copy the plan keeps relocated."""
+    plan = simkernel.image_cache.plans[image.raw]
+    relocated = {id(view) for views in plan.layouts.values() for view in views}
+    out = []
+    for span, view in zip(mapped_spans(image), plan.views):
+        data = proc.region_at(base + span.rva).data
+        source = ("own" if type(data) is bytearray else "plan" if data is view
+                  else "relocated" if id(data) in relocated and data.readonly else "?")
+        out.append((span.section.name if span.section else "headers", source))
+    return out
+
+
+def region_names(proc, base: int, image, source: str) -> list[str]:
+    """The sections of the module at ``base`` whose bytes are at ``source``."""
+    return [name for name, at in region_sources(proc, base, image) if at == source]
 
 
 def fixup_sections(image) -> set[str]:
@@ -627,31 +647,32 @@ class TestCopyOnWrite:
         kernel.protect_memory(a.pid, base + text.rva, text.span, PERM_RW)
         with pytest.raises(AccessViolation):  # runs on into read-only .edata: refused whole
             kernel.write_memory(a.pid, base + text.rva + text.span - 4, b"\xCC" * 8)
-        assert region_names(a, base, image, private=True) == []
+        assert region_names(a, base, image, "own") == []
         kernel.write_memory(a.pid, base + text.rva + 8, b"\xCC" * 4)
-        assert region_names(a, base, image, private=True) == [".text"]
+        assert region_names(a, base, image, "own") == [".text"]
         written = bytearray(data[text.offset:text.offset + 16])
         written[8:12] = b"\xCC" * 4
         assert kernel.read_memory(a.pid, base + text.rva, 16) == written
-        assert region_names(b, base, image, private=True) == []
+        assert region_names(b, base, image, "own") == []
         assert digests() == before
         check_mapping(b, "k.dll", data)
 
     @pytest.mark.parametrize("make", [fleet_dll, crossing_fixup_image, tail_fixup_image])
-    def test_rebase_makes_only_its_fixup_regions_private(self, make):
+    def test_rebase_relocates_only_its_fixup_regions(self, make):
         data = make()
         image = parse_pe(data)
         kernel = SimKernel()
         proc = kernel.create_process("host.exe", data)
         rebased = kernel.load_module(proc.pid, "again.dll", data)
         assert rebased != image.nt.image_base
-        private = region_names(proc, rebased, image, private=True)
-        assert set(private) == fixup_sections(image) and private
+        relocated = region_names(proc, rebased, image, "relocated")
+        assert set(relocated) == fixup_sections(image) and relocated
         assert simkernel.image_cache.plans[data].patched == {
             i for i, span in enumerate(mapped_spans(image))
-            if (span.section.name if span.section else "headers") in private}
-        assert region_names(proc, rebased, image, private=False)
-        assert region_names(proc, proc.image_base, image, private=True) == []
+            if (span.section.name if span.section else "headers") in relocated}
+        assert region_names(proc, rebased, image, "plan")
+        assert region_names(proc, rebased, image, "own") == []
+        assert {at for _, at in region_sources(proc, proc.image_base, image)} == {"plan"}
         check_mapping(proc, "again.dll", data)
         check_mapping(proc, "host.exe", data)
 
@@ -660,21 +681,24 @@ class TestCopyOnWrite:
         kernel = SimKernel()
         proc = kernel.create_process("host.exe", data)
         rebased = kernel.load_module(proc.pid, "again.dll", data)
-        image = parse_pe(data)
-        assert region_names(proc, rebased, image, private=True) == [".text"]
-        assert region_names(proc, rebased, image, private=False) == [
-            "headers", ".edata", ".reloc"]
+        assert region_sources(proc, rebased, parse_pe(data)) == [
+            ("headers", "plan"), (".text", "relocated"), (".edata", "plan"), (".reloc", "plan")]
 
     def test_direct_write_into_a_fresh_mapping_raises(self, fixture_bytes):
-        data = fixture_bytes("services.exe")
+        data, dll = fixture_bytes("services.exe"), fixture_bytes("kernel32.dll")
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", data)
+        kernel.load_module(proc.pid, "k.dll", dll)
+        rebased = kernel.load_module(proc.pid, "k2.dll", dll)
+        assert region_names(proc, rebased, parse_pe(dll), "relocated")
         for region in proc.regions:
             with pytest.raises(TypeError):
                 region.data[0] = 0xCC
             with pytest.raises(TypeError):
                 region.data[:] = b"\xCC" * len(region.data)
         check_mapping(proc, "a.exe", data)
+        check_mapping(proc, "k.dll", dll)
+        check_mapping(proc, "k2.dll", dll)
 
     def test_zero_tail_span_copied_in_one_allocation(self, monkeypatch):
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
@@ -706,10 +730,105 @@ class TestCopyOnWrite:
         assert held < 2 * mapped, (held, mapped)
 
 
+class TestRelocatedLayouts:
+    """Each (image, delta) is relocated once per process; every mapping
+    rebased by that delta, in any kernel, shares its read-only copies."""
+
+    @staticmethod
+    def views(proc, base: int, image) -> list:
+        return [proc.region_at(base + span.rva).data for span in mapped_spans(image)]
+
+    def test_same_delta_shares_every_view_across_kernels(self, monkeypatch):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = fleet_dll()
+        image = parse_pe(data)
+        mapped = []
+        for _ in range(2):
+            kernel = SimKernel()
+            proc = kernel.create_process("host.exe", data)
+            for name, base in (("a.dll", None), ("b.dll", REBASE_TO)):
+                at = kernel.load_module(proc.pid, name, data, base=base)
+                mapped.append(self.views(proc, at, image))
+                check_mapping(proc, name, data)
+        first_a, first_b, second_a, second_b = mapped
+        assert all(map(operator.is_, first_a, second_a))
+        assert all(map(operator.is_, first_b, second_b))
+        plan = simkernel.image_cache.plans[data]
+        assert len(plan.layouts) == 2
+        for j, (a, b) in enumerate(zip(first_a, first_b)):
+            assert (a is b) == (j not in plan.patched) and a.readonly and b.readonly
+        # a different delta: different patched bytes
+        assert [bytes(first_a[j]) != bytes(first_b[j]) for j in plan.patched] == [True]
+        check_image_cache()
+
+    def test_write_into_a_rebased_mapping_reaches_no_other(self, monkeypatch):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = fleet_dll()
+        image = parse_pe(data)
+        kernel = SimKernel()
+        a = kernel.create_process("a.exe", data)
+        b = kernel.create_process("b.exe", data)
+        base = kernel.load_module(a.pid, "k.dll", data)
+        assert kernel.load_module(b.pid, "k.dll", data) == base != image.nt.image_base
+        plan = simkernel.image_cache.plans[data]
+        [layout] = plan.layouts.values()
+        before = [bytes(view) for view in layout]
+        text = next(s for s in mapped_spans(image) if s.section and s.section.name == ".text")
+        kernel.protect_memory(a.pid, base + text.rva, text.span, PERM_RW)
+        kernel.write_memory(a.pid, base + text.rva + 0x10, b"\xCC" * 4)
+        assert region_names(a, base, image, "own") == [".text"]
+        assert kernel.read_memory(a.pid, base + text.rva + 0x10, 4) == b"\xCC" * 4
+        assert region_names(b, base, image, "own") == []
+        assert [bytes(view) for view in layout] == before
+        check_mapping(b, "k.dll", data)
+        check_image_cache()
+
+    def test_second_fleet_run_relocates_and_copies_nothing(self, fixture_dir, monkeypatch):
+        resolves, applies = recorded_relocations(monkeypatch)
+        relocations, copies = [], []
+        relocated, writable = simkernel.LoadPlan.relocated, simkernel.MemoryRegion.writable
+
+        def counted_writable(region):
+            if type(region.data) is not bytearray:
+                copies.append(region.tag)
+            return writable(region)
+
+        monkeypatch.setattr(simkernel.LoadPlan, "relocated",
+                            lambda plan, delta: relocations.append(delta) or relocated(plan, delta))
+        monkeypatch.setattr(simkernel.MemoryRegion, "writable", counted_writable)
+        path = fixture_dir / "fleet_shaped.scenario"
+        first = run_scenario(path)
+        assert resolves and applies and relocations
+        del resolves[:], applies[:], relocations[:]
+        second = run_scenario(path)
+        assert second.render("plain") == first.render("plain")
+        # nothing in the scenario writes: every copy would be the loader's
+        assert resolves == applies == relocations == copies == []
+        check_kernel(second.kernel)
+
+    def test_layouts_stay_within_the_cache_bound(self, monkeypatch):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = fleet_dll()
+        image = parse_pe(data)
+        assert simkernel.LoadPlan.build(image).nbytes == 0  # only layouts copy
+        bound = len(data) + 3 * 0x1800
+        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", bound)
+        kernel = SimKernel()
+        proc = kernel.create_process("host.exe", data)
+        for i in range(8):
+            name = f"m{i}.dll"
+            kernel.load_module(proc.pid, name, data, base=REBASE_TO + i * simkernel.REBASE_STEP)
+            assert simkernel.image_cache.nbytes <= bound
+            check_mapping(proc, name, data)
+            check_image_cache()
+        plan = simkernel.image_cache.plans[data]
+        assert len(plan.layouts) == 3 and plan.nbytes == 3 * 0x1800
+
+
 class TestImageCacheCheck:
     """The cache invariant checks a plan's content once per state: a plan
-    whose views, spans, fixups, patched spans or copy count change is
-    checked again."""
+    whose views, spans, fixups, patched spans, layouts or copy count
+    change is checked again."""
 
     @pytest.mark.parametrize("change, error", [
         ("view", "cached view is not the mapped span"),
@@ -717,6 +836,7 @@ class TestImageCacheCheck:
         ("fixups", "cached plan spans hold bytes"),
         ("patched", "patched spans miscounted"),
         ("nbytes", "span copies miscounted"),
+        ("layout", "layout view is not the relocated span"),
     ])
     def test_a_changed_plan_fails_the_next_check(self, monkeypatch, change, error):
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
@@ -725,7 +845,7 @@ class TestImageCacheCheck:
         proc = kernel.create_process("host.exe", data)
         kernel.load_module(proc.pid, "again.dll", data)
         plan = simkernel.image_cache.plans[data]
-        assert plan.fixups and plan.patched
+        assert plan.fixups and plan.patched and plan.layouts
         check_image_cache()
         check_image_cache()
         if change == "view":  # a read-only view of the key, of the right length
@@ -736,6 +856,12 @@ class TestImageCacheCheck:
             plan.fixups[0][1].append(b"\x00")
         elif change == "patched":
             plan.patched = frozenset()
+        elif change == "layout":  # a read-only copy of the right length, one byte off
+            [views] = plan.layouts.values()
+            [j] = plan.patched
+            tampered = bytearray(views[j])
+            tampered[0] ^= 1
+            views[j] = memoryview(tampered).toreadonly()
         else:  # the cache's own count agrees
             plan.nbytes += 1
             simkernel.image_cache.nbytes += 1

@@ -20,7 +20,6 @@ from duqusim.peformat import (
     Truncated,
     Unencodable,
     apply_relocations,
-    encode_near_call,
     encode_relocations,
     find_export_by_hash,
     find_export_by_name,
@@ -41,7 +40,7 @@ from duqusim.pebuild import (
 from duqusim.scan import scan_pe
 from duqusim.scenario import run_scenario
 
-from conftest import random_pe32
+from conftest import encode_near_call, random_pe32
 from oracles import (
     apply_relocations_oracle,
     dump_pe_oracle,

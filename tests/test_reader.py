@@ -22,7 +22,6 @@ from duqusim.peformat import (
     assemble_mapped,
     decode_entry_hook,
     encode_entry_hook,
-    encode_near_call,
     find_export_by_hash,
     find_export_by_name,
     parse_pe,
@@ -35,6 +34,7 @@ from duqusim.peformat import (
 from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, PE_CONST, ZWPROTECT_PATTERN, scan_pe
 from duqusim.simkernel import PERM_RW, Driver, EventKind, SimKernel
 
+from conftest import encode_near_call
 from test_mapping import edge_images
 
 PE_FIXTURES = sorted(name for name, build in FIXTURE_BUILDERS.items()

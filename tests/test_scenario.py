@@ -16,6 +16,8 @@ from duqusim.scenario import (
     run_scenario,
 )
 
+from conftest import driver_named
+
 
 def write_scenario(fixture_dir, name, text):
     path = fixture_dir / name
@@ -196,7 +198,7 @@ class TestDriverOptions:
     def test_report_only_spellings(self, tmp_path, value, expected):
         path = write_scenario(tmp_path, "ro.scenario",
                               f"driver sentinel report-only={value}\n")
-        assert run_scenario(path).drivers["sentinel"].report_only is expected
+        assert driver_named(run_scenario(path), "sentinel").report_only is expected
 
     @pytest.mark.parametrize("name, content", [
         ("latin1.json", b"\xff\xfe{}"),
@@ -281,7 +283,7 @@ class TestDriverOptions:
         mask = fixture_dir / "maskspec.json"
         path = write_scenario(tmp_path, "okmask.scenario",
                               duqu_line(fixture_dir, f"mask={mask}"))
-        assert run_scenario(path).drivers["duqu"].mask == \
+        assert driver_named(run_scenario(path), "duqu").mask == \
             IntegrityMask.from_json(mask.read_text())
 
 
@@ -330,7 +332,7 @@ def test_driver_reads_only_declared_keys(fixture_dir, name, given):
 
 
 class TestDriverRegistry:
-    """``ScenarioResult.drivers`` is the kernel's own list of drivers, by name."""
+    """A run's drivers are its kernel's own list, in dispatch order."""
 
     def swapped_poc(self, fixture_dir, prefix=""):
         lines = (fixture_dir / "poc_duqu_attack.scenario").read_text().splitlines()
@@ -338,26 +340,32 @@ class TestDriverRegistry:
         lines[a], lines[b] = lines[b], lines[a]
         return write_scenario(fixture_dir, "swapped.scenario", prefix + "\n".join(lines))
 
+    @staticmethod
+    def names(result) -> list[str]:
+        return [driver.name for driver in result.kernel.drivers]
+
     def test_dispatch_order(self, fixture_dir):
         result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
-        assert list(result.drivers) == ["sentinel", "duqu"]
+        assert self.names(result) == ["sentinel", "duqu"]
         result = run_scenario(self.swapped_poc(fixture_dir))
-        assert list(result.drivers) == ["duqu", "sentinel"]
+        assert self.names(result) == ["duqu", "sentinel"]
 
     def test_same_objects_as_the_kernel(self, fixture_dir):
         result = run_scenario(self.swapped_poc(fixture_dir))
-        assert len(result.drivers) == len(result.kernel.drivers) == 2
+        assert len(result.kernel.drivers) == 2
         for driver in result.kernel.drivers:
-            assert result.drivers[driver.name] is driver
+            assert driver_named(result, driver.name) is driver
+            assert driver.kernel.processes is result.kernel.processes
 
     def test_halted_injector_is_registered_without_handlers(self, fixture_dir):
         result = run_scenario(self.swapped_poc(fixture_dir, "set-mode debug\n"))
-        assert list(result.drivers) == ["duqu", "sentinel"]
-        assert result.drivers["duqu"].handlers == {}
-        assert result.drivers["sentinel"].handlers
+        assert self.names(result) == ["duqu", "sentinel"]
+        assert driver_named(result, "duqu").handlers == {}
+        assert driver_named(result, "sentinel").handlers
 
-    def test_no_kernel_no_drivers(self):
-        assert ScenarioResult().drivers == {}
+    def test_result_lines_copy_the_kernel_log(self, fixture_dir):
+        result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
+        assert result.lines == result.kernel.log and result.lines is not result.kernel.log
 
 
 class TestDeterminism:
