@@ -8,7 +8,10 @@ stub's restore traffic over the driver's control device.
 
 Like the original, the driver reads the modules it inspects where they are
 mapped, through simulated memory: ntoskrnl's headers, exports and
-executable sections, the target's headers, kernel32's exports.
+executable sections, the target's headers, kernel32's exports.  It reads
+them on every run, but each distinct export directory is decoded and
+hashed once per process.  Its stubs' parsed images come from the loader's
+image cache; the payload, read back out of memory, is parsed each time.
 
 Stub execution is simulator-native: the byte-level effects (header
 restore, payload mapping, entrypoint restore) are applied to simulated
@@ -410,10 +413,11 @@ class DuquDriver(Driver):
             kernel.image_reader(pid, event.base)).nt.entry_point_rva
 
         stub2_base = kernel.allocate_memory(pid, len(self.stub2), PERM_RWX)
-        kernel.write_memory(pid, stub2_base, strip_headers(parse_pe(self.stub2)))
+        stub2_image = simkernel.image_cache.plan(self.stub2).image
+        kernel.write_memory(pid, stub2_base, strip_headers(stub2_image))
         stub1_base = kernel.allocate_memory(pid, len(self.stub1), PERM_RWX,
                                             code=self.run_stub)
-        stub1_image = parse_pe(self.stub1)
+        stub1_image = simkernel.image_cache.plan(self.stub1).image
         kernel.write_memory(pid, stub1_base, strip_headers(stub1_image))
 
         blob = restore_headers(kernel.read_memory(pid, stub1_base, len(self.stub1)))

@@ -3,11 +3,13 @@
 Implements the 32-bit subset the pipeline actually touches: machine 0x014C,
 optional-header magic 0x010B, export directory (index 0) and base-relocation
 directory (index 5), HIGHLOW fixups only.  Everything is plain ``struct``
-over byte buffers.  The one module state is :func:`parse_headers`' memo
-of decoded header blocks, which holds bytes and decoded headers, never a
+over byte buffers.  The module state is two memos of decodes kept by
+content: :func:`parse_headers`' header blocks and :func:`read_module`'s
+export directories.  They hold bytes and decodes, never a reader or a
 kernel; the header records are named tuples, so no caller can change a
-decode that other images share.  The injector, the kernel and the
-scanner share its entrypoint-hook and call / push 104h / call codecs.
+decode that other images share, and no caller changes a shared
+:class:`ExportTable`.  The injector, the kernel and the scanner share
+its entrypoint-hook and call / push 104h / call codecs.
 
 An image comes from one of two places:
 
@@ -113,8 +115,8 @@ _SECTION = struct.Struct("<8sIIII12xI")
 
 # The first chunk of an export name read outside the directory's span.
 _CSTRING_CHUNK = 64
-HEADER_MEMO_ENTRIES = 64   # header blocks parse_headers keeps decoded
-HEADER_MEMO_BLOCK = 4096   # a longer block is decoded on every call
+HEADER_MEMO_ENTRIES = 64   # header blocks, and export directories, each memo keeps
+HEADER_MEMO_BLOCK = 4096   # a longer block or directory is decoded on every call
 
 # Non-blocking, so opening a FIFO returns at once and it is refused.
 _OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
@@ -222,6 +224,9 @@ class Section(NamedTuple):
 
 @dataclass
 class ExportTable:
+    """An export directory's (name, rva) entries.  A table that
+    :func:`read_module` keeps is shared by every image of equal directory
+    bytes, so no caller changes it."""
     entries: list[tuple[bytes, int]] = field(default_factory=list)
     # ror13 hash -> the entries with that hash; built by the first hash lookup.
     by_hash: dict[int, list[tuple[bytes, int]]] | None = field(
@@ -451,29 +456,51 @@ def _read_cstring(read: Reader, rva: int) -> bytes:
         size = 2 * size if bound is None else max((bound - rva) // 2, 1)
 
 
-def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
-    """The export directory, read through ``read``."""
+def _parse_exports(read: Reader, nt: NtHeaders,
+                   memo: dict | None = None) -> ExportTable | None:
+    """The export directory, read through ``read``; with a ``memo``, a
+    table its key alone decides is kept in it (see :func:`read_module`)."""
     rva, size = nt.directory(DIR_EXPORT)
     if rva == 0 or size == 0:
         return None
     # One read of the directory's span; in the canonical layout it also
     # holds the three arrays and every name.
     span = read(rva, max(size, EXPORT_DIRECTORY_SIZE))
+    key = (rva, nt.size_of_image, span)
+    if memo is not None and (table := memo.get(key)) is not None:
+        return table
+    table, whole = _decode_exports(read, *key)
+    if (memo is not None and whole and len(span) <= HEADER_MEMO_BLOCK
+            and sum(len(name) for name, _ in table.entries) <= len(span)):
+        _remember(memo, key, table)
+    return table
+
+
+def _decode_exports(read: Reader, rva: int, size_of_image: int,
+                    span: bytes) -> tuple[ExportTable, bool]:
+    """The table whose directory read at ``rva`` returned ``span``, and
+    whether it was decoded from ``span`` alone."""
+    whole = True
 
     def at(field_rva: int, n: int) -> bytes:
+        nonlocal whole
         lo = field_rva - rva
         if 0 <= lo <= len(span) - n:
             return span[lo:lo + n]
-        return read(field_rva, n) if n else b""
+        if not n:
+            return b""
+        whole = False
+        return read(field_rva, n)
 
     last: tuple[int, bytes] | None = None  # the last name read outside the span
 
     def name_at(name_rva: int) -> bytes:
-        nonlocal last
+        nonlocal last, whole
         lo = name_rva - rva
         end = span.find(b"\x00", lo) if 0 <= lo < len(span) else -1
         if end != -1:
             return span[lo:end]
+        whole = False
         # A tail of the last name (tail-merged strings) ends at the same NUL.
         if last is not None and 0 <= name_rva - last[0] <= len(last[1]):
             return last[1][name_rva - last[0]:]
@@ -490,11 +517,11 @@ def _parse_exports(read: Reader, nt: NtHeaders) -> ExportTable | None:
         name = name_at(name_rva)
         if name in seen:
             raise NotPe(f"duplicate export name {name!r}")
-        if func_rva >= nt.size_of_image:
+        if func_rva >= size_of_image:
             raise NotPe(f"export {name!r} rva {func_rva:#x} outside the image")
         seen.add(name)
         entries.append((name, func_rva))
-    return ExportTable(entries=entries)
+    return ExportTable(entries=entries), whole
 
 
 def _parse_relocations(read: Reader, nt: NtHeaders) -> list[RelocationBlock]:
@@ -553,6 +580,17 @@ def parse_pe(data: bytes) -> PeImage:
 # Header bytes -> the DOS header, NT headers, sections and headers_end
 # parse_headers decoded from them, oldest first.
 _header_memo: dict[bytes, tuple[DosHeader, NtHeaders, tuple[Section, ...], int]] = {}
+# (directory RVA, size_of_image, directory bytes) -> the export table
+# read_module decoded from them, oldest first.
+_export_memo: dict[tuple[int, int, bytes], ExportTable] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Keep ``value`` under ``key`` in ``memo``, evicting the oldest entry
+    first once it holds ``HEADER_MEMO_ENTRIES``."""
+    if len(memo) >= HEADER_MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 def parse_headers(data: bytes) -> PeImage:
@@ -573,9 +611,8 @@ def parse_headers(data: bytes) -> PeImage:
     if decoded is None:
         image = _decode_headers(key, "mapped")
         if len(key) <= HEADER_MEMO_BLOCK:
-            if len(_header_memo) >= HEADER_MEMO_ENTRIES:
-                del _header_memo[next(iter(_header_memo))]
-            _header_memo[key] = (image.dos, image.nt, image.sections, image.headers_end)
+            _remember(_header_memo, key,
+                      (image.dos, image.nt, image.sections, image.headers_end))
         return image
     dos, nt, sections, headers_end = decoded
     return PeImage(dos, nt, sections, None, [], key, "mapped", headers_end=headers_end)
@@ -604,11 +641,15 @@ def read_headers(read: Reader) -> PeImage:
 def read_module(read: Reader) -> PeImage:
     """:func:`read_headers` plus the export and relocation directories.
 
-    Each directory is read where it lives, with the same checks
-    :func:`parse_pe` makes on file bytes.
+    Each directory is read where it lives, on every call, with the same
+    checks :func:`parse_pe` makes on file bytes.  As :func:`parse_headers`
+    keeps header blocks, an export table decoded from its one directory
+    read alone, at most ``HEADER_MEMO_BLOCK`` bytes with names that total
+    no more, is kept under that read's RVA and bytes and ``size_of_image``,
+    and shared, ``by_hash`` index included; an error is never kept.
     """
     image = read_headers(read)
-    image.exports = _parse_exports(read, image.nt)
+    image.exports = _parse_exports(read, image.nt, _export_memo)
     image.relocations = _parse_relocations(read, image.nt)
     return image
 
@@ -785,7 +826,9 @@ def find_export_by_hash(image: PeImage, name_hash: int) -> tuple[bytes, int]:
 
     Returns ``(name, virtual address)``.  A collision between two exports
     signals a bad fixture and is reported rather than silently resolved.
-    Each name is hashed once per image, on the first lookup.
+    Each name is hashed once per table, on the first lookup: once per
+    image parsed from a file, and once per distinct directory that
+    :func:`read_module` keeps.
     """
     exports = image.exports
     if exports is None:

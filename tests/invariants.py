@@ -6,7 +6,10 @@ case; a failure names the invariant and the process it broke in.
 ``duqusim run`` made through :func:`duqusim.cli.main`, so a test can check
 the kernel behind a transcript, and registers an
 :class:`ImageLoadRecorder` in each of those kernels before any scenario
-driver.  :func:`recorded_parses` lists every real parse the loader makes.
+driver.  :func:`recorded_parses` lists every real parse the loader makes,
+and :func:`recorded_export_decodes` every export directory
+:func:`duqusim.peformat.read_module` decodes.  :func:`check_image_cache`
+and :func:`check_export_memo` check the two caches a process keeps.
 :func:`run_refs` and :func:`still_alive` check that a finished run is
 freed by reference counting alone.
 """
@@ -21,6 +24,8 @@ from typing import NamedTuple
 from duqusim import peformat, scenario, simkernel
 from duqusim.sentinel import SentinelDriver
 from duqusim.simkernel import ADDRESS_LIMIT, Driver, EventKind, SimKernel
+
+from oracles import _parse_exports_oracle, ror13_oracle
 
 
 class ImageLoadRecorder(Driver):
@@ -70,6 +75,7 @@ def check_kernel(kernel) -> None:
                     if pid not in kernel.processes or not kernel.processes[pid].alive]
             assert not dead, f"sentinel records for dead pids {dead}"
     check_image_cache()
+    check_export_memo()
 
 
 def _holds_bytes(value) -> bool:
@@ -173,6 +179,78 @@ def check_image_cache() -> None:
         checked[key] = _Checked.of(plan)
     _checked.clear()
     _checked.update(checked)
+
+
+# Key -> (table, its entries, its hash index) as the content checks last
+# passed them: a table still so needs no second content check.
+_checked_exports: dict[tuple, tuple] = {}
+
+
+def _export_state(table) -> tuple:
+    by_hash = table.by_hash
+    return (table, list(table.entries),
+            None if by_hash is None else {h: list(v) for h, v in by_hash.items()})
+
+
+def check_export_memo() -> None:
+    """``read_module``'s memo is within its bound and holds only what its
+    key decides: each kept table is an :class:`ExportTable` and nothing
+    else, no reader and no kernel, its directory read is at most
+    ``HEADER_MEMO_BLOCK`` bytes and its names total no more.  A table
+    that is new, or changed since it last passed, gets the content checks
+    too: it equals the oracle's decode of its key, read from the key's
+    bytes alone, and its hash index, once built, holds each entry under
+    its name's ror13 hash.  A caller that changed a shared table fails
+    here."""
+    memo = peformat._export_memo
+    assert len(memo) <= peformat.HEADER_MEMO_ENTRIES, "export memo over its bound"
+    checked = {}
+    for key, table in memo.items():
+        rva, size_of_image, span = key
+        assert type(table) is peformat.ExportTable and vars(table).keys() <= {
+            "entries", "by_hash"}, "kept export table holds more than its entries"
+        assert type(span) is bytes and len(span) <= peformat.HEADER_MEMO_BLOCK, \
+            "kept export directory too long"
+        assert sum(len(name) for name, _ in table.entries) <= len(span), \
+            "kept export names longer than their directory"
+        last = _checked_exports.get(key)
+        state = _export_state(table)
+        if last is not None and last[0] is table and last[1:] == state[1:]:
+            checked[key] = last
+            continue
+
+        def read(at: int, n: int) -> bytes:
+            assert 0 <= at - rva <= len(span) - n, "kept export table read past its key"
+            return span[at - rva:at - rva + n]
+
+        nt = peformat.NtHeaders(0, 0, 0, 0, 0, 0, size_of_image, ((rva, len(span)),))
+        assert table == _parse_exports_oracle(read, nt), "kept export table is not its key's"
+        assert all(type(name) is bytes and type(va) is int for name, va in table.entries), \
+            "kept export entry is not a name and an RVA"
+        if table.by_hash is not None:
+            expected: dict = {}
+            for entry in table.entries:
+                expected.setdefault(ror13_oracle(entry[0]), []).append(entry)
+            assert table.by_hash == expected, "kept export hash index drifted"
+        checked[key] = state
+    _checked_exports.clear()
+    _checked_exports.update(checked)
+
+
+def recorded_export_decodes(monkeypatch) -> list[tuple[int, int, bytes]]:
+    """The key of every export directory ``read_module`` decodes from now
+    on, that is every read its memo misses.  ``parse_pe``'s decodes of
+    file images are not listed."""
+    decoded = []
+    decode = peformat._decode_exports
+
+    def recorded(read, *key):
+        if getattr(read, "func", None) is not peformat._read_file:
+            decoded.append(key)
+        return decode(read, *key)
+
+    monkeypatch.setattr(peformat, "_decode_exports", recorded)
+    return decoded
 
 
 def recorded_parses(monkeypatch) -> list[bytes]:

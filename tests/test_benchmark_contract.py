@@ -7,7 +7,10 @@ entries this adds are removed again afterwards.  Each workload's dispatch
 counts are pinned, so the handlers the tracer rebinds are still the ones
 the kernel calls, and so are its parse counts and free-span probes, so a
 loader that parses the same image again, or probes for a free base step
-by step, fails here.
+by step, fails here.  The warm-up then runs a second time, over warm
+caches, and its parses and name hashes are pinned too, so an injector
+that parses its stubs or decodes kernel32's exports on every run fails
+here.
 """
 
 import importlib.util
@@ -30,11 +33,22 @@ DISPATCH_COUNTS = {
 # Traced warm-up on seed 1: real PE parses.  The import is fresh, so the
 # parsed-image cache starts empty; a loader that parses an image once per
 # kernel rather than once per process reads 52 on replay and 28 on fleet.
-PARSE_COUNTS = {"replay": 18, "fleet": 16, "scan": 4}
+# The injector takes its stubs from that cache, so each is parsed once, not
+# once per injection (18 on replay and 16 on fleet when it parsed them
+# itself); the one payload replay maps is parsed where it is read.
+PARSE_COUNTS = {"replay": 10, "fleet": 14, "scan": 4}
 # Traced warm-up on seed 1: ``SimProcess.span_free`` probes, one per splice
 # of new regions.  A loader probing once per ``REBASE_STEP`` while it hunts
 # for a free base reads 98 on replay and 336 on fleet.
 SPAN_FREE_COUNTS = {"replay": 57, "fleet": 122, "scan": 0}
+# The same warm-up run again, after the first: real PE parses other than
+# the payload's (one per ``run_stub``), then ``ror13_hash`` calls and bytes.
+# Every image, stub and kernel32 export table is decoded already, so only
+# the monitor's entrypoint checksums hash.  An injector that re-decodes
+# kernel32's exports on every run reads 70 / 775 on replay and 40 / 454 on
+# fleet; one that parses its stubs on every run, 10 and 4 parses.  Scan
+# files never go through a cache.
+WARM_COUNTS = {"replay": (0, 5, 60), "fleet": (0, 14, 168), "scan": (4, 0, 0)}
 
 
 @pytest.fixture
@@ -59,15 +73,26 @@ def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
     dq = bench.load_duqusim()
     tracer = bench.Tracer(dq)
     work = bench.WORKLOADS[workload](dq, tmp_path, 1)
-    with tracer.installed():
-        dq.fixtures.write_fixture_set(tmp_path / "traced_fixtures")
+
+    def warm_up() -> None:
         for spec in work.warmup:
             ok, _, _ = work.check(spec, work.run(spec))
             assert ok, spec
-    op = "scan.scan_pe" if workload == "scan" else "scenario.execute"
-    assert tracer.counts[f"{op}.calls"] == len(work.warmup)
-    assert tracer.counts["fixtures.write_fixture_set.calls"] == 1
-    assert set(tracer.self_ms()) <= bench.KNOWN_PER_LAYER
-    assert tuple(tracer.counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
-    assert tracer.counts["peformat.parse_pe.calls"] == PARSE_COUNTS[workload]
-    assert tracer.counts["simkernel.span_free.calls"] == SPAN_FREE_COUNTS[workload]
+
+    with tracer.installed():
+        dq.fixtures.write_fixture_set(tmp_path / "traced_fixtures")
+        warm_up()
+        op = "scan.scan_pe" if workload == "scan" else "scenario.execute"
+        counts = tracer.counts
+        assert counts[f"{op}.calls"] == len(work.warmup)
+        assert counts["fixtures.write_fixture_set.calls"] == 1
+        assert set(tracer.self_ms()) <= bench.KNOWN_PER_LAYER
+        assert tuple(counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
+        assert counts["peformat.parse_pe.calls"] == PARSE_COUNTS[workload]
+        assert counts["simkernel.span_free.calls"] == SPAN_FREE_COUNTS[workload]
+        tracer.reset()
+        warm_up()
+    assert tuple(counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
+    assert (counts["peformat.parse_pe.calls"] - counts["duqu.run_stub.calls"],
+            counts["peformat.ror13_hash.calls"],
+            counts["peformat.ror13_hash.bytes"]) == WARM_COUNTS[workload]

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from duqusim import simkernel
+from duqusim import peformat, simkernel
 from duqusim.cli import main
 from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_fixture_set
 from duqusim.peformat import PeError, parse_pe, read_module
@@ -31,8 +31,8 @@ from duqusim.scenario import ScenarioError, ScenarioRunner, parse_scenario
 from duqusim.simkernel import SimError, SimKernel
 
 from conftest import entry_in_gap_image, small_image
-from invariants import (check_image_cache, check_kernel, gc_disabled, recording_runs, run_refs,
-                        still_alive)
+from invariants import (check_export_memo, check_image_cache, check_kernel, gc_disabled,
+                        recording_runs, run_refs, still_alive)
 from oracles import loader_regions_oracle, parse_scenario_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
@@ -79,8 +79,10 @@ def test_header_mutants_decode_alike_from_file_and_mapping(fixture_bytes, monkey
     # read_module over the mapping at the preferred base is what both
     # drivers decode; parse_pe of the file is what the loader and the
     # scanner decode.  The mutants' plans go to a cache of their own, so
-    # later tests do not check them at every kernel invariant check.
+    # later tests do not check them at every kernel invariant check; so do
+    # their export tables.
     monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    monkeypatch.setattr(peformat, "_export_memo", {})
     rng = random.Random("differential")
     mapped = 0
     for case in range(DIFFERENTIAL_CASES):
@@ -101,6 +103,7 @@ def test_header_mutants_decode_alike_from_file_and_mapping(fixture_bytes, monkey
         assert ((got.nt, got.sections, got.exports, got.relocations)
                 == (image.nt, image.sections, image.exports, image.relocations)), (case, fixture)
     assert mapped > DIFFERENTIAL_CASES // 2, mapped
+    check_export_memo()
 
 
 def inserted_line(rng: random.Random) -> str:
@@ -310,3 +313,4 @@ def test_loader_header_mutations_exit_cleanly(tmp_path, capsys, monkeypatch):
                     mapped["rebased"] += at != image.nt.image_base
     assert min(mapped.values()) > 0, mapped
     check_image_cache()
+    check_export_memo()

@@ -12,8 +12,8 @@ section reads shows up in the scanner's findings.  And it holds
 and a fleet-shaped one, with the SHA-256 of its bytes, so a change to
 what the loader lays down shows up even where no log line reads it.  The
 kernel invariants are checked after every golden scenario.  Both PoC
-transcripts are also checked from an empty parsed-image cache and from one
-that other runs have filled.
+transcripts are also checked from an empty parsed-image cache and export
+memo, and from ones that other runs have filled.
 """
 
 import hashlib
@@ -23,13 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from duqusim import simkernel
+from duqusim import duqu, peformat, simkernel
 from duqusim.cli import main
 from duqusim.fixtures import write_fixture_set
 from duqusim.scenario import run_scenario
 
 from conftest import FLEET_SHAPED_SCENARIO
-from invariants import check_kernel, recorded_parses, recording_runs
+from invariants import check_kernel, recorded_export_decodes, recorded_parses, recording_runs
 from test_detection_matrix import KNOBS, matrix_row
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,13 +69,15 @@ def test_transcripts_do_not_depend_on_event_kind_hashes(fixture_dir, capsys, mon
                                              ("duqu_unopposed", "poc_duqu_attack")])
 def test_transcripts_match_golden_cold_and_warm(fixture_dir, tmp_path, capsys, monkeypatch,
                                                 scenario, other):
-    """Each format once from an empty image cache, then again after the
-    other PoC scenario and the 24 detection-matrix runs filled it: the warm
-    runs map every image they share with those runs from the same entries."""
+    """Each format once from an empty image cache and export memo, then
+    again after the other PoC scenario and the 24 detection-matrix runs
+    filled them: the warm runs map every image they share with those runs
+    from the same entries, parse no stub and decode no export directory."""
     def transcripts(cold: bool) -> None:
         for fmt, suffix in (("plain", "txt"), ("json", "jsonl")):
             if cold:
                 monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+                monkeypatch.setattr(peformat, "_export_memo", {})
             monkeypatch.setenv("SENTINEL_LOG_FORMAT", fmt)
             assert main(["run", str(fixture_dir / f"{scenario}.scenario")]) == 0
             out = capsys.readouterr().out.encode("utf-8")
@@ -83,18 +85,30 @@ def test_transcripts_match_golden_cold_and_warm(fixture_dir, tmp_path, capsys, m
 
     transcripts(cold=True)
     monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    monkeypatch.setattr(peformat, "_export_memo", {})
     run_scenario(fixture_dir / f"{other}.scenario")
     write_fixture_set(tmp_path)
     for knobs in KNOBS:
         matrix_row(tmp_path, knobs)
     cached = dict(simkernel.image_cache.plans)
     assert cached and all(plan.image.spans is not None for plan in cached.values())
+    kept = dict(peformat._export_memo)
+    assert kept
     parsed = recorded_parses(monkeypatch)
+    decoded = recorded_export_decodes(monkeypatch)
+    injector_parses = []
+    monkeypatch.setattr(duqu, "parse_pe", lambda data: (injector_parses.append(data),
+                                                        peformat.parse_pe(data))[1])
     transcripts(cold=False)
     # Only ntdll.dll, which no warm-up run loads, is parsed, and only once.
     fresh = ["ntdll.dll"] if scenario == "duqu_unopposed" else []
     assert parsed == [(fixture_dir / name).read_bytes() for name in fresh]
     assert all(simkernel.image_cache.plans[key] is plan for key, plan in cached.items())
+    # The injector parses only the payload it reads back out of memory.
+    stubs = [(fixture_dir / name).read_bytes() for name in ("stub1.bin", "stub2.bin")]
+    assert not any(data in stubs for data in injector_parses)
+    assert decoded == [] and peformat._export_memo == kept
+    assert all(peformat._export_memo[key] is table for key, table in kept.items())
 
 
 REGION_SCENARIOS = ("poc_duqu_attack", "duqu_unopposed", "fleet_shaped")

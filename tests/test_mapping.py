@@ -58,7 +58,7 @@ from duqusim.simkernel import (
 )
 
 from conftest import boot_kernel, displaced_headers_image, random_pe32, small_image
-from invariants import check_image_cache, check_kernel
+from invariants import check_export_memo, check_image_cache, check_kernel
 from oracles import assemble_mapped_oracle, loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
@@ -760,6 +760,7 @@ class TestRelocatedLayouts:
         # a different delta: different patched bytes
         assert [bytes(first_a[j]) != bytes(first_b[j]) for j in plan.patched] == [True]
         check_image_cache()
+        check_export_memo()
 
     def test_write_into_a_rebased_mapping_reaches_no_other(self, monkeypatch):
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
@@ -782,6 +783,7 @@ class TestRelocatedLayouts:
         assert [bytes(view) for view in layout] == before
         check_mapping(b, "k.dll", data)
         check_image_cache()
+        check_export_memo()
 
     def test_second_fleet_run_relocates_and_copies_nothing(self, fixture_dir, monkeypatch):
         resolves, applies = recorded_relocations(monkeypatch)
@@ -821,6 +823,7 @@ class TestRelocatedLayouts:
             assert simkernel.image_cache.nbytes <= bound
             check_mapping(proc, name, data)
             check_image_cache()
+            check_export_memo()
         plan = simkernel.image_cache.plans[data]
         assert len(plan.layouts) == 3 and plan.nbytes == 3 * 0x1800
 
@@ -959,19 +962,29 @@ class TestStubParses:
         data = fixture_bytes("stub1.bin")
         assert strip_headers(parse_pe(data)) == strip_headers(data)
 
-    def test_each_injection_parses_each_stub_once(self, fixture_dir, monkeypatch):
-        kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False)
+    def test_each_stub_is_parsed_once_per_process(self, fixture_dir, monkeypatch):
+        """The stubs are file bytes, so the injector takes their parsed
+        images from the image cache: from an empty cache, two injections in
+        two kernels parse each stub once."""
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
         parsed = []
-        original = duqu.parse_pe
-        monkeypatch.setattr(duqu, "parse_pe",
-                            lambda data: parsed.append(bytes(data)) or original(data))
-        monkeypatch.setattr(peformat, "parse_pe",
-                            lambda data: parsed.append(bytes(data)) or original(data))
-        kernel.create_process("services.exe", (fixture_dir / "services.exe").read_bytes(),
-                              base=0x01000000)
-        assert drivers["duqu"].state.target_pid is not None
-        stub1, stub2 = drivers["duqu"].stub1, drivers["duqu"].stub2
-        assert sorted(parsed) == sorted([stub1, stub2])
+        original = peformat.parse_pe
+        for module in (duqu, peformat, simkernel):
+            monkeypatch.setattr(module, "parse_pe",
+                                lambda data: parsed.append(bytes(data)) or original(data))
+        stubs = [(fixture_dir / name).read_bytes() for name in ("stub1.bin", "stub2.bin")]
+        images = []
+        for _ in range(2):
+            kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False)
+            proc = kernel.create_process("services.exe",
+                                         (fixture_dir / "services.exe").read_bytes(),
+                                         base=0x01000000)
+            state = drivers["duqu"].state
+            assert state.target_pid == proc.pid
+            images.append(kernel.read_memory(proc.pid, state.stub2_base, len(stubs[1])))
+        assert sorted(data for data in parsed if data in stubs) == sorted(stubs)
+        # Each injection still writes its own stripped copy.
+        assert images == [strip_headers(stubs[1])] * 2
 
     @pytest.mark.parametrize("bad, allocated", [("stub2", 1), ("stub1", 2)])
     def test_bad_stub_faults_after_the_same_allocations(self, fixture_dir, bad, allocated):

@@ -11,12 +11,14 @@ import pytest
 from duqusim import peformat
 from duqusim.duqu import DuquDriver, default_mask
 from duqusim.fixtures import FIXTURE_BUILDERS
-from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
+from duqusim.pebuild import CODE_SECTION, RODATA_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import (
     DIR_EXPORT,
+    EXPORT_DIRECTORY_SIZE,
     HOOK_LEN,
     PUSH_104H,
     AmbiguousHash,
+    HashNotFound,
     NotPe,
     PatternNotFound,
     assemble_mapped,
@@ -35,6 +37,9 @@ from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, PE_CONST, ZWPROTECT_PA
 from duqusim.simkernel import PERM_RW, Driver, EventKind, SimKernel
 
 from conftest import encode_near_call
+from invariants import check_export_memo, recorded_export_decodes
+from oracles import read_module_oracle
+from test_decoder import suffix_names_pe
 from test_mapping import edge_images
 
 PE_FIXTURES = sorted(name for name, build in FIXTURE_BUILDERS.items()
@@ -366,6 +371,173 @@ class TestHeaderMemo:
         peformat.parse_headers(blocks[-1])
         peformat.parse_headers(blocks[0])
         assert decodes == [blocks[0]]
+
+
+EXPORT_SIZE_FIELD = 0x80 + 24 + 96 + 8 * DIR_EXPORT + 4  # for build_pe32's e_lfanew
+
+
+def edata_pe(edata: bytes, size: int | None = None, virtual_size: int | None = None) -> bytes:
+    """A DLL whose export directory is ``edata`` at RVA 0x2000, ``size``
+    bytes long by its data directory (all of ``edata`` by default)."""
+    pe = bytearray(build_pe32(PeSpec(
+        image_base=0x10000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION),
+                  SectionDef(".edata", 0x2000, edata, RODATA_SECTION,
+                             virtual_size=virtual_size)],
+        dll=True)))
+    struct.pack_into("<II", pe, EXPORT_SIZE_FIELD - 4, 0x2000,
+                     len(edata) if size is None else size)
+    return bytes(pe)
+
+
+def inline_suffix_names_pe(n: int) -> bytes:
+    """A DLL whose ``n`` export names are the suffixes of one n-byte
+    ``A...A`` run inside its export directory: they total n(n+1)/2 bytes."""
+    funcs_va = 0x2000 + 40
+    names_va = funcs_va + 4
+    ords_va = names_va + 4 * n
+    run_va = ords_va + 2 * n
+    return edata_pe(struct.pack("<IIHHIIIIIII", 0, 0, 0, 0, 0, 1, 1, n,
+                                funcs_va, names_va, ords_va)
+                    + struct.pack("<I", 0x1000)
+                    + struct.pack(f"<{n}I", *range(run_va, run_va + n))
+                    + bytes(2 * n) + b"A" * n + b"\x00")
+
+
+class TestExportMemo:
+    """``read_module`` keeps an export table by its directory's RVA,
+    ``size_of_image`` and directory bytes, and only one those decide."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """A fresh memo; the keys of the export directories decoded."""
+        monkeypatch.setattr(peformat, "_export_memo", {})
+        return recorded_export_decodes(monkeypatch)
+
+    def test_equal_directories_share_one_table_hashed_once(self, fixture_bytes, decodes,
+                                                            monkeypatch):
+        data = fixture_bytes("kernel32.dll")
+        reads = [mapped(data)[3], mapped(data, parse_pe(data).nt.image_base + REBASE_BY)[3]]
+        images = [read_module(read) for read in reads + reads]
+        assert len(decodes) == 1 and list(peformat._export_memo) == decodes
+        assert all(image.exports is images[0].exports for image in images)
+        assert images[0].exports == parse_pe(data).exports
+        hashed = []
+        monkeypatch.setattr(peformat, "ror13_hash",
+                            lambda name: (hashed.append(name), ror13_hash(name))[1])
+        for image in images:
+            for name, _ in image.exports.entries:
+                assert find_export_by_hash(image, ror13_hash(name))[0] == name
+        assert sorted(hashed) == sorted(name for name, _ in images[0].exports.entries)
+        check_export_memo()
+
+    def test_name_write_is_read_back(self, fixture_bytes, decodes):
+        data = fixture_bytes("kernel32.dll")
+        kernel, pid, at, read = mapped(data)
+        before = read_module(read)
+        assert find_export_by_hash(before, ror13_hash(b"LoadLibraryA"))[0] == b"LoadLibraryA"
+        rva = export_dir_rva(data)
+        span = read(rva, before.nt.directory(DIR_EXPORT)[1])
+        patch(kernel, pid, at + rva + span.index(b"LoadLibraryA\x00"), b"LoadLibraryW")
+        after = read_module(read)
+        assert len(decodes) == 2 and after.exports is not before.exports
+        assert after.exports.entries[0] == (b"LoadLibraryW", before.exports.entries[0][1])
+        assert after.exports.entries[1:] == before.exports.entries[1:]
+        assert find_export_by_hash(after, ror13_hash(b"LoadLibraryW")) == (
+            b"LoadLibraryW", at + before.exports.entries[0][1])
+        with pytest.raises(HashNotFound):
+            find_export_by_hash(after, ror13_hash(b"LoadLibraryA"))
+        assert read_module(read).exports is after.exports and len(decodes) == 2
+        check_export_memo()
+
+    @pytest.mark.parametrize("span", [EXPORT_DIRECTORY_SIZE, EXPORT_DIRECTORY_SIZE + 10 * 13])
+    def test_table_read_outside_its_span_is_never_kept(self, fixture_bytes, decodes, span):
+        # The directory's size covers only the directory, or the directory
+        # and its three arrays: the arrays or the names are read apart.
+        data = bytearray(fixture_bytes("kernel32.dll"))
+        struct.pack_into("<I", data, EXPORT_SIZE_FIELD, span)
+        read = mapped(bytes(data))[3]
+        for _ in range(3):
+            assert read_module(read) == read_module_oracle(read)
+        assert len(decodes) == 3 and peformat._export_memo == {}
+
+    def test_size_of_image_is_part_of_the_key(self, decodes):
+        # Equal directory bytes: an export at 0x1800 is inside an image of
+        # 0x3000 bytes, and outside one of 0x1800.
+        edata = peformat.encode_export_table([(b"Alpha", 0x1800)], 0x2000)
+        buf = bytearray(assemble_mapped(parse_pe(edata_pe(edata))))
+        size_field = 0x80 + 80
+        reads = []
+        for size in (0x3000, 0x1800):
+            struct.pack_into("<I", buf, size_field, size)
+            reads.append(lambda rva, n, image=bytes(buf): image[rva:rva + n])
+        assert read_module(reads[0]).exports.entries == [(b"Alpha", 0x1800)]
+        with pytest.raises(NotPe, match="rva 0x1800 outside the image"):
+            read_module(reads[1])
+        assert len(decodes) == 2 and len(peformat._export_memo) == 1
+
+    def test_decode_that_raises_is_never_kept(self, fixture_bytes, decodes):
+        data = fixture_bytes("kernel32.dll")
+        kernel, pid, at, read = mapped(data)
+        rva = export_dir_rva(data)
+        names_rva = struct.unpack("<I", read(rva + 32, 4))[0]
+        patch(kernel, pid, at + names_rva + 4, read(names_rva, 4))  # a second LoadLibraryA
+        errors = []
+        for _ in range(3):
+            with pytest.raises(NotPe) as caught:
+                read_module(read)
+            errors.append(str(caught.value))
+        assert errors == ["duplicate export name b'LoadLibraryA'"] * 3
+        assert len(decodes) == 3 and peformat._export_memo == {}
+
+    @pytest.mark.parametrize("build", [suffix_names_pe, inline_suffix_names_pe])
+    def test_names_longer_than_their_span_are_never_kept(self, decodes, build):
+        # suffix_names_pe's run lies outside the directory; the inline
+        # run inside it, so only the names' total keeps that table out.
+        data = build(300)
+        read = mapped(data)[3]
+        for _ in range(2):
+            assert read_module(read).exports == parse_pe(data).exports
+        assert sum(len(name) for name, _ in parse_pe(data).exports.entries) == 300 * 301 // 2
+        assert len(decodes) == 2 and peformat._export_memo == {}
+
+    def test_directory_over_the_block_is_never_kept(self, decodes):
+        edata = peformat.encode_export_table([(b"Alpha", 0x1000)], 0x2000)
+        block = peformat.HEADER_MEMO_BLOCK
+        for size, kept in ((block, 1), (block + 1, 0)):
+            peformat._export_memo.clear()
+            del decodes[:]
+            read = mapped(edata_pe(edata, size, virtual_size=0x2000))[3]
+            assert read_module(read).exports.entries == [(b"Alpha", 0x1000)]
+            read_module(read)
+            assert len(decodes) == 2 - kept and len(peformat._export_memo) == kept
+
+    def test_memo_bounded_oldest_evicted_first(self, fixture_bytes, decodes):
+        data = fixture_bytes("kernel32.dll")
+        kernel, pid, at, read = mapped(data)
+        stamp = at + export_dir_rva(data) + 4  # TimeDateStamp: no decoded field
+        first = read_module(read).exports
+        for i in range(1, peformat.HEADER_MEMO_ENTRIES + 6):
+            patch(kernel, pid, stamp, struct.pack("<I", i))
+            assert read_module(read).exports == first
+            assert len(peformat._export_memo) <= peformat.HEADER_MEMO_ENTRIES
+        assert list(peformat._export_memo) == decodes[6:]
+        check_export_memo()
+        del decodes[:]
+        read_module(read)
+        patch(kernel, pid, stamp, struct.pack("<I", 0))
+        read_module(read)
+        assert len(decodes) == 1
+
+    def test_check_fails_on_a_changed_table(self, fixture_bytes, decodes):
+        image = read_module(mapped(fixture_bytes("kernel32.dll"))[3])
+        find_export_by_hash(image, ror13_hash(b"Sleep"))
+        check_export_memo()
+        check_export_memo()
+        image.exports.entries.pop()
+        with pytest.raises(AssertionError, match="kept export table is not its key's"):
+            check_export_memo()
+
 
 
 def boot(fixture_bytes, ntoskrnl: bytes, tamper: Driver | None = None):
