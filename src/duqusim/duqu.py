@@ -248,7 +248,6 @@ class SharedState:
     entry_va: int = 0
     stub1_base: int = 0
     stub2_base: int = 0
-    stub2_len: int = 0
     payload_base: int = 0
     payload_len: int = 0
     ntdll_handle: int = 0
@@ -420,9 +419,10 @@ class DuquDriver(Driver):
         stub1_image = simkernel.image_cache.plan(self.stub1).image
         kernel.write_memory(pid, stub1_base, strip_headers(stub1_image))
 
-        blob = restore_headers(kernel.read_memory(pid, stub1_base, len(self.stub1)))
-        blob = apply_relocations(blob, stub1_base, stub1_image.nt.image_base,
-                                 stub1_image.relocations)
+        blob = bytearray(restore_headers(kernel.read_memory(pid, stub1_base,
+                                                            len(self.stub1))))
+        apply_relocations(blob, stub1_base, stub1_image.nt.image_base,
+                          stub1_image.relocations)
         kernel.write_memory(pid, stub1_base, blob)
 
         self.state.saved_perms = kernel.protect_memory(pid, entry_va, SAVED_ENTRY_LEN,
@@ -437,7 +437,6 @@ class DuquDriver(Driver):
         st.entry_va = entry_va
         st.stub1_base = stub1_base
         st.stub2_base = stub2_base
-        st.stub2_len = len(self.stub2)
         st.payload_base = payload_base
         st.payload_len = len(payload)
         self._log(f"staged injection into pid={pid:#x} "
@@ -486,7 +485,7 @@ class DuquDriver(Driver):
         self_base = st.stub1_base  # call-pop stand-in
         self._log(f"stub: self-located at {self_base:#010x}")
         try:
-            blob2 = restore_headers(kernel.read_memory(pid, st.stub2_base, st.stub2_len))
+            blob2 = restore_headers(kernel.read_memory(pid, st.stub2_base, len(self.stub2)))
             kernel.write_memory(pid, st.stub2_base, blob2)
             for i, (_, va) in enumerate(st.kernel32_imports):
                 struct.pack_into("<I", st.function_table, 8 + 4 * i, va)
@@ -499,8 +498,8 @@ class DuquDriver(Driver):
             payload_image = parse_pe(pe_bytes)
             dest = kernel.allocate_memory(pid, payload_image.nt.size_of_image, PERM_RWX)
             mapped = assemble_mapped(payload_image)
-            mapped = apply_relocations(mapped, dest, payload_image.nt.image_base,
-                                       payload_image.relocations)
+            apply_relocations(mapped, dest, payload_image.nt.image_base,
+                              payload_image.relocations)
             kernel.write_memory(pid, dest, mapped)
             st.payload_image_base = dest
             entry = dest + payload_image.nt.entry_point_rva

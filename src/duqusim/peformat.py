@@ -37,11 +37,10 @@ A file image's loader layout is a list of :class:`MapSpan`, built once per
 image by :func:`mapped_spans`: the headers and each mapped section, with
 its RVA, mapped span, file offset and the number of file bytes it holds.
 It holds ints and sections only, never bytes; :func:`assemble_mapped`
-and the kernel's loader copy from the file through it.  Relocation has
-two steps: :func:`resolve_fixups` turns each fixup into a place in the
-layout's pieces, once per layout, and :func:`apply_fixups` patches a
-rebase there, in place, over the loader's regions.
-:func:`apply_relocations` is the same pair over one buffer.
+and the kernel's loader copy from the file through it.  Relocation is
+one routine: :func:`apply_relocations` patches a buffer that
+:func:`assemble_mapped` laid out, in place.  The kernel's loader, the
+injector's first stub and the payload it maps all relocate through it.
 
 Input files are read by :func:`read_regular_file`, one non-blocking open,
 so a FIFO or a device given as a path is refused instead of waited on.
@@ -58,11 +57,10 @@ import os
 import re
 import stat
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn
 
 MZ_MAGIC = 0x5A4D
 PE_SIGNATURE = 0x00004550
@@ -693,15 +691,13 @@ def encode_relocations(blocks: list[RelocationBlock]) -> bytes:
     return bytes(out)
 
 
-def strip_headers(image: PeImage | bytes) -> bytes:
-    """Zero the four identifying constants of a valid PE32 file image.
+def strip_headers(image: PeImage) -> bytes:
+    """Zero the four identifying constants of a file image :func:`parse_pe`
+    returned.
 
-    Takes the image :func:`parse_pe` returned, or file bytes to parse.
     Returns a copy of the file with 'MZ', the NT signature, the machine
     word and the optional-header magic all zeroed; it no longer parses.
     """
-    if not isinstance(image, PeImage):
-        image = parse_pe(image)
     lf = image.dos.e_lfanew
     buf = bytearray(image.raw)
     buf[0:2] = b"\x00\x00"
@@ -726,27 +722,21 @@ def restore_headers(data: bytes) -> bytes:
     return bytes(buf)
 
 
-def resolve_fixups(pieces: list[tuple[int, int]], size: int,
-                   blocks: list[RelocationBlock]) -> list[tuple[int, Sequence]]:
-    """Where each HIGHLOW fixup of a ``size``-byte mapped layout lands.
+def apply_relocations(buf: bytearray, mapped_base: int, preferred_base: int,
+                      blocks: list[RelocationBlock]) -> None:
+    """Relocate a mapped-layout buffer from ``preferred_base`` to
+    ``mapped_base``, in place: add the difference, modulo 2^32, at each
+    HIGHLOW fixup.  Padding fixups are skipped.
 
-    ``pieces`` are the ``(rva, length)`` of the layout's pieces, sorted by
-    RVA and disjoint; the layout's other bytes read as zero.  Padding
-    fixups are skipped.  The result, in fixup order, is a list of runs:
-    ``(i, offsets)`` for consecutive fixups that each lie inside piece
-    ``i``, and ``(-1, cells)`` for one that crosses a piece's end or lies
-    in a gap, ``cells`` being its four bytes as ``(piece index, offset)``,
-    or ``(-1, rva)`` for a gap byte.  It holds ints only, so one
-    resolution serves every rebase of the layout.  An unsupported fixup
-    type or a fixup past ``size`` raises :class:`FixupOutOfRange`.
+    An unsupported fixup type or a fixup past the buffer raises
+    :class:`FixupOutOfRange`, with the fixups before it applied.  At the
+    preferred base nothing is read, so no fixup is checked.
     """
-    starts = [rva for rva, _ in pieces]
-
-    def cell(p: int) -> tuple[int, int]:
-        i = bisect_right(starts, p) - 1
-        return (i, p - starts[i]) if i >= 0 and p - starts[i] < pieces[i][1] else (-1, p)
-
-    runs: list[tuple[int, Sequence]] = []
+    delta = (mapped_base - preferred_base) & _M32
+    if not delta:
+        return
+    size = len(buf)
+    pack, unpack = _U32.pack_into, _U32.unpack_from
     for block in blocks:
         for ftype, foffset in block.fixups:
             if ftype == RELOC_ABS:
@@ -756,58 +746,7 @@ def resolve_fixups(pieces: list[tuple[int, int]], size: int,
             pos = block.page_rva + foffset
             if pos + 4 > size:
                 raise FixupOutOfRange(f"fixup at rva {pos:#x} past end of buffer")
-            i, at = cell(pos)
-            if i < 0 or at + 4 > pieces[i][1]:
-                runs.append((-1, tuple(cell(p) for p in range(pos, pos + 4))))
-            elif runs and runs[-1][0] == i:
-                runs[-1][1].append(at)
-            else:
-                runs.append((i, [at]))
-    return runs
-
-
-def apply_fixups(bufs: list[bytearray], runs: list[tuple[int, Sequence]], delta: int) -> None:
-    """Add ``delta`` modulo 2^32, in place, at each fixup of ``runs``.
-
-    ``runs`` come from :func:`resolve_fixups` over pieces of the lengths
-    of ``bufs``, in the same order.  The bytes written into gaps are kept
-    until the last fixup and then dropped, so every piece ends bit-exact
-    with relocating one buffer holding the whole layout.
-    """
-    delta &= _M32
-    gaps: dict[int, int] = {}  # gap bytes, zero until written
-    pack, unpack = _U32.pack_into, _U32.unpack_from
-    for i, run in runs:
-        if i >= 0:
-            buf = bufs[i]
-            for at in run:
-                pack(buf, at, (unpack(buf, at)[0] + delta) & _M32)
-            continue
-        value = 0
-        for k, (j, at) in enumerate(run):  # crosses a piece's end or a gap
-            value |= (bufs[j][at] if j >= 0 else gaps.get(at, 0)) << 8 * k
-        value = (value + delta) & _M32
-        for j, at in run:
-            if j >= 0:
-                bufs[j][at] = value & 0xFF
-            else:
-                gaps[at] = value & 0xFF
-            value >>= 8
-
-
-def apply_relocations(data: bytes, mapped_base: int, preferred_base: int,
-                      blocks: list[RelocationBlock]) -> bytes:
-    """Apply HIGHLOW fixups to a mapped-layout buffer.
-
-    :func:`resolve_fixups` and :func:`apply_fixups` over one piece, the
-    whole buffer.  Returns the relocated copy; ``data`` is not changed.
-    At the preferred base nothing is resolved, so no fixup is checked.
-    """
-    buf = bytearray(data)
-    delta = (mapped_base - preferred_base) & _M32
-    if delta:
-        apply_fixups([buf], resolve_fixups([(0, len(buf))], len(buf), blocks), delta)
-    return bytes(buf)
+            pack(buf, pos, (unpack(buf, pos)[0] + delta) & _M32)
 
 
 def find_export_by_name(image: PeImage, name: bytes | str) -> int:

@@ -24,12 +24,13 @@ parsed image and, per mapped span, its RVA, permissions and read-only
 view of its bytes.  Every mapping reads as its own and shares until
 written, as Windows maps an image copy-on-write: a region starts as its
 span's view, and only :meth:`MemoryRegion.writable` gives it bytes of
-its own.  An image's first rebase resolves its fixups to places in its
-spans (:func:`~duqusim.peformat.resolve_fixups`); the first rebase by a
-delta relocates copies of just the spans they patch, which every mapping
-rebased by that delta, in any kernel, then shares; no load builds a
-size_of_image layout.  A base is found by one walk over the sorted regions
-(:meth:`SimProcess.free_base`).  An image's regions enter the process in
+its own.  The first rebase by a delta lays the image out and relocates
+it (:func:`~duqusim.peformat.assemble_mapped`,
+:func:`~duqusim.peformat.apply_relocations`), as the injector maps its
+payload, and keeps read-only copies of just the spans whose bytes
+changed; every mapping rebased by that delta, in any kernel, then shares
+them.  No other load lays out a size_of_image buffer.  A base is found
+by one walk over the sorted regions (:meth:`SimProcess.free_base`).  An image's regions enter the process in
 one splice, after relocation succeeds, and a load that fails leaves
 nothing mapped and, for a new process, no process behind.
 
@@ -57,12 +58,12 @@ from .peformat import (
     NotPe,
     PeImage,
     Reader,
-    apply_fixups,
+    apply_relocations,
+    assemble_mapped,
     decode_entry_hook,
     mapped_spans,
     parse_headers,
     parse_pe,
-    resolve_fixups,
 )
 
 ADDRESS_LIMIT = 1 << 32
@@ -298,19 +299,16 @@ class LoadPlan:
     ``spans`` gives, per mapped span in RVA order, its RVA and its region's
     permissions, and ``views`` its mapped bytes, read-only and shared by
     every mapping: a slice of the file bytes or, for a span with a zero
-    tail, one copy that holds the tail.  The first rebase builds ``fixups``
-    and ``patched``, the spans a fixup writes into.  ``layouts`` maps a
-    delta, base minus preferred base, to the views of a mapping rebased by
-    it: ``views`` with each patched span swapped for a read-only relocated
-    copy.  ``nbytes`` is the length of every copy, span and layout.  A plan
-    holds no kernel.
+    tail, one copy that holds the tail.  ``layouts`` maps a delta, base
+    minus preferred base, to the views of a mapping rebased by it:
+    ``views`` with each span that relocation changes swapped for a
+    read-only relocated copy.  ``nbytes`` is the length of every copy,
+    span and layout.  A plan holds no kernel.
     """
     image: PeImage
     spans: list[tuple[int, Perm]] = field(repr=False)
     views: list[memoryview] = field(repr=False)
     nbytes: int
-    fixups: list | None = field(default=None, repr=False)
-    patched: frozenset[int] = field(default=frozenset(), repr=False)
     layouts: dict[int, list[memoryview]] = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -337,22 +335,18 @@ class LoadPlan:
         return cls(image, spans, views, nbytes)
 
     def relocated(self, delta: int) -> list[memoryview]:
-        """``views`` with each patched span swapped for a read-only copy
-        relocated by ``delta``.  A bad fixup raises, and is never kept."""
-        if self.fixups is None:
-            fixups = resolve_fixups([(rva, len(view)) for (rva, _), view
-                                     in zip(self.spans, self.views)],
-                                    self.image.nt.size_of_image, self.image.relocations)
-            self.patched = frozenset(j for i, cells in fixups for j in (
-                (i,) if i >= 0 else (k for k, _ in cells if k >= 0)))
-            self.fixups = fixups
-        bufs = list(self.views)
-        for j in self.patched:
-            bufs[j] = bytearray(bufs[j])
-        apply_fixups(bufs, self.fixups, delta)
-        for j in self.patched:
-            bufs[j] = memoryview(bufs[j]).toreadonly()
-        return bufs
+        """``views`` with each span that relocating by ``delta`` changes
+        swapped for a read-only relocated copy.  The whole layout is
+        dropped once its spans are cut out; a bad fixup raises."""
+        image = self.image
+        layout = assemble_mapped(image)
+        preferred = image.nt.image_base
+        apply_relocations(layout, preferred + delta, preferred, image.relocations)
+        views = []
+        for (rva, _), view in zip(self.spans, self.views):
+            span = layout[rva:rva + len(view)]
+            views.append(view if span == view else memoryview(span).toreadonly())
+        return views
 
 
 @dataclass
@@ -384,7 +378,8 @@ class ImageCache:
         views = plan.layouts.get(delta)
         if views is None:
             views = plan.relocated(delta)
-            nbytes = sum(len(views[j]) for j in plan.patched)
+            nbytes = sum(len(view) for view, own in zip(views, plan.views)
+                         if view is not own)
             if (self.nbytes + nbytes <= IMAGE_CACHE_BYTES
                     and self.plans.get(plan.image.raw) is plan):
                 plan.layouts[delta] = views

@@ -14,7 +14,6 @@ and :func:`check_export_memo` check the two caches a process keeps.
 freed by reference counting alone.
 """
 
-import copy
 import gc
 import operator
 import weakref
@@ -25,7 +24,12 @@ from duqusim import peformat, scenario, simkernel
 from duqusim.sentinel import SentinelDriver
 from duqusim.simkernel import ADDRESS_LIMIT, Driver, EventKind, SimKernel
 
-from oracles import _parse_exports_oracle, ror13_oracle
+from oracles import (
+    _parse_exports_oracle,
+    apply_relocations_oracle,
+    assemble_mapped_oracle,
+    ror13_oracle,
+)
 
 
 class ImageLoadRecorder(Driver):
@@ -90,24 +94,20 @@ class _Checked(NamedTuple):
     image: object
     spans: list
     views: list
-    fixups: list | None
-    patched: frozenset
     layouts: dict
     nbytes: int
 
     @classmethod
     def of(cls, plan) -> "_Checked":
         return cls(plan, plan.image, list(plan.spans), list(plan.views),
-                   copy.deepcopy(plan.fixups), plan.patched,
                    {delta: list(views) for delta, views in plan.layouts.items()}, plan.nbytes)
 
     def holds(self, plan) -> bool:
         """Whether ``plan`` is the same plan in the same state: the same
-        image, view and layout view objects, and equal spans, fixups,
-        patched spans and ``nbytes``.  A view is read-only, so its bytes
-        change only if it is replaced."""
+        image, view and layout view objects, and equal spans and
+        ``nbytes``.  A view is read-only, so its bytes change only if it is
+        replaced."""
         return (self.plan is plan and self.image is plan.image and self.spans == plan.spans
-                and self.fixups == plan.fixups and self.patched == plan.patched
                 and self.nbytes == plan.nbytes
                 and _same_views(self.views, plan.views)
                 and self.layouts.keys() == plan.layouts.keys()
@@ -129,12 +129,12 @@ def check_image_cache() -> None:
     images: each image keeps its own key as ``raw`` and no ``read`` into a
     kernel, and its views, its layouts' too, are read-only.  A plan that
     is new, or changed since it last passed, gets the content checks too:
-    its spans and fixups hold no bytes, each view reads as the loader maps
-    its span, the plan is the one its image builds, ``patched`` names
-    every span a fixup writes into, each layout's patched views read as
-    relocating the mapped layout by its delta and its others are the
-    plan's own views, and ``nbytes`` counts exactly the span and layout
-    views that are copies."""
+    its spans hold no bytes, each view reads as the loader maps its span,
+    the plan is the one its image builds, and ``nbytes`` counts exactly
+    the span and layout views that are copies.  Each layout is checked
+    against the oracles' layout relocated by its delta: a layout view is
+    the plan's own view if and only if relocation leaves that span's
+    bytes unchanged, and otherwise a copy holding the relocated span."""
     cache = simkernel.image_cache
     assert cache.nbytes == sum(len(key) + plan.nbytes for key, plan in cache.plans.items()), \
         "cache byte count drifted"
@@ -150,31 +150,29 @@ def check_image_cache() -> None:
         if last is not None and last.holds(plan):
             checked[key] = last
             continue
-        assert not _holds_bytes([plan.spans, plan.fixups]), "cached plan spans hold bytes"
+        assert not _holds_bytes(plan.spans), "cached plan spans hold bytes"
         spans = peformat.mapped_spans(image)
         assert [bytes(view) for view in plan.views] == [
             peformat.mapped_bytes(image, span.rva, span.span)
             for span in spans], "cached view is not the mapped span"
         assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
-        assert plan.patched == {j for i, run in plan.fixups or () for j in (
-            [i] if i >= 0 else [k for k, _ in run]) if j >= 0}, "patched spans miscounted"
-        assert not plan.layouts or plan.fixups is not None, "layout without fixups"
-        mapped = bytes(peformat.assemble_mapped(image)) if plan.layouts else b""
+        mapped = bytes(assemble_mapped_oracle(image)) if plan.layouts else b""
         preferred = image.nt.image_base
         for delta, views in plan.layouts.items():
             assert 0 < abs(delta) < simkernel.ADDRESS_LIMIT and len(views) == len(plan.views), \
                 "layout misshapen"
-            layout = peformat.apply_relocations(mapped, preferred + delta, preferred,
-                                                image.relocations)
-            for j, (span, view, own) in enumerate(zip(spans, views, plan.views)):
-                if j in plan.patched:
-                    assert view is not own and view.obj is not key and \
-                        view == layout[span.rva:span.rva + span.span], \
+            layout = apply_relocations_oracle(mapped, preferred + delta, preferred,
+                                              image.relocations)
+            for span, view, own in zip(spans, views, plan.views):
+                relocated = layout[span.rva:span.rva + span.span]
+                if relocated != own:
+                    assert view is not own and view.obj is not key and view == relocated, \
                         "layout view is not the relocated span"
                 else:
-                    assert view is own, "unpatched layout view is not the plan's own"
+                    assert view is own, "unchanged layout view is not the plan's own"
         copies = [view for view in plan.views if view.obj is not key]
-        copies += [views[j] for views in plan.layouts.values() for j in plan.patched]
+        copies += [view for views in plan.layouts.values()
+                   for view, own in zip(views, plan.views) if view is not own]
         assert plan.nbytes == sum(map(len, copies)), "span copies miscounted"
         checked[key] = _Checked.of(plan)
     _checked.clear()

@@ -7,10 +7,11 @@ entries this adds are removed again afterwards.  Each workload's dispatch
 counts are pinned, so the handlers the tracer rebinds are still the ones
 the kernel calls, and so are its parse counts and free-span probes, so a
 loader that parses the same image again, or probes for a free base step
-by step, fails here.  The warm-up then runs a second time, over warm
-caches, and its parses and name hashes are pinned too, so an injector
-that parses its stubs or decodes kernel32's exports on every run fails
-here.
+by step, fails here.  Its layouts and relocations are pinned in both
+passes, so the loader's rebases stay where the traced metrics see them.
+The warm-up then runs a second time, over warm caches, and its parses
+and name hashes are pinned too, so an injector that parses its stubs or
+decodes kernel32's exports on every run fails here.
 """
 
 import importlib.util
@@ -49,6 +50,19 @@ SPAN_FREE_COUNTS = {"replay": 57, "fleet": 122, "scan": 0}
 # fleet; one that parses its stubs on every run, 10 and 4 parses.  Scan
 # files never go through a cache.
 WARM_COUNTS = {"replay": (0, 5, 60), "fleet": (0, 14, 168), "scan": (4, 0, 0)}
+# Traced warm-up on seed 1, first pass then second: ``assemble_mapped`` and
+# ``apply_relocations`` calls.  Replay's are the injector's: five staged
+# injections each relocate their first stub, and the one payload that runs
+# is laid out and relocated; the loader makes no rebase there.  Fleet's
+# first pass adds the loader's 43 rebases by a new (image, delta), each
+# laid out and relocated once, to its two first stubs; the second pass
+# finds every layout kept, so only the first stubs relocate.
+RELOCATION_COUNTS = {
+    "replay": ((1, 6), (1, 6)),
+    "fleet": ((43, 45), (0, 2)),
+    "scan": ((0, 0), (0, 0)),
+}
+RELOCATION = ("peformat.assemble_mapped.calls", "peformat.apply_relocations.calls")
 
 
 @pytest.fixture
@@ -90,9 +104,11 @@ def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
         assert tuple(counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
         assert counts["peformat.parse_pe.calls"] == PARSE_COUNTS[workload]
         assert counts["simkernel.span_free.calls"] == SPAN_FREE_COUNTS[workload]
+        first = tuple(counts[name] for name in RELOCATION)
         tracer.reset()
         warm_up()
     assert tuple(counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
+    assert (first, tuple(counts[name] for name in RELOCATION)) == RELOCATION_COUNTS[workload]
     assert (counts["peformat.parse_pe.calls"] - counts["duqu.run_stub.calls"],
             counts["peformat.ror13_hash.calls"],
             counts["peformat.ror13_hash.bytes"]) == WARM_COUNTS[workload]

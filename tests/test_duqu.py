@@ -503,15 +503,15 @@ class TestRunStub:
             assert struct.unpack_from("<I", table, 8 + 4 * i)[0] == va
 
     def test_payload_mapped_with_relocations(self, fixture_dir):
-        from duqusim.peformat import assemble_mapped, apply_relocations
+        from oracles import apply_relocations_oracle, assemble_mapped_oracle
         kernel, duqu, services = self.full_chain(fixture_dir)
         duqu.run_stub(services.pid)
         st = duqu.state
         payload = kernel.read_memory(services.pid, st.payload_base + 57, st.payload_len)
         image = parse_pe(payload)
-        expected = apply_relocations(bytes(assemble_mapped(image)),
-                                     st.payload_image_base, image.nt.image_base,
-                                     image.relocations)
+        expected = apply_relocations_oracle(bytes(assemble_mapped_oracle(image)),
+                                            st.payload_image_base, image.nt.image_base,
+                                            image.relocations)
         mapped = kernel.read_memory(services.pid, st.payload_image_base,
                                     image.nt.size_of_image)
         assert mapped == expected

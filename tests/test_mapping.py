@@ -33,7 +33,6 @@ from duqusim.peformat import (
     NotPe,
     Section,
     Truncated,
-    apply_fixups,
     apply_relocations,
     assemble_mapped,
     encode_export_table,
@@ -41,7 +40,6 @@ from duqusim.peformat import (
     mapped_spans,
     parse_headers,
     parse_pe,
-    resolve_fixups,
     strip_headers,
 )
 from duqusim.scan import scan_pe
@@ -59,7 +57,7 @@ from duqusim.simkernel import (
 
 from conftest import boot_kernel, displaced_headers_image, random_pe32, small_image
 from invariants import check_export_memo, check_image_cache, check_kernel
-from oracles import assemble_mapped_oracle, loader_regions_oracle
+from oracles import apply_relocations_oracle, assemble_mapped_oracle, loader_regions_oracle
 
 PE_FIXTURES = ("services.exe", "ntoskrnl.exe", "kernel32.dll", "hal.dll", "ntdll.dll",
                "shell32.dll", "stub1.bin", "stub2.bin", "system.bin")
@@ -225,16 +223,24 @@ def fixup_image(rng: random.Random) -> bytes:
                              reloc_va=reloc_va, section_align=0x100))
 
 
-def recorded_relocations(monkeypatch) -> tuple[list, list]:
-    """Calls to the loader's ``resolve_fixups`` and ``apply_fixups``, from an
-    empty image cache."""
-    resolves, applies = [], []
+def recorded_rebases(monkeypatch) -> tuple[list, list]:
+    """From an empty image cache, the images the loader lays out (its
+    ``assemble_mapped`` calls) and the delta of each relocation it makes
+    (its ``apply_relocations`` calls)."""
+    layouts, deltas = [], []
     monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
-    monkeypatch.setattr(simkernel, "resolve_fixups",
-                        lambda *args: resolves.append(args) or resolve_fixups(*args))
-    monkeypatch.setattr(simkernel, "apply_fixups",
-                        lambda *args: applies.append(args) or apply_fixups(*args))
-    return resolves, applies
+
+    def lay_out(image):
+        layouts.append(image)
+        return assemble_mapped(image)
+
+    def relocate(buf, mapped, preferred, blocks):
+        deltas.append(mapped - preferred)
+        apply_relocations(buf, mapped, preferred, blocks)
+
+    monkeypatch.setattr(simkernel, "assemble_mapped", lay_out)
+    monkeypatch.setattr(simkernel, "apply_relocations", relocate)
+    return layouts, deltas
 
 
 def tail_fixup_image() -> bytes:
@@ -362,6 +368,15 @@ def huge_tail_image() -> bytes:
                              virtual_size=HUGE_TAIL)]))
 
 
+def huge_tail_dll() -> bytes:
+    """:func:`huge_tail_image` with one fixup, in ``.text``'s file bytes."""
+    return build_pe32(PeSpec(
+        image_base=0x01000000, entry_rva=0x1000,
+        sections=[SectionDef(".text", 0x1000, b"\x90" * 0x1F0 + b"\xC3" * 0x10, CODE_SECTION,
+                             virtual_size=HUGE_TAIL)],
+        relocations=[reloc_block(0x1000, [0x10])], reloc_va=0x1000 + HUGE_TAIL))
+
+
 def text_bytes(data: bytes) -> bytes:
     text = parse_pe(data).sections[0]
     return data[text.raw_offset:text.raw_offset + text.raw_size]
@@ -409,7 +424,7 @@ class TestLoaderRegions:
         assert proc.modules == [("host.exe", 0x01000000)]
 
     def test_bad_fixup_raises_on_every_rebase_and_is_never_kept(self, monkeypatch):
-        resolves, applies = recorded_relocations(monkeypatch)
+        layouts, deltas = recorded_rebases(monkeypatch)
         data = fixup_past_image()
         for _ in range(2):
             kernel = SimKernel()
@@ -421,12 +436,11 @@ class TestLoaderRegions:
                                                           r"of buffer$"):
                     kernel.load_module(proc.pid, "again.dll", data, base=base)
                 assert proc.regions == before and proc.modules == modules
-        assert len(resolves) == 6 and applies == []
-        plan = simkernel.image_cache.plans[data]
-        assert plan.fixups is None and plan.layouts == {}
+        assert len(layouts) == len(deltas) == 6
+        assert simkernel.image_cache.plans[data].layouts == {}
 
-    def test_fixups_resolved_once_across_kernels(self, monkeypatch):
-        resolves, applies = recorded_relocations(monkeypatch)
+    def test_each_delta_relocated_once_across_kernels(self, monkeypatch):
+        layouts, deltas = recorded_rebases(monkeypatch)
         data = edge_images()["fixup_straddles_gap"]
         for _ in range(2):
             kernel = SimKernel()
@@ -435,11 +449,10 @@ class TestLoaderRegions:
             kernel.load_module(proc.pid, "moved.dll", data, base=REBASE_TO)
             check_mapping(proc, "again.dll", data)
             check_mapping(proc, "moved.dll", data)
-        # resolved by the first rebase, applied once per delta: the second
-        # kernel's rebases, by the same two deltas, relocate nothing
-        assert len(resolves) == 1 and len(applies) == 2
-        assert sorted(delta for _, _, delta in applies) == sorted(
-            simkernel.image_cache.plans[data].layouts)
+        # laid out and relocated once per delta: the second kernel's
+        # rebases, by the same two deltas, relocate nothing
+        assert len(layouts) == len(deltas) == 2
+        assert sorted(deltas) == sorted(simkernel.image_cache.plans[data].layouts)
 
     @pytest.mark.parametrize("name", ["fixups_in_tails", *sorted(edge_images())])
     def test_rebase_through_the_plan_matches_relocating_the_layout(self, name):
@@ -450,28 +463,43 @@ class TestLoaderRegions:
         proc = kernel.create_process("host.exe", data)
         for i, base in enumerate((None, REBASE_TO + 0x3456, REBASE_TO + 0x7FFF0000)):
             mapped = kernel.load_module(proc.pid, f"m{i}.dll", data, base=base)
-            layout = apply_relocations(bytes(assemble_mapped(image)), mapped, preferred,
-                                       image.relocations)
+            layout = apply_relocations_oracle(bytes(assemble_mapped_oracle(image)), mapped,
+                                              preferred, image.relocations)
             for span in mapped_spans(image):
                 region = proc.region_at(mapped + span.rva)
                 assert region.base == mapped + span.rva
                 assert region.data == layout[span.rva:span.rva + span.span], (name, i)
 
-    def test_tail_image_resolves_each_kind_of_fixup(self, monkeypatch):
-        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+    def test_tail_image_relocates_each_kind_of_fixup(self):
         data = tail_fixup_image()
+        image = parse_pe(data)
+        base = REBASE_TO + 0x3456  # a delta whose low half is not zero
+        delta = base - image.nt.image_base
         kernel = SimKernel()
         proc = kernel.create_process("host.exe", data)
-        kernel.load_module(proc.pid, "again.dll", data)
-        # pieces: headers, .text (0x100 raw + 0x100 tail), .data (0x40 raw + 0xC0 tail)
-        assert simkernel.image_cache.plans[data].fixups == [
-            (1, [0x10, 0x180]),                                     # raw bytes, zero tail
-            (-1, ((1, 0x1FE), (1, 0x1FF), (-1, 0x1200), (-1, 0x1201))),  # crosses the end
-            (-1, ((-1, 0x1400), (-1, 0x1401), (-1, 0x1402), (-1, 0x1403))),  # in the gap
-            (-1, ((-1, 0x1402), (-1, 0x1403), (-1, 0x1404), (-1, 0x1405))),  # shares gap bytes
-            (-1, ((-1, 0x1FFE), (-1, 0x1FFF), (2, 0), (2, 1))),     # crosses into .data
-            (2, [0x3C, 0xF0]),                                      # raw end, zero tail
-        ]
+        assert kernel.load_module(proc.pid, "moved.dll", data, base=base) == base
+        layout = apply_relocations_oracle(bytes(assemble_mapped_oracle(image)), base,
+                                          image.nt.image_base, image.relocations)
+
+        def mapped(rva: int, n: int) -> bytes:
+            got = kernel.read_memory(proc.pid, base + rva, n)
+            assert got == layout[rva:rva + n], hex(rva)
+            return got
+
+        def plus_delta(value: int) -> bytes:
+            return ((value + delta) & 0xFFFFFFFF).to_bytes(4, "little")
+
+        # .text: 0x100 raw bytes, then a zero tail to 0x1200; .data: 0x40
+        # raw bytes at 0x2000, then a zero tail to 0x2100
+        assert mapped(0x1010, 4) == plus_delta(0x13121110)           # raw bytes
+        assert mapped(0x1180, 4) == plus_delta(0)                    # zero tail
+        assert mapped(0x11FE, 2) == plus_delta(0)[:2]                # crosses .text's end
+        for rva in (0x1200, 0x1400, 0x1FFF):                         # in the gap, and shared
+            assert proc.region_at(base + rva) is None
+        assert mapped(0x2000, 2) == plus_delta(0x77770000)[2:]       # crosses into .data
+        assert mapped(0x203C, 4) == plus_delta(0x77777777)           # raw end
+        assert mapped(0x20F0, 4) == plus_delta(0)                    # .data's zero tail
+        check_mapping(proc, "moved.dll", data)
 
     def test_boot_modules_match_reference(self, fixture_dir, fixture_bytes):
         kernel, _ = boot_kernel(fixture_dir, with_duqu=False)
@@ -481,25 +509,24 @@ class TestLoaderRegions:
             check_mapping(proc, name, fixture_bytes(fixture))
 
     def test_preferred_base_builds_no_image_buffer(self, fixture_bytes, monkeypatch):
-        resolves, applies = recorded_relocations(monkeypatch)
-        layouts = []
-        monkeypatch.setattr(peformat, "assemble_mapped", layouts.append)
+        layouts, deltas = recorded_rebases(monkeypatch)
         data = fixture_bytes("kernel32.dll")
         preferred = parse_pe(data).nt.image_base
-        kernel = SimKernel()
-        proc = kernel.create_process("a.exe", fixture_bytes("services.exe"))
-        kernel.load_module(proc.pid, "k.dll", data)
-        assert resolves == applies == []
-        k2 = kernel.load_module(proc.pid, "k2.dll", data)
-        kernel.load_module(proc.pid, "k3.dll", data, base=REBASE_TO)
-        # resolved once, by the first rebase; applied once per delta
-        assert len(resolves) == 1
-        fixups = simkernel.image_cache.plans[data].fixups
-        assert [(run is fixups, delta) for _, run, delta in applies] == [
-            (True, k2 - preferred), (True, REBASE_TO - preferred)]
-        assert layouts == [] and not hasattr(simkernel, "assemble_mapped")
-        check_mapping(proc, "k2.dll", data)
-        check_mapping(proc, "k3.dll", data)
+        for first in (True, False):
+            kernel = SimKernel()
+            proc = kernel.create_process("a.exe", fixture_bytes("services.exe"))
+            kernel.load_module(proc.pid, "k.dll", data)
+            assert layouts == deltas == []
+            k2 = kernel.load_module(proc.pid, "k2.dll", data)
+            kernel.load_module(proc.pid, "k3.dll", data, base=REBASE_TO)
+            # laid out and relocated once per new delta: the second
+            # kernel's rebases, by the same deltas, relocate nothing
+            rebased = [k2 - preferred, REBASE_TO - preferred] if first else []
+            assert [image.raw for image in layouts] == [data] * len(rebased)
+            assert deltas == rebased
+            check_mapping(proc, "k2.dll", data)
+            check_mapping(proc, "k3.dll", data)
+            del layouts[:], deltas[:]
 
 
 class TestInsertRegions:
@@ -667,9 +694,6 @@ class TestCopyOnWrite:
         assert rebased != image.nt.image_base
         relocated = region_names(proc, rebased, image, "relocated")
         assert set(relocated) == fixup_sections(image) and relocated
-        assert simkernel.image_cache.plans[data].patched == {
-            i for i, span in enumerate(mapped_spans(image))
-            if (span.section.name if span.section else "headers") in relocated}
         assert region_names(proc, rebased, image, "plan")
         assert region_names(proc, rebased, image, "own") == []
         assert {at for _, at in region_sources(proc, proc.image_base, image)} == {"plan"}
@@ -755,10 +779,11 @@ class TestRelocatedLayouts:
         assert all(map(operator.is_, first_b, second_b))
         plan = simkernel.image_cache.plans[data]
         assert len(plan.layouts) == 2
-        for j, (a, b) in enumerate(zip(first_a, first_b)):
-            assert (a is b) == (j not in plan.patched) and a.readonly and b.readonly
-        # a different delta: different patched bytes
-        assert [bytes(first_a[j]) != bytes(first_b[j]) for j in plan.patched] == [True]
+        for a, b, own in zip(first_a, first_b, plan.views):
+            assert (a is b) == (a is own) == (b is own) and a.readonly and b.readonly
+        # a different delta: different relocated bytes, in .text alone
+        assert [bytes(a) != bytes(b) for a, b, own in zip(first_a, first_b, plan.views)
+                if a is not own] == [True]
         check_image_cache()
         check_export_memo()
 
@@ -786,27 +811,48 @@ class TestRelocatedLayouts:
         check_export_memo()
 
     def test_second_fleet_run_relocates_and_copies_nothing(self, fixture_dir, monkeypatch):
-        resolves, applies = recorded_relocations(monkeypatch)
-        relocations, copies = [], []
-        relocated, writable = simkernel.LoadPlan.relocated, simkernel.MemoryRegion.writable
+        layouts, deltas = recorded_rebases(monkeypatch)
+        copies = []
+        writable = simkernel.MemoryRegion.writable
 
         def counted_writable(region):
             if type(region.data) is not bytearray:
                 copies.append(region.tag)
             return writable(region)
 
-        monkeypatch.setattr(simkernel.LoadPlan, "relocated",
-                            lambda plan, delta: relocations.append(delta) or relocated(plan, delta))
         monkeypatch.setattr(simkernel.MemoryRegion, "writable", counted_writable)
         path = fixture_dir / "fleet_shaped.scenario"
         first = run_scenario(path)
-        assert resolves and applies and relocations
-        del resolves[:], applies[:], relocations[:]
+        # each (image, delta) is laid out and relocated once
+        rebases = [(image.raw, delta) for image, delta in zip(layouts, deltas, strict=True)]
+        assert rebases and len(set(rebases)) == len(rebases)
+        del layouts[:], deltas[:]
         second = run_scenario(path)
         assert second.render("plain") == first.render("plain")
         # nothing in the scenario writes: every copy would be the loader's
-        assert resolves == applies == relocations == copies == []
+        assert layouts == deltas == copies == []
         check_kernel(second.kernel)
+
+    def test_first_rebase_lays_out_one_image_buffer(self, monkeypatch):
+        """A plan over the cache bound is built again by each load, so two
+        maps of this image hold two copies of ``.text``'s span; the rebase
+        adds one size_of_image layout and one relocated span, and no more."""
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        data = huge_tail_dll()
+        size = parse_pe(data).nt.size_of_image
+        kernel = SimKernel()
+        tracemalloc.start()
+        try:
+            proc = kernel.create_process("big.exe", data)
+            rebased = kernel.load_module(proc.pid, "big.dll", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * HUGE_TAIL + size + (64 << 10), peak
+        assert rebased != proc.image_base
+        moved = (0x90909090 + rebased - proc.image_base) & 0xFFFFFFFF
+        assert kernel.read_memory(proc.pid, rebased + 0x1010, 4) == moved.to_bytes(4, "little")
+        assert simkernel.image_cache.plans == {}
 
     def test_layouts_stay_within_the_cache_bound(self, monkeypatch):
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
@@ -830,16 +876,16 @@ class TestRelocatedLayouts:
 
 class TestImageCacheCheck:
     """The cache invariant checks a plan's content once per state: a plan
-    whose views, spans, fixups, patched spans, layouts or copy count
-    change is checked again."""
+    whose views, spans, layouts or copy count change is checked again."""
 
     @pytest.mark.parametrize("change, error", [
         ("view", "cached view is not the mapped span"),
         ("spans", "cached plan drifted"),
-        ("fixups", "cached plan spans hold bytes"),
-        ("patched", "patched spans miscounted"),
+        ("span bytes", "cached plan spans hold bytes"),
         ("nbytes", "span copies miscounted"),
         ("layout", "layout view is not the relocated span"),
+        ("relocated shared", "layout view is not the relocated span"),
+        ("unchanged copied", "unchanged layout view is not the plan's own"),
     ])
     def test_a_changed_plan_fails_the_next_check(self, monkeypatch, change, error):
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
@@ -848,23 +894,24 @@ class TestImageCacheCheck:
         proc = kernel.create_process("host.exe", data)
         kernel.load_module(proc.pid, "again.dll", data)
         plan = simkernel.image_cache.plans[data]
-        assert plan.fixups and plan.patched and plan.layouts
+        [views] = plan.layouts.values()
+        [j] = [j for j, (view, own) in enumerate(zip(views, plan.views)) if view is not own]
         check_image_cache()
         check_image_cache()
         if change == "view":  # a read-only view of the key, of the right length
             plan.views[1] = memoryview(data)[:len(plan.views[1])]
         elif change == "spans":
             plan.spans[1] = (plan.spans[1][0], PERM_RW)
-        elif change == "fixups":  # in place: the same list holds bytes now
-            plan.fixups[0][1].append(b"\x00")
-        elif change == "patched":
-            plan.patched = frozenset()
+        elif change == "span bytes":  # in place: the same list holds bytes now
+            plan.spans.append(b"\x00")
         elif change == "layout":  # a read-only copy of the right length, one byte off
-            [views] = plan.layouts.values()
-            [j] = plan.patched
             tampered = bytearray(views[j])
             tampered[0] ^= 1
             views[j] = memoryview(tampered).toreadonly()
+        elif change == "relocated shared":  # the plan's own view, where relocation changed it
+            views[j] = plan.views[j]
+        elif change == "unchanged copied":  # an equal copy, where relocation changed nothing
+            views[0] = memoryview(bytearray(views[0])).toreadonly()
         else:  # the cache's own count agrees
             plan.nbytes += 1
             simkernel.image_cache.nbytes += 1
@@ -960,7 +1007,11 @@ class TestDirectoryArray:
 class TestStubParses:
     def test_strip_headers_takes_the_parsed_image(self, fixture_bytes):
         data = fixture_bytes("stub1.bin")
-        assert strip_headers(parse_pe(data)) == strip_headers(data)
+        lf = struct.unpack_from("<I", data, 60)[0]
+        expected = bytearray(data)
+        for at, width in ((0, 2), (lf, 4), (lf + 4, 2), (lf + 24, 2)):
+            expected[at:at + width] = bytes(width)
+        assert strip_headers(parse_pe(data)) == expected
 
     def test_each_stub_is_parsed_once_per_process(self, fixture_dir, monkeypatch):
         """The stubs are file bytes, so the injector takes their parsed
@@ -984,7 +1035,7 @@ class TestStubParses:
             images.append(kernel.read_memory(proc.pid, state.stub2_base, len(stubs[1])))
         assert sorted(data for data in parsed if data in stubs) == sorted(stubs)
         # Each injection still writes its own stripped copy.
-        assert images == [strip_headers(stubs[1])] * 2
+        assert images == [strip_headers(parse_pe(stubs[1]))] * 2
 
     @pytest.mark.parametrize("bad, allocated", [("stub2", 1), ("stub1", 2)])
     def test_bad_stub_faults_after_the_same_allocations(self, fixture_dir, bad, allocated):

@@ -294,18 +294,25 @@ class TestStripRestore:
             restore_headers(bytes(blob))
 
 
+def relocated(data: bytes, mapped: int, preferred: int, blocks) -> bytes:
+    """``data`` relocated by :func:`apply_relocations`, which patches in place."""
+    buf = bytearray(data)
+    assert apply_relocations(buf, mapped, preferred, blocks) is None
+    return bytes(buf)
+
+
 class TestApplyRelocations:
     def test_zero_delta_is_noop(self):
         data = bytes(range(256))
         blocks = [reloc_block(0, [0x10, 0x40])]
-        assert apply_relocations(data, 0x400000, 0x400000, blocks) == data
+        assert relocated(data, 0x400000, 0x400000, blocks) == data
 
     def test_additive_arithmetic(self):
         buf = bytearray(0x20)
         struct.pack_into("<I", buf, 0x10, 0x01001000)
         blocks = [reloc_block(0, [0x10])]
-        out = apply_relocations(bytes(buf), 0x000A0000, 0x01000000, blocks)
-        assert struct.unpack_from("<I", out, 0x10)[0] == 0x000A1000
+        apply_relocations(buf, 0x000A0000, 0x01000000, blocks)
+        assert struct.unpack_from("<I", buf, 0x10)[0] == 0x000A1000
 
     def test_matches_scalar_oracle_on_random_input(self):
         rng = random.Random(41)
@@ -315,7 +322,7 @@ class TestApplyRelocations:
             blocks = [reloc_block(0, sorted(rng.sample(range(0, size - 4), 5)))]
             mapped = rng.randrange(1 << 32)
             preferred = rng.randrange(1 << 32)
-            assert apply_relocations(data, mapped, preferred, blocks) == \
+            assert relocated(data, mapped, preferred, blocks) == \
                 apply_relocations_oracle(data, mapped, preferred, blocks)
 
     def test_inverse_delta_restores(self):
@@ -323,13 +330,24 @@ class TestApplyRelocations:
         data = bytes(rng.randrange(256) for _ in range(0x400))
         blocks = [reloc_block(0, [0x00, 0x80, 0x100])]
         delta = 0x123456
-        forward = apply_relocations(data, delta, 0, blocks)
-        assert apply_relocations(forward, 0, delta, blocks) == data
+        forward = relocated(data, delta, 0, blocks)
+        assert relocated(forward, 0, delta, blocks) == data
 
     def test_fixup_out_of_range(self):
         blocks = [reloc_block(0, [0xFFC])]
         with pytest.raises(peformat.FixupOutOfRange):
-            apply_relocations(b"\x00" * 0x100, 1, 0, blocks)
+            apply_relocations(bytearray(0x100), 1, 0, blocks)
+
+    @pytest.mark.parametrize("fixup, error", [
+        ((3, 0xFE), "^fixup at rva 0x10fe past end of buffer$"),
+        ((10, 0x10), "^unsupported fixup type 10$"),
+    ])
+    def test_bad_fixup_is_checked_only_off_the_preferred_base(self, fixup, error):
+        blocks = [RelocationBlock(page_rva=0x1000, fixups=[(3, 0x10), fixup])]
+        data = bytes(range(256)) * 0x11
+        assert relocated(data, 0x400000, 0x400000, blocks) == data
+        with pytest.raises(peformat.FixupOutOfRange, match=error):
+            relocated(data, 0x410000, 0x400000, blocks)
 
 
 class TestExports:

@@ -34,7 +34,7 @@ from duqusim.simkernel import (
 )
 
 from invariants import recorded_parses
-from oracles import apply_relocations_oracle
+from oracles import apply_relocations_oracle, assemble_mapped_oracle
 
 
 def exe_fixture(base=0x01000000, entry=0x1000, relocs=False) -> bytes:
@@ -127,8 +127,7 @@ class TestProcessLifecycle:
         assert first == 0x10000000
         assert second != first
         image = parse_pe(data)
-        from duqusim.peformat import assemble_mapped
-        expected = apply_relocations_oracle(bytes(assemble_mapped(image)),
+        expected = apply_relocations_oracle(bytes(assemble_mapped_oracle(image)),
                                             second, 0x10000000, image.relocations)
         text = kernel.read_memory(proc.pid, second + 0x1000, 0x200)
         assert text == expected[0x1000:0x1200]
@@ -750,12 +749,13 @@ class TestAddressLimit:
         kernel = SimKernel()
         proc = kernel.create_process("a.exe", exe_fixture())
         before = image_regions(proc)
-        resolves, applies = [], []
-        monkeypatch.setattr(simkernel, "resolve_fixups", lambda *args: resolves.append(args))
-        monkeypatch.setattr(simkernel, "apply_fixups", lambda *args: applies.append(args))
+        layouts, relocations = [], []
+        monkeypatch.setattr(simkernel, "assemble_mapped", layouts.append)
+        monkeypatch.setattr(simkernel, "apply_relocations",
+                            lambda *args: relocations.append(args))
         with pytest.raises(AddressSpaceExhausted):
             kernel.load_module(proc.pid, "x.dll", dll_fixture(), base=base)
-        assert resolves == applies == []
+        assert layouts == relocations == []
         assert image_regions(proc) == before
         assert [name for name, _ in proc.modules] == ["a.exe"]
 
