@@ -29,10 +29,11 @@ it (:func:`~duqusim.peformat.assemble_mapped`,
 :func:`~duqusim.peformat.apply_relocations`), as the injector maps its
 payload, and keeps read-only copies of just the spans whose bytes
 changed; every mapping rebased by that delta, in any kernel, then shares
-them.  No other load lays out a size_of_image buffer.  A base is found
-by one walk over the sorted regions (:meth:`SimProcess.free_base`).  An image's regions enter the process in
-one splice, after relocation succeeds, and a load that fails leaves
-nothing mapped and, for a new process, no process behind.
+them.  No other load lays out a size_of_image buffer.  A map reads the
+image's size, bases and checks from its plan, finds its base and its
+place in the sorted regions in one walk (:meth:`SimProcess.free_base`)
+and, after relocation succeeds, splices its regions in there; a load
+that fails leaves nothing mapped and, for a new process, no process.
 
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
@@ -252,35 +253,26 @@ class SimProcess:
         i = bisect.bisect_left(self.regions, base + size, key=_region_base)
         return i == 0 or self.regions[i - 1].end <= base
 
-    def free_base(self, base: int, size: int, step: int) -> int:
+    def free_base(self, base: int, size: int, step: int) -> tuple[int, int]:
         """The lowest ``base + k * step`` (k >= 0) whose ``size``-byte span
-        is free, found in one walk: each region in the way moves the span
-        past its end.  The result may end past ``ADDRESS_LIMIT``."""
+        is free, and the index it goes in, found in one walk: each region in
+        the way moves the span past its end, and the span goes before the
+        first region past it.  The base may end past ``ADDRESS_LIMIT``."""
         regions = self.regions
         i = max(bisect.bisect_right(regions, base, key=_region_base) - 1, 0)
         end = base + size
-        for region in islice(regions, i, None):
+        for i, region in enumerate(islice(regions, i, None), i):
             if region.base >= end:
-                break
+                return base, i
             if region.end > base:
                 base += (region.end - base + step - 1) // step * step
                 end = base + size
-        return base
+        return base, len(regions)
 
-    def add_region(self, region: MemoryRegion) -> MemoryRegion:
-        self.insert_regions(region.base, len(region.data), [region])
-        return region
-
-    def insert_regions(self, base: int, size: int, regions: list[MemoryRegion]) -> None:
-        """Splice ``regions``, sorted, disjoint and inside the free span
-        ``[base, base + size)``, into the region list in one step."""
-        end = base  # the span's base, then the end of the last region checked
-        for region in regions:
-            assert end <= region.base, "region unsorted, overlapping or before the span"
-            end = region.end
-        assert end <= base + size, "region past the span"
+    def splice(self, i: int, base: int, size: int, regions: list[MemoryRegion]) -> None:
+        """Insert ``regions``, sorted, disjoint and inside the free span
+        ``[base, base + size)``, at :meth:`free_base`'s index ``i``."""
         assert self.span_free(base, size), "region overlap"
-        i = bisect.bisect_left(self.regions, base + size, key=_region_base)
         self.regions[i:i] = regions
 
 
@@ -299,40 +291,50 @@ class LoadPlan:
     ``spans`` gives, per mapped span in RVA order, its RVA and its region's
     permissions, and ``views`` its mapped bytes, read-only and shared by
     every mapping: a slice of the file bytes or, for a span with a zero
-    tail, one copy that holds the tail.  ``layouts`` maps a delta, base
-    minus preferred base, to the views of a mapping rebased by it:
-    ``views`` with each span that relocation changes swapped for a
-    read-only relocated copy.  ``nbytes`` is the length of every copy,
-    span and layout.  A plan holds no kernel.
+    tail, one copy that holds the tail.  The spans are checked sorted,
+    disjoint and inside ``size`` (``size_of_image``) here, once: no base
+    changes that.  Each map tests ``preferred`` (the preferred base),
+    ``headers_past`` (the headers end past the header span) and
+    ``relocatable``.  ``layouts`` maps a delta, base minus preferred base,
+    to the views of a mapping rebased by it: ``views`` with each span that
+    relocation changes swapped for a read-only relocated copy.  ``nbytes``
+    is the length of every copy, span and layout.  A plan holds no kernel.
     """
     image: PeImage
     spans: list[tuple[int, Perm]] = field(repr=False)
     views: list[memoryview] = field(repr=False)
     nbytes: int
+    size: int
+    preferred: int
+    headers_past: bool
+    relocatable: bool
     layouts: dict[int, list[memoryview]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, image: PeImage) -> LoadPlan:
         spans, views, nbytes = [], [], 0
         raw = memoryview(image.raw)
+        end = 0  # the end of the last span checked
         for rva, span, offset, copy, section in mapped_spans(image):
+            assert end <= rva, "span unsorted or overlapping"
+            end = rva + span
             view = raw[offset:offset + copy]
             if copy < span:  # one allocation: the file bytes, then the zero tail
                 buf = bytearray(span)
                 buf[:copy] = view
                 view = memoryview(buf).toreadonly()
                 nbytes += span
-            if section is None:
-                perms = PERM_R
-            elif section.executable:
+            if section is not None and section.executable:
                 perms = PERM_RX
-            elif section.characteristics & SCN_MEM_WRITE:
+            elif section is not None and section.characteristics & SCN_MEM_WRITE:
                 perms = PERM_RW
-            else:
+            else:  # the headers, or a section neither executable nor writable
                 perms = PERM_R
             spans.append((rva, perms))
             views.append(view)
-        return cls(image, spans, views, nbytes)
+        assert end <= image.nt.size_of_image, "span past the image"
+        return cls(image, spans, views, nbytes, image.nt.size_of_image, image.nt.image_base,
+                   image.headers_end > len(views[0]), bool(image.relocations))
 
     def relocated(self, delta: int) -> list[memoryview]:
         """``views`` with each span that relocating by ``delta`` changes
@@ -374,17 +376,14 @@ class ImageCache:
 
     def layout(self, plan: LoadPlan, delta: int) -> list[memoryview]:
         """``plan``'s views for a mapping ``delta`` bytes off its preferred
-        base, built by the first such map: every later one reads the same."""
-        views = plan.layouts.get(delta)
-        if views is None:
-            views = plan.relocated(delta)
-            nbytes = sum(len(view) for view, own in zip(views, plan.views)
-                         if view is not own)
-            if (self.nbytes + nbytes <= IMAGE_CACHE_BYTES
-                    and self.plans.get(plan.image.raw) is plan):
-                plan.layouts[delta] = views
-                plan.nbytes += nbytes
-                self.nbytes += nbytes
+        base, a delta not in ``plan.layouts``: kept there if it fits, so
+        every later such map reads the same."""
+        views = plan.relocated(delta)
+        nbytes = sum(len(view) for view, own in zip(views, plan.views) if view is not own)
+        if self.nbytes + nbytes <= IMAGE_CACHE_BYTES and self.plans.get(plan.image.raw) is plan:
+            plan.layouts[delta] = views
+            plan.nbytes += nbytes
+            self.nbytes += nbytes
         return views
 
 
@@ -573,10 +572,10 @@ class SimKernel:
         proc = self.process(pid)
         if size <= 0:
             raise InvalidAllocation(f"allocation size {size} must be positive")
-        base = proc.free_base(ALLOC_FLOOR, size, 1)
+        base, i = proc.free_base(ALLOC_FLOOR, size, 1)
         if base + size > ADDRESS_LIMIT:
             raise AddressSpaceExhausted(f"no room for {size:#x} bytes")
-        proc.add_region(MemoryRegion(base, bytearray(size), perms, "injected", code))
+        proc.splice(i, base, size, [MemoryRegion(base, bytearray(size), perms, "injected", code)])
         return base
 
     def protect_memory(self, pid: int, addr: int, length: int, perms: Perm) -> Perm:
@@ -619,27 +618,27 @@ class SimKernel:
 
     def _map_image(self, proc: SimProcess, plan: LoadPlan, name: str,
                    requested: int | None) -> int:
-        image = plan.image
-        head = mapped_spans(image)[0].span
-        if image.headers_end > head:
-            raise NotPe(f"{name}: headers end at {image.headers_end:#x}, past the "
-                        f"{head:#x}-byte mapped header span")
-        size = image.nt.size_of_image
-        preferred = image.nt.image_base
-        base = requested if requested is not None else preferred
+        if plan.headers_past:
+            raise NotPe(f"{name}: headers end at {plan.image.headers_end:#x}, past the "
+                        f"{len(plan.views[0]):#x}-byte mapped header span")
+        size, preferred = plan.size, plan.preferred
+        base = preferred if requested is None else requested
         if base < 0 or base + size > ADDRESS_LIMIT:
             raise AddressSpaceExhausted(
                 f"{name} ({size:#x} bytes) at {base:#x} leaves the address space")
-        base = proc.free_base(base, size, REBASE_STEP)
+        base, i = proc.free_base(base, size, REBASE_STEP)
         if base + size > ADDRESS_LIMIT:
             raise AddressSpaceExhausted(f"no base for {name} ({size:#x} bytes)")
-        if base != preferred and not image.relocations:
+        if base == preferred:
+            views = plan.views
+        elif not plan.relocatable:
             raise CannotRelocate(f"{name} must rebase but has no relocations")
-        views = plan.views if base == preferred else image_cache.layout(plan, base - preferred)
+        else:  # a kept layout, or the first map by this delta builds one
+            delta = base - preferred
+            views = plan.layouts.get(delta) or image_cache.layout(plan, delta)
         tag = f"image:{name}"
-        regions = [MemoryRegion(base + rva, view, perms, tag)
-                   for (rva, perms), view in zip(plan.spans, views)]
-        proc.insert_regions(base, size, regions)
+        proc.splice(i, base, size, [MemoryRegion(base + rva, view, perms, tag)
+                                    for (rva, perms), view in zip(plan.spans, views)])
         return base
 
     # ------------------------------------------------------------------

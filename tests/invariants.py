@@ -96,23 +96,29 @@ class _Checked(NamedTuple):
     views: list
     layouts: dict
     nbytes: int
+    facts: tuple
 
     @classmethod
     def of(cls, plan) -> "_Checked":
         return cls(plan, plan.image, list(plan.spans), list(plan.views),
-                   {delta: list(views) for delta, views in plan.layouts.items()}, plan.nbytes)
+                   {delta: list(views) for delta, views in plan.layouts.items()}, plan.nbytes,
+                   _facts(plan))
 
     def holds(self, plan) -> bool:
         """Whether ``plan`` is the same plan in the same state: the same
-        image, view and layout view objects, and equal spans and
-        ``nbytes``.  A view is read-only, so its bytes change only if it is
-        replaced."""
+        image, view and layout view objects, and equal spans, ``nbytes``
+        and image facts.  A view is read-only, so its bytes change only if
+        it is replaced."""
         return (self.plan is plan and self.image is plan.image and self.spans == plan.spans
-                and self.nbytes == plan.nbytes
+                and self.nbytes == plan.nbytes and self.facts == _facts(plan)
                 and _same_views(self.views, plan.views)
                 and self.layouts.keys() == plan.layouts.keys()
                 and all(_same_views(views, plan.layouts[delta])
                         for delta, views in self.layouts.items()))
+
+
+def _facts(plan) -> tuple:
+    return plan.size, plan.preferred, plan.headers_past, plan.relocatable
 
 
 def _same_views(old: list, new: list) -> bool:
@@ -130,8 +136,9 @@ def check_image_cache() -> None:
     kernel, and its views, its layouts' too, are read-only.  A plan that
     is new, or changed since it last passed, gets the content checks too:
     its spans hold no bytes, each view reads as the loader maps its span,
-    the plan is the one its image builds, and ``nbytes`` counts exactly
-    the span and layout views that are copies.  Each layout is checked
+    the plan is the one its image builds, its size, preferred base,
+    header-span and relocation facts are its image's, and ``nbytes``
+    counts exactly the span and layout views that are copies.  Each layout is checked
     against the oracles' layout relocated by its delta: a layout view is
     the plan's own view if and only if relocation leaves that span's
     bytes unchanged, and otherwise a copy holding the relocated span."""
@@ -156,6 +163,9 @@ def check_image_cache() -> None:
             peformat.mapped_bytes(image, span.rva, span.span)
             for span in spans], "cached view is not the mapped span"
         assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
+        assert _facts(plan) == (image.nt.size_of_image, image.nt.image_base,
+                                image.headers_end > spans[0].span, bool(image.relocations)), \
+            "cached plan facts are not its image's"
         mapped = bytes(assemble_mapped_oracle(image)) if plan.layouts else b""
         preferred = image.nt.image_base
         for delta, views in plan.layouts.items():

@@ -30,6 +30,7 @@ from duqusim.peformat import (
     EXPORT_DIRECTORY_SIZE,
     RELOC_ABS,
     FixupOutOfRange,
+    MapSpan,
     NotPe,
     Section,
     Truncated,
@@ -529,7 +530,7 @@ class TestLoaderRegions:
             del layouts[:], deltas[:]
 
 
-class TestInsertRegions:
+class TestSplice:
     @staticmethod
     def region(base: int, size: int) -> MemoryRegion:
         return MemoryRegion(base, bytearray(size), PERM_R, "r")
@@ -537,27 +538,41 @@ class TestInsertRegions:
     def test_one_splice_between_neighbours(self):
         proc = SimProcess(simkernel.PID_START, "a.exe", simkernel.PEB_START)
         low, high = self.region(0x1000, 0x100), self.region(0x3000, 0x100)
-        proc.insert_regions(0x1000, 0x100, [low])
-        proc.insert_regions(0x3000, 0x100, [high])
+        for region in (high, low):
+            base, i = proc.free_base(region.base, 0x100, 1)
+            proc.splice(i, base, 0x100, [region])
         middle = [self.region(0x2000, 0x10), self.region(0x2010, 0x20),
                   self.region(0x2800, 0x8)]
-        proc.insert_regions(0x2000, 0x1000, middle)
+        assert proc.free_base(0x2000, 0x1000, 1) == (0x2000, 1)
+        proc.splice(1, 0x2000, 0x1000, middle)
         assert proc.regions == [low, *middle, high]
 
-    @pytest.mark.parametrize("bases, span", [
-        ([0x2010, 0x2000], (0x2000, 0x1000)),   # unsorted
-        ([0x2000, 0x2008], (0x2000, 0x1000)),   # overlapping
-        ([0x2000, 0x2F00], (0x2000, 0xF00)),    # past the span's end
-        ([0x1F00, 0x2000], (0x2000, 0x1000)),   # before the span
-        ([0x2000], (0x0F00, 0x1200)),           # the span is not free
-    ])
-    def test_bad_regions_refused_and_nothing_inserted(self, bases, span):
+    def test_span_not_free_refused_and_nothing_inserted(self):
         proc = SimProcess(simkernel.PID_START, "a.exe", simkernel.PEB_START)
-        proc.add_region(self.region(0x1000, 0x100))
+        proc.splice(0, 0x1000, 0x100, [self.region(0x1000, 0x100)])
         before = list(proc.regions)
-        with pytest.raises(AssertionError):
-            proc.insert_regions(*span, [self.region(b, 0x10) for b in bases])
+        with pytest.raises(AssertionError, match="region overlap"):
+            proc.splice(0, 0x0F00, 0x1200, [self.region(0x2000, 0x10)])
         assert proc.regions == before
+
+    @pytest.mark.parametrize("spans, error", [
+        ([(0x200, 0x100)], None),                    # the header span, then the rest
+        ([(0x280, 0x10), (0x200, 0x10)], "unsorted or overlapping"),
+        ([(0x1F8, 0x10)], "unsorted or overlapping"),
+        ([(0x200, 0x101)], "past the image"),
+    ])
+    def test_plan_checks_its_spans_once(self, monkeypatch, spans, error):
+        """Spans out of order, overlapping or past ``size_of_image`` are
+        refused when the plan is built, not at each map."""
+        image = parse_pe(small_image())  # 0x300 bytes, a 0x200-byte header span
+        spans = [MapSpan(0, 0x200, 0, 0x200, None)] + [
+            MapSpan(rva, span, 0, 0, None) for rva, span in spans]
+        monkeypatch.setattr(simkernel, "mapped_spans", lambda _: spans)
+        if error is None:
+            assert [rva for rva, _ in simkernel.LoadPlan.build(image).spans] == [0, 0x200]
+        else:
+            with pytest.raises(AssertionError, match=error):
+                simkernel.LoadPlan.build(image)
 
 
 class TestMappingsShareNoBytes:
@@ -876,7 +891,8 @@ class TestRelocatedLayouts:
 
 class TestImageCacheCheck:
     """The cache invariant checks a plan's content once per state: a plan
-    whose views, spans, layouts or copy count change is checked again."""
+    whose views, spans, layouts, copy count or image facts change is
+    checked again."""
 
     @pytest.mark.parametrize("change, error", [
         ("view", "cached view is not the mapped span"),
@@ -886,6 +902,8 @@ class TestImageCacheCheck:
         ("layout", "layout view is not the relocated span"),
         ("relocated shared", "layout view is not the relocated span"),
         ("unchanged copied", "unchanged layout view is not the plan's own"),
+        ("relocatable", "cached plan facts are not its image's"),
+        ("headers_past", "cached plan facts are not its image's"),
     ])
     def test_a_changed_plan_fails_the_next_check(self, monkeypatch, change, error):
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
@@ -912,6 +930,8 @@ class TestImageCacheCheck:
             views[j] = plan.views[j]
         elif change == "unchanged copied":  # an equal copy, where relocation changed nothing
             views[0] = memoryview(bytearray(views[0])).toreadonly()
+        elif change in ("relocatable", "headers_past"):
+            setattr(plan, change, not getattr(plan, change))
         else:  # the cache's own count agrees
             plan.nbytes += 1
             simkernel.image_cache.nbytes += 1
@@ -984,6 +1004,39 @@ class TestFailedMappingLeavesNoProcess:
         assert proc.pid == simkernel.PID_START
         assert proc.peb_address == simkernel.PEB_START
         assert list(kernel.processes) == [simkernel.PID_START]
+
+
+class TestCachedPlanErrors:
+    """The plan keeps an image's facts, yet every map refuses what it must,
+    with the message naming that load's module, and leaves nothing behind:
+    twice in one kernel, then in a second one."""
+
+    @pytest.mark.parametrize("image, base, error, message", [
+        (displaced_headers_image, None, NotPe,
+         "{}: headers end at 0x520, past the 0x200-byte mapped header span"),
+        (small_image, 0x02000000, CannotRelocate, "{} must rebase but has no relocations"),
+        (small_image, 0xFFFFFF00, AddressSpaceExhausted,
+         "{} (0x300 bytes) at 0xffffff00 leaves the address space"),
+    ])
+    def test_each_map_refuses_in_its_own_name(self, image, base, error, message):
+        data, plans = image(), []
+        for kernel, tries in ((SimKernel(), 2), (SimKernel(), 1)):
+            host = kernel.create_process("host.exe", small_image())
+            regions, log = list(host.regions), list(kernel.log)
+            for n in range(tries):
+                for name, load in ((f"a{n}.exe", lambda name: kernel.create_process(
+                                        name, data, base=base)),
+                                   (f"m{n}.dll", lambda name: kernel.load_module(
+                                        host.pid, name, data, base=base))):
+                    with pytest.raises(error) as caught:
+                        load(name)
+                    assert str(caught.value) == message.format(name)
+                    plans.append(simkernel.image_cache.plans[data])
+                    assert list(kernel.processes) == [host.pid]
+                    assert host.regions == regions and kernel.log == log
+                    assert host.modules == [("host.exe", 0x01000000)]
+            check_kernel(kernel)
+        assert all(plan is plans[0] for plan in plans)  # one cached plan refused all six
 
 
 class TestDirectoryArray:

@@ -1,5 +1,6 @@
 import random
 import weakref
+from typing import NamedTuple
 
 import pytest
 
@@ -33,8 +34,8 @@ from duqusim.simkernel import (
     UnmappedAddress,
 )
 
-from invariants import recorded_parses
-from oracles import apply_relocations_oracle, assemble_mapped_oracle
+from invariants import check_kernel, recorded_parses
+from oracles import apply_relocations_oracle, assemble_mapped_oracle, loader_regions_oracle
 
 
 def exe_fixture(base=0x01000000, entry=0x1000, relocs=False) -> bytes:
@@ -534,7 +535,9 @@ class TestRegionLookup:
             cursor += size
         proc = SimProcess(0x910, "a.exe", 0x7FFD5000)
         for region in rng.sample(regions, len(regions)):
-            proc.add_region(region)
+            base, i = proc.free_base(region.base, len(region.data), 1)
+            assert base == region.base
+            proc.splice(i, base, len(region.data), [region])
         assert proc.regions == regions
         return proc
 
@@ -574,8 +577,10 @@ class TestRegionLookup:
                                 (rng.randrange(0x40, 0x400), (rng.randrange(0x40, 0x400),
                                                               REBASE_STEP))):
                 for step in steps:
-                    assert proc.free_base(base, size, step) == \
-                        linear_free_base(proc.regions, base, size, step), (base, size, step)
+                    expected = linear_free_base(proc.regions, base, size, step)
+                    index = sum(r.end <= expected for r in proc.regions)
+                    assert proc.free_base(base, size, step) == (expected, index), \
+                        (base, size, step)
 
     def test_free_base_matches_stepping_search(self):
         rng = random.Random("free-base")
@@ -594,10 +599,10 @@ class TestRegionLookup:
                 region.end += top
             addrs = [a + top for a in self.probes(rng, proc.regions) if a + top >= 0]
             self.check_free_base(rng, proc, addrs)
-            assert proc.free_base(proc.regions[0].base, 1, 1) >= proc.regions[0].end
-            last = proc.regions[-1]
-            assert proc.free_base(last.base, 1, REBASE_STEP) == last.base + REBASE_STEP
-            assert proc.free_base(last.base, 1, 1) == simkernel.ADDRESS_LIMIT
+            assert proc.free_base(proc.regions[0].base, 1, 1)[0] >= proc.regions[0].end
+            last, n = proc.regions[-1], len(proc.regions)
+            assert proc.free_base(last.base, 1, REBASE_STEP) == (last.base + REBASE_STEP, n)
+            assert proc.free_base(last.base, 1, 1) == (simkernel.ADDRESS_LIMIT, n)
 
     def test_allocations_land_where_the_stepping_search_put_them(self):
         rng = random.Random("alloc-base")
@@ -613,6 +618,82 @@ class TestRegionLookup:
                 assert kernel.allocate_memory(proc.pid, size, PERM_RW) == expected
                 if rng.random() < 0.3:  # free a region to open a hole
                     proc.regions.remove(rng.choice(proc.regions[:-1] or proc.regions))
+
+
+class Placed(NamedTuple):
+    base: int
+    end: int
+    data: bytes
+    perms: str
+    tag: str
+
+
+def placed(proc) -> list[Placed]:
+    return [Placed(r.base, r.end, bytes(r.data), r.perms.describe(), r.tag)
+            for r in proc.regions]
+
+
+class TestPlacement:
+    """Loads and allocations, interleaved, land where a linear search puts
+    them: each load by stepping ``REBASE_STEP`` from its base until its
+    span is free, each allocation by the allocator's former search, and
+    each new region by sorted insertion."""
+
+    NEAR_LIMIT = simkernel.ADDRESS_LIMIT - 0x40000
+
+    @staticmethod
+    def oracle_load(expected, data, name, requested):
+        """``expected`` after loading ``data``, or the error the load raises."""
+        image = parse_pe(data)
+        size, preferred = image.nt.size_of_image, image.nt.image_base
+        base = preferred if requested is None else requested
+        if base < 0 or base + size > simkernel.ADDRESS_LIMIT:
+            return AddressSpaceExhausted
+        base = linear_free_base(expected, base, size, REBASE_STEP)
+        if base + size > simkernel.ADDRESS_LIMIT:
+            return AddressSpaceExhausted
+        if base != preferred and not image.relocations:
+            return CannotRelocate
+        new = [Placed(at, at + len(mapped), mapped, perms, f"image:{name}")
+               for at, mapped, perms in loader_regions_oracle(image, base)]
+        return sorted(expected + new)
+
+    def test_loads_and_allocations_match_the_linear_oracle(self):
+        rng = random.Random("placement")
+        images = [dll_fixture(), dll_fixture(0x10010000), dll_fixture(self.NEAR_LIMIT),
+                  exe_fixture(base=0x10000000), exe_fixture(relocs=True)]
+        sizes = {data: parse_pe(data).nt.size_of_image for data in images}
+        for _ in range(12):
+            kernel = SimKernel()
+            proc = kernel.create_process("a.exe", exe_fixture())
+            expected = placed(proc)
+            for step in range(30):
+                if rng.random() < 0.4:
+                    n = rng.choice([rng.randrange(1, 0x40), rng.randrange(0x40, 0x2000)])
+                    base = stepping_alloc_base(expected, n)
+                    assert kernel.allocate_memory(proc.pid, n, PERM_RW) == base
+                    expected = sorted(expected + [Placed(base, base + n, bytes(n), "RW",
+                                                         "injected")])
+                else:
+                    data = rng.choice(images)
+                    size = sizes[data]
+                    requested = rng.choice([
+                        None, None,  # the preferred base
+                        simkernel.ALLOC_FLOOR + rng.randrange(4) * 0x800,  # among allocations
+                        0x10000000 + rng.randrange(3) * REBASE_STEP,  # among the DLLs
+                        simkernel.ADDRESS_LIMIT - size - rng.randrange(3) * REBASE_STEP,
+                        simkernel.ADDRESS_LIMIT - size + rng.randrange(1, 3),  # past the limit
+                    ])
+                    name = f"m{step}.dll"
+                    result = self.oracle_load(expected, data, name, requested)
+                    if isinstance(result, list):
+                        kernel.load_module(proc.pid, name, data, base=requested)
+                        expected = result
+                    else:
+                        with pytest.raises(result):
+                            kernel.load_module(proc.pid, name, data, base=requested)
+                assert placed(proc) == expected, step
+                check_kernel(kernel)
 
 
 def image_regions(proc):
