@@ -21,19 +21,22 @@ whole point of the launch-order experiments.
 A process works out each distinct image once: every kernel maps the same
 bytes from one :class:`ImageCache` entry, a :class:`LoadPlan` holding the
 parsed image and, per mapped span, its RVA, permissions and read-only
-view of its bytes.  Every mapping reads as its own and shares until
-written, as Windows maps an image copy-on-write: a region starts as its
-span's view, and only :meth:`MemoryRegion.writable` gives it bytes of
-its own.  The first rebase by a delta lays the image out and relocates
-it (:func:`~duqusim.peformat.assemble_mapped`,
+view of its bytes.  The cache finds a plan by the file's length and one
+compare of its bytes; it never hashes them.  Every mapping reads as its
+own and shares until written, as Windows maps an image copy-on-write: a
+region starts as its span's view, and only :meth:`MemoryRegion.writable`
+gives it bytes of its own.  The first rebase by a delta lays the image
+out and relocates it (:func:`~duqusim.peformat.assemble_mapped`,
 :func:`~duqusim.peformat.apply_relocations`), as the injector maps its
 payload, and keeps read-only copies of just the spans whose bytes
 changed; every mapping rebased by that delta, in any kernel, then shares
 them.  No other load lays out a size_of_image buffer.  A map reads the
 image's size, bases and checks from its plan, finds its base and its
-place in the sorted regions in one walk (:meth:`SimProcess.free_base`)
-and, after relocation succeeds, splices its regions in there; a load
-that fails leaves nothing mapped and, for a new process, no process.
+place in the sorted regions by bisecting the process's sorted list of
+region ends, once per region in the way (:meth:`SimProcess.free_base`),
+and, after relocation succeeds, splices its regions and their ends in
+there; a load that fails leaves nothing mapped and, for a new process,
+no process.  Every address lookup is one bisect of those ends.
 
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
@@ -49,8 +52,6 @@ import bisect
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter
 from typing import Callable, Optional
 
 from .peformat import (
@@ -219,9 +220,6 @@ class MemoryRegion(_WeakReferable):
         return self.data
 
 
-_region_base = attrgetter("base")
-
-
 @dataclass
 class Peb:
     image_base_address: int
@@ -235,45 +233,46 @@ class SimProcess:
         self.entry_point = 0
         self.peb = Peb(image_base_address=0)
         self.peb_address = peb_address
-        # Sorted by base and pairwise disjoint, so a lookup only has to
-        # look at the region starting last before the probed address.
+        # Sorted by base and pairwise disjoint, so their ends are sorted
+        # too: ``ends[i]`` is ``regions[i].end``, and the region holding an
+        # address, if any, is the first one ending past it.
         self.regions: list[MemoryRegion] = []
+        self.ends: list[int] = []
         self.modules: list[tuple[str, int]] = []
         self.alive = True
 
     def region_at(self, addr: int) -> Optional[MemoryRegion]:
-        i = bisect.bisect_right(self.regions, addr, key=_region_base)
-        if i and addr < self.regions[i - 1].end:
-            return self.regions[i - 1]
+        i = bisect.bisect_right(self.ends, addr)
+        if i < len(self.ends) and self.regions[i].base <= addr:
+            return self.regions[i]
         return None
 
     def span_free(self, base: int, size: int) -> bool:
-        # Every region starting before the span's end ends no later than the
-        # last of them, so that one alone decides whether the span is free.
-        i = bisect.bisect_left(self.regions, base + size, key=_region_base)
-        return i == 0 or self.regions[i - 1].end <= base
+        # Every region before the first one ending past ``base`` ends by
+        # ``base``, so that one alone decides whether the span is free.
+        i = bisect.bisect_right(self.ends, base)
+        return i == len(self.ends) or self.regions[i].base >= base + size
 
     def free_base(self, base: int, size: int, step: int) -> tuple[int, int]:
         """The lowest ``base + k * step`` (k >= 0) whose ``size``-byte span
-        is free, and the index it goes in, found in one walk: each region in
-        the way moves the span past its end, and the span goes before the
-        first region past it.  The base may end past ``ADDRESS_LIMIT``."""
-        regions = self.regions
-        i = max(bisect.bisect_right(regions, base, key=_region_base) - 1, 0)
-        end = base + size
-        for i, region in enumerate(islice(regions, i, None), i):
-            if region.base >= end:
-                return base, i
-            if region.end > base:
-                base += (region.end - base + step - 1) // step * step
-                end = base + size
-        return base, len(regions)
+        is free, and the index it goes in: the first region ending past the
+        span's base either starts at or past its end, and the span goes
+        before it, or moves the span past its own end, one bisect per
+        region in the way.  The base may end past ``ADDRESS_LIMIT``."""
+        regions, ends = self.regions, self.ends
+        i = bisect.bisect_right(ends, base)
+        while i < len(ends) and regions[i].base < base + size:
+            base += (ends[i] - base + step - 1) // step * step
+            i = bisect.bisect_right(ends, base, i + 1)
+        return base, i
 
     def splice(self, i: int, base: int, size: int, regions: list[MemoryRegion]) -> None:
         """Insert ``regions``, sorted, disjoint and inside the free span
-        ``[base, base + size)``, at :meth:`free_base`'s index ``i``."""
+        ``[base, base + size)``, at :meth:`free_base`'s index ``i``.  The
+        one place regions are added, so the one that keeps ``ends``."""
         assert self.span_free(base, size), "region overlap"
         self.regions[i:i] = regions
+        self.ends[i:i] = [region.end for region in regions]
 
 
 class Driver:
@@ -354,24 +353,36 @@ class LoadPlan:
 @dataclass
 class ImageCache:
     """File bytes -> load plan for every kernel, evicting the oldest first.
-    ``nbytes`` counts each key and its plan's copies against
-    ``IMAGE_CACHE_BYTES``.  A failed parse is never stored, nor a plan over
-    the bound, which is built again on each load; a relocated layout that
-    does not fit, or of a plan not stored, serves its one mapping."""
+    A lookup takes the plans of its image's length from ``by_length``, in
+    ``plans`` order, and compares their bytes, so it never hashes an
+    image: the same bytes object is found by identity, and an equal one
+    by one memcmp.  ``nbytes`` counts each key and its plan's copies
+    against ``IMAGE_CACHE_BYTES``.  A failed parse is never stored, nor a
+    plan over the bound, which is built again on each load; a relocated
+    layout that does not fit, or of a plan not stored, serves its one
+    mapping."""
     plans: dict[bytes, LoadPlan] = field(default_factory=dict, repr=False)
+    by_length: dict[int, list[LoadPlan]] = field(default_factory=dict, repr=False)
     nbytes: int = 0
 
     def plan(self, image: bytes) -> LoadPlan:
+        for plan in self.by_length.get(len(image), ()):
+            raw = plan.image.raw
+            if raw is image or raw == image:
+                return plan
         key = bytes(image)
-        plan = self.plans.get(key)
-        if plan is None:
-            plan = LoadPlan.build(parse_pe(key))
-            if len(key) + plan.nbytes <= IMAGE_CACHE_BYTES:
-                self.plans[key] = plan
-                self.nbytes += len(key) + plan.nbytes
-                while self.nbytes > IMAGE_CACHE_BYTES:  # raw is the whole key
-                    old = self.plans.pop(next(iter(self.plans)))
-                    self.nbytes -= len(old.image.raw) + old.nbytes
+        plan = LoadPlan.build(parse_pe(key))
+        if len(key) + plan.nbytes <= IMAGE_CACHE_BYTES:
+            self.plans[key] = plan
+            self.by_length.setdefault(len(key), []).append(plan)
+            self.nbytes += len(key) + plan.nbytes
+            while self.nbytes > IMAGE_CACHE_BYTES:  # raw is the whole key
+                old = self.plans.pop(next(iter(self.plans)))
+                n = len(old.image.raw)
+                del self.by_length[n][0]  # the oldest plan is the oldest of its length
+                if not self.by_length[n]:
+                    del self.by_length[n]
+                self.nbytes -= n + old.nbytes
         return plan
 
     def layout(self, plan: LoadPlan, delta: int) -> list[memoryview]:

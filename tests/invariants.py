@@ -11,7 +11,8 @@ and :func:`recorded_export_decodes` every export directory
 :func:`duqusim.peformat.read_module` decodes.  :func:`check_image_cache`
 and :func:`check_export_memo` check the two caches a process keeps.
 :func:`run_refs` and :func:`still_alive` check that a finished run is
-freed by reference counting alone.
+freed by reference counting alone.  :func:`set_regions` is the one way a
+test edits a process's regions in place.
 """
 
 import gc
@@ -56,6 +57,14 @@ class ImageLoadRecorder(Driver):
             self.dead_loads.append((event.pid, event.module_name))
 
 
+def set_regions(proc, regions) -> None:
+    """Give ``proc`` the sorted, disjoint ``regions`` and their ends, as
+    :meth:`SimProcess.splice` keeps them; a test that drops or moves
+    regions calls this after."""
+    proc.regions = list(regions)
+    proc.ends = [region.end for region in proc.regions]
+
+
 def check_kernel(kernel) -> None:
     assert not kernel._queue, "events left queued"
     assert kernel._dispatching is False, "dispatch left running"
@@ -68,6 +77,8 @@ def check_kernel(kernel) -> None:
                 f"pid {pid:#x}: region {region.base:#x} changed length"
             end = region.end
         assert end <= ADDRESS_LIMIT, f"pid {pid:#x}: region ends at {end:#x}"
+        assert proc.ends == [region.end for region in proc.regions], \
+            f"pid {pid:#x}: region ends out of step with its regions"
         assert proc.region_at(proc.image_base) is not None, \
             f"pid {pid:#x}: nothing mapped at its image base {proc.image_base:#x}"
     for driver in kernel.drivers:
@@ -111,9 +122,9 @@ class _Checked(NamedTuple):
         it is replaced."""
         return (self.plan is plan and self.image is plan.image and self.spans == plan.spans
                 and self.nbytes == plan.nbytes and self.facts == _facts(plan)
-                and _same_views(self.views, plan.views)
+                and _same_objects(self.views, plan.views)
                 and self.layouts.keys() == plan.layouts.keys()
-                and all(_same_views(views, plan.layouts[delta])
+                and all(_same_objects(views, plan.layouts[delta])
                         for delta, views in self.layouts.items()))
 
 
@@ -121,7 +132,7 @@ def _facts(plan) -> tuple:
     return plan.size, plan.preferred, plan.headers_past, plan.relocatable
 
 
-def _same_views(old: list, new: list) -> bool:
+def _same_objects(old: list, new: list) -> bool:
     return len(old) == len(new) and all(map(operator.is_, old, new))
 
 
@@ -131,8 +142,9 @@ _checked: dict[bytes, _Checked] = {}
 
 
 def check_image_cache() -> None:
-    """The shared cache is within its bound and holds only plans of file
-    images: each image keeps its own key as ``raw`` and no ``read`` into a
+    """The shared cache is within its bound, its length index lists
+    exactly the stored plans, each under its key's length and in the
+    cache's order, and it holds only plans of file images: each image keeps its own key as ``raw`` and no ``read`` into a
     kernel, and its views, its layouts' too, are read-only.  A plan that
     is new, or changed since it last passed, gets the content checks too:
     its spans hold no bytes, each view reads as the loader maps its span,
@@ -146,6 +158,12 @@ def check_image_cache() -> None:
     assert cache.nbytes == sum(len(key) + plan.nbytes for key, plan in cache.plans.items()), \
         "cache byte count drifted"
     assert cache.nbytes <= simkernel.IMAGE_CACHE_BYTES, "cache over its bound"
+    by_length = {}
+    for key, plan in cache.plans.items():
+        by_length.setdefault(len(key), []).append(plan)
+    assert cache.by_length.keys() == by_length.keys() and all(
+        _same_objects(cache.by_length[n], plans) for n, plans in by_length.items()), \
+        "length index is not the cached plans by length, oldest first"
     checked = {}
     for key, plan in cache.plans.items():
         image = plan.image

@@ -42,6 +42,10 @@ PARSE_COUNTS = {"replay": 10, "fleet": 14, "scan": 4}
 # of new regions.  A loader probing once per ``REBASE_STEP`` while it hunts
 # for a free base reads 98 on replay and 336 on fleet.
 SPAN_FREE_COUNTS = {"replay": 57, "fleet": 122, "scan": 0}
+# Traced warm-up on seed 1: ``SimProcess.region_at`` lookups.  Memory reads
+# and writes find each region through it, so the traced count still
+# measures them; a read that bisected the regions itself would not count.
+REGION_AT_COUNTS = {"replay": 162, "fleet": 186, "scan": 0}
 # The same warm-up run again, after the first: real PE parses other than
 # the payload's (one per ``run_stub``), then ``ror13_hash`` calls and bytes.
 # Every image, stub and kernel32 export table is decoded already, so only
@@ -104,6 +108,7 @@ def test_traced_warmup_on_fresh_import(bench, tmp_path, workload):
         assert tuple(counts[name] for name in DISPATCH) == DISPATCH_COUNTS[workload]
         assert counts["peformat.parse_pe.calls"] == PARSE_COUNTS[workload]
         assert counts["simkernel.span_free.calls"] == SPAN_FREE_COUNTS[workload]
+        assert counts["simkernel.region_at.calls"] == REGION_AT_COUNTS[workload]
         first = tuple(counts[name] for name in RELOCATION)
         tracer.reset()
         warm_up()

@@ -939,6 +939,33 @@ class TestImageCacheCheck:
             check_image_cache()
 
 
+    @pytest.mark.parametrize("change", ["dropped", "evicted", "misfiled", "reordered", "empty"])
+    def test_a_length_index_out_of_step_fails_the_check(self, monkeypatch, change):
+        monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
+        cache = simkernel.image_cache
+        first = small_image()
+        second = bytearray(first)
+        second[-1] ^= 1
+        longer = first + b"\x00"  # a trailing overlay
+        for image in (first, bytes(second), longer):
+            cache.plan(image)
+        check_image_cache()
+        same = cache.by_length[len(first)]
+        if change == "dropped":  # a stored plan the index cannot find
+            same.pop()
+        elif change == "evicted":  # a plan no longer stored, still in the index
+            old = cache.plans.pop(first)
+            cache.nbytes -= len(first) + old.nbytes
+        elif change == "misfiled":  # a plan under another image's length
+            same.append(cache.by_length.pop(len(longer))[0])
+        elif change == "reordered":
+            same.reverse()
+        else:  # a length with no plans left
+            cache.by_length[1] = []
+        with pytest.raises(AssertionError, match="length index"):
+            check_image_cache()
+
+
 class TestHeaderSpan:
     @pytest.mark.parametrize("name", PE_FIXTURES)
     def test_fixture_tables_end_inside_the_header_span(self, fixture_bytes, name):

@@ -13,6 +13,7 @@ from duqusim.simkernel import (
 )
 
 from conftest import boot_kernel, displaced_headers_image, small_image
+from invariants import set_regions
 from oracles import ror13_oracle
 
 
@@ -139,8 +140,8 @@ class TestVerification:
     def test_unreadable_entrypoint_is_mismatch(self, fixture_dir):
         kernel, sentinel, proc = watched_process(fixture_dir)
         record = sentinel.records[proc.pid]
-        proc.regions = [r for r in proc.regions
-                        if not (r.base <= record.entrypoint < r.end)]
+        set_regions(proc, [r for r in proc.regions
+                           if not (r.base <= record.entrypoint < r.end)])
         event = NotificationEvent(EventKind.IMAGE_LOAD, proc.pid,
                                   module_name="ghost.dll", base=0x7C000000)
         sentinel.on_image_load(event)

@@ -34,7 +34,7 @@ from duqusim.simkernel import (
     UnmappedAddress,
 )
 
-from invariants import check_kernel, recorded_parses
+from invariants import check_image_cache, check_kernel, recorded_parses, set_regions
 from oracles import apply_relocations_oracle, assemble_mapped_oracle, loader_regions_oracle
 
 
@@ -566,7 +566,7 @@ class TestRegionLookup:
         for _ in range(300):
             proc = self.random_process(rng)
             self.check_against_reference(rng, proc)
-            proc.regions = [r for r in proc.regions if rng.random() < 0.5]
+            set_regions(proc, [r for r in proc.regions if rng.random() < 0.5])
             self.check_against_reference(rng, proc)
 
     @staticmethod
@@ -597,6 +597,7 @@ class TestRegionLookup:
             for region in proc.regions:  # the same layout, ending at the limit
                 region.base += top
                 region.end += top
+            set_regions(proc, proc.regions)
             addrs = [a + top for a in self.probes(rng, proc.regions) if a + top >= 0]
             self.check_free_base(rng, proc, addrs)
             assert proc.free_base(proc.regions[0].base, 1, 1)[0] >= proc.regions[0].end
@@ -617,7 +618,8 @@ class TestRegionLookup:
                 expected = stepping_alloc_base(proc.regions, size)
                 assert kernel.allocate_memory(proc.pid, size, PERM_RW) == expected
                 if rng.random() < 0.3:  # free a region to open a hole
-                    proc.regions.remove(rng.choice(proc.regions[:-1] or proc.regions))
+                    gone = rng.choice(proc.regions[:-1] or proc.regions)
+                    set_regions(proc, [r for r in proc.regions if r is not gone])
 
 
 class Placed(NamedTuple):
@@ -743,6 +745,8 @@ class TestImageReuse:
         assert image_regions(proc) == image_regions(fixed)
 
     def test_each_distinct_image_parsed_once(self, parsed):
+        """Each ``exe_fixture()`` is a new bytes object, and each copy of
+        ``data`` too: an equal image finds the first one's plan."""
         data = dll_fixture()
         for _ in range(2):
             kernel = SimKernel()
@@ -750,7 +754,10 @@ class TestImageReuse:
                 proc = kernel.create_process(name, exe_fixture())
                 kernel.load_module(proc.pid, "x.dll", data)
                 kernel.load_module(proc.pid, "y.dll", bytearray(data))
+                kernel.load_module(proc.pid, "z.dll", bytes(bytearray(data)))
         assert parsed == [exe_fixture(), data]
+        assert simkernel.image_cache.plan(bytes(bytearray(data))) is \
+            simkernel.image_cache.plans[data]
 
     def test_failed_parse_raises_in_every_kernel_and_is_never_kept(self, parsed):
         bad = b"ZM" + dll_fixture()[2:]
@@ -781,6 +788,26 @@ class TestImageReuse:
         kernel.create_process("again.exe", images[0])
         assert parsed == images + [images[0]]
         assert list(cache.plans) == images[3:] + [images[0]]
+
+    def test_images_of_one_length_each_get_their_own_plan(self, parsed, monkeypatch):
+        images = [exe_fixture(base=0x01000000 + i * REBASE_STEP) for i in range(64)]
+        assert len({len(image) for image in images}) == 1 and len(set(images)) == 64
+        assert len({cached_size(image) for image in images}) == 1
+        bound = 48 * cached_size(images[0])
+        monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", bound)
+        cache = simkernel.image_cache
+        plans = [cache.plan(image) for image in images]
+        assert [plan.image.raw for plan in plans] == images
+        assert list(cache.plans) == images[16:] and cache.nbytes == bound
+        check_image_cache()
+        for image, plan in zip(images[16:], plans[16:]):  # kept: found from a copy
+            assert cache.plan(bytes(bytearray(image))) is plan
+        assert parsed == images
+        again = cache.plan(bytes(bytearray(images[0])))  # evicted: parsed again
+        assert again is not plans[0] and again.image.raw == images[0]
+        assert parsed == images + [images[0]]
+        assert list(cache.plans) == images[17:] + [images[0]]
+        check_image_cache()
 
     def test_image_over_the_bound_loads_but_is_not_kept(self, parsed, monkeypatch):
         small = exe_fixture()
