@@ -17,10 +17,11 @@ An image comes from one of two places:
   its directories where a loader maps them.
 * a module mapped in memory - :func:`read_headers` and :func:`read_module`
   decode it through a ``read(rva, n)`` callable, reading only the
-  headers, the directories and, on demand, the executable sections.
+  headers, the export directory and, on demand, the executable sections.
 
-Both decode the export and relocation directories with the same code,
-through a ``read(rva, n)`` that returns exactly ``n`` bytes or raises.
+Both decode the export directory with the same code, through a
+``read(rva, n)`` that returns exactly ``n`` bytes or raises.  Only file
+bytes are relocated, so only :func:`parse_pe` decodes relocations.
 A file image's reader (:func:`_read_file`) returns what the loader maps:
 file bytes, then zeros in a section's virtual tail, and
 :class:`OutOfImage` at a byte in a gap or past the image.  The headers
@@ -36,8 +37,8 @@ with the result, or the error, of a byte-by-byte read.
 A file image's loader layout is a list of :class:`MapSpan`, built once per
 image by :func:`mapped_spans`: the headers and each mapped section, with
 its RVA, mapped span, file offset and the number of file bytes it holds.
-It holds ints and sections only, never bytes; :func:`assemble_mapped`
-and the kernel's loader copy from the file through it.  Relocation is
+It holds ints and sections only, never bytes; one routine,
+:func:`_laid_out`, copies every file byte laid out through it.  Relocation is
 one routine: :func:`apply_relocations` patches a buffer that
 :func:`assemble_mapped` laid out, in place.  The kernel's loader, the
 injector's first stub and the payload it maps all relocate through it.
@@ -269,12 +270,6 @@ class MapSpan(NamedTuple):
     section: Section | None
 
 
-def _u16(data: bytes, off: int) -> int:
-    if off + 2 > len(data):
-        raise Truncated(f"word at {off:#x} past end of buffer")
-    return struct.unpack_from("<H", data, off)[0]
-
-
 def ror13_hash(data: bytes) -> int:
     """Rotate-right-13 additive hash over a byte sequence.
 
@@ -422,7 +417,7 @@ def _read_file(image: PeImage, rva: int, n: int) -> bytes:
         if at >= size:
             raise OutOfImage(f"rva {at:#x} past size_of_image {size:#x}")
         raise OutOfImage(f"rva {at:#x} in no section")
-    return mapped_bytes(image, rva, n)
+    return bytes(_laid_out(image, rva, n))
 
 
 def _read_cstring(read: Reader, rva: int) -> bytes:
@@ -562,8 +557,8 @@ def parse_pe(data: bytes) -> PeImage:
     """Parse PE32 file bytes into a :class:`PeImage`.
 
     Section raw data is validated against the buffer; the directories are
-    read by :func:`_read_file`, as the loader maps them, so they decode as
-    :func:`read_module` decodes them from the mapping.
+    read by :func:`_read_file`, as the loader maps them, so the exports
+    decode as :func:`read_module` decodes them from the mapping.
     """
     image = _decode_headers(data, "file")
     for s in image.sections:
@@ -629,17 +624,17 @@ def read_headers(read: Reader) -> PeImage:
     head = read(0, E_LFANEW_OFFSET + 4)
     fh = _parse_dos(head).e_lfanew + 4
     head += read(len(head), fh + FILE_HEADER_SIZE - len(head))
-    head += read(len(head), _u16(head, fh + 16)
-                 + SECTION_HEADER_SIZE * _u16(head, fh + 2))
+    count, optional = struct.unpack_from("<2xH12xH", head, fh)
+    head += read(len(head), optional + SECTION_HEADER_SIZE * count)
     image = parse_headers(head)
     image.read = read
     return image
 
 
 def read_module(read: Reader) -> PeImage:
-    """:func:`read_headers` plus the export and relocation directories.
+    """:func:`read_headers` plus the export directory; no relocations.
 
-    Each directory is read where it lives, on every call, with the same
+    The directory is read where it lives, on every call, with the same
     checks :func:`parse_pe` makes on file bytes.  As :func:`parse_headers`
     keeps header blocks, an export table decoded from its one directory
     read alone, at most ``HEADER_MEMO_BLOCK`` bytes with names that total
@@ -648,7 +643,6 @@ def read_module(read: Reader) -> PeImage:
     """
     image = read_headers(read)
     image.exports = _parse_exports(read, image.nt, _export_memo)
-    image.relocations = _parse_relocations(read, image.nt)
     return image
 
 
@@ -839,27 +833,24 @@ def mapped_bytes(image: PeImage, rva: int, n: int) -> bytes:
     Most reads lie in one section's span and build no span list.
     """
     data = _section_bytes(image, rva, n)
-    if data is None:
-        out = bytearray(n)
-        for at, _, offset, copy, _ in mapped_spans(image):
-            lo, hi = max(rva, at), min(rva + n, at + copy)
-            if lo < hi:
-                out[lo - rva:hi - rva] = image.raw[offset + lo - at:offset + hi - at]
-        data = bytes(out)
-    return data
+    return bytes(_laid_out(image, rva, n)) if data is None else data
+
+
+def _laid_out(image: PeImage, rva: int, n: int) -> bytearray:
+    """``n`` bytes from ``rva`` of a file image in a new buffer: each of
+    :func:`mapped_spans`' file bytes at its RVA, every other byte zero."""
+    out = bytearray(n)
+    raw = memoryview(image.raw)
+    for at, _, offset, copy, _ in mapped_spans(image):
+        lo, hi = max(rva, at), min(rva + n, at + copy)
+        if lo < hi:
+            out[lo - rva:hi - rva] = raw[offset + lo - at:offset + hi - at]
+    return out
 
 
 def assemble_mapped(image: PeImage) -> bytearray:
-    """Lay a file-layout image out the way a loader would.
-
-    Each of :func:`mapped_spans` lands at its RVA; gaps and virtual tails
-    are zero.  The result is size_of_image long.
-    """
-    buf = bytearray(image.nt.size_of_image)
-    raw = memoryview(image.raw)
-    for rva, _, offset, copy, _ in mapped_spans(image):
-        buf[rva:rva + copy] = raw[offset:offset + copy]
-    return buf
+    """Lay a file-layout image out as a loader would: size_of_image bytes."""
+    return _laid_out(image, 0, image.nt.size_of_image)
 
 
 def scan_call_push_call(image: PeImage, anchor_name: bytes | str,

@@ -1,9 +1,11 @@
 """Static PE scanner for the injection artifacts.
 
-Three signatures, all over file bytes read as the loader maps them
-(``section_data``, ``mapped_bytes``), so a file scan finds what a scan of
-the mapped module finds.  Both code searches run in C whatever the fill
-bytes; only a call with a push 104h in reach is decoded in Python:
+Three signatures over file bytes read as the loader maps them, so a file
+scan finds what a scan of the mapped module finds.  No match starts at a
+zero byte or ends more than 4 bytes past its start, so a code section is
+read up to 4 bytes into its zero tail.  Both code searches run in C
+whatever the fill bytes; only a call with a push 104h in reach is decoded
+in Python:
 
 * ENTRY_HOOK          - entrypoint bytes, as the loader maps them (zero
                         past a section's raw data), decode as
@@ -34,7 +36,6 @@ from .peformat import (
     mapped_bytes,
     parse_pe,
     read_regular_file,
-    section_data,
 )
 
 ENTRY_HOOK = "ENTRY_HOOK"
@@ -94,8 +95,10 @@ def scan_pe(data: bytes, path: str = "<buffer>",
     for section in image.sections:
         if not section.executable:
             continue
-        data = section_data(image, section)  # one read for both code searches
-        section_va = image.nt.image_base + section.virtual_address
+        lo = section.virtual_address
+        n = min(section.virtual_span, image.nt.size_of_image - lo, section.raw_size + 4)
+        data = mapped_bytes(image, lo, max(n, 0))  # one read for both code searches
+        section_va = image.nt.image_base + lo
         if anchor_va is not None:
             found = find_call_push_call(data, section_va, anchor_va)
             if found is not None:

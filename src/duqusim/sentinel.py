@@ -118,8 +118,8 @@ class SentinelDriver(Driver):
                     f"ProcessId={pid:#x}")
         try:
             name = kernel.process(pid).name
-        except SimError:
-            name = f"pid {pid:#x}"
+        except SimError:  # already gone: nothing left to protect
+            return
         log(source, f"-> Verify {name} process:")
         module = event.module_name or "?"
         try:

@@ -60,12 +60,13 @@ from .peformat import (
     NotPe,
     PeImage,
     Reader,
+    _laid_out,
     apply_relocations,
     assemble_mapped,
     decode_entry_hook,
     mapped_spans,
-    parse_headers,
     parse_pe,
+    read_headers,
 )
 
 ADDRESS_LIMIT = 1 << 32
@@ -290,14 +291,13 @@ class LoadPlan:
     ``spans`` gives, per mapped span in RVA order, its RVA and its region's
     permissions, and ``views`` its mapped bytes, read-only and shared by
     every mapping: a slice of the file bytes or, for a span with a zero
-    tail, one copy that holds the tail.  The spans are checked sorted,
-    disjoint and inside ``size`` (``size_of_image``) here, once: no base
-    changes that.  Each map tests ``preferred`` (the preferred base),
+    tail, one laid-out copy that holds the tail.  The spans are checked
+    sorted, disjoint and inside ``size`` (``size_of_image``) here, once: no
+    base changes that.  Each map tests ``preferred`` (the preferred base),
     ``headers_past`` (the headers end past the header span) and
     ``relocatable``.  ``layouts`` maps a delta, base minus preferred base,
-    to the views of a mapping rebased by it: ``views`` with each span that
-    relocation changes swapped for a read-only relocated copy.  ``nbytes``
-    is the length of every copy, span and layout.  A plan holds no kernel.
+    to the views :meth:`ImageCache.layout` made for it.  ``nbytes`` is the
+    length of every copy, span and layout.  A plan holds no kernel.
     """
     image: PeImage
     spans: list[tuple[int, Perm]] = field(repr=False)
@@ -319,9 +319,7 @@ class LoadPlan:
             end = rva + span
             view = raw[offset:offset + copy]
             if copy < span:  # one allocation: the file bytes, then the zero tail
-                buf = bytearray(span)
-                buf[:copy] = view
-                view = memoryview(buf).toreadonly()
+                view = memoryview(_laid_out(image, rva, span)).toreadonly()
                 nbytes += span
             if section is not None and section.executable:
                 perms = PERM_RX
@@ -334,20 +332,6 @@ class LoadPlan:
         assert end <= image.nt.size_of_image, "span past the image"
         return cls(image, spans, views, nbytes, image.nt.size_of_image, image.nt.image_base,
                    image.headers_end > len(views[0]), bool(image.relocations))
-
-    def relocated(self, delta: int) -> list[memoryview]:
-        """``views`` with each span that relocating by ``delta`` changes
-        swapped for a read-only relocated copy.  The whole layout is
-        dropped once its spans are cut out; a bad fixup raises."""
-        image = self.image
-        layout = assemble_mapped(image)
-        preferred = image.nt.image_base
-        apply_relocations(layout, preferred + delta, preferred, image.relocations)
-        views = []
-        for (rva, _), view in zip(self.spans, self.views):
-            span = layout[rva:rva + len(view)]
-            views.append(view if span == view else memoryview(span).toreadonly())
-        return views
 
 
 @dataclass
@@ -386,12 +370,19 @@ class ImageCache:
         return plan
 
     def layout(self, plan: LoadPlan, delta: int) -> list[memoryview]:
-        """``plan``'s views for a mapping ``delta`` bytes off its preferred
-        base, a delta not in ``plan.layouts``: kept there if it fits, so
-        every later such map reads the same."""
-        views = plan.relocated(delta)
+        """``plan.views`` rebased by ``delta``, a delta not in ``plan.layouts``:
+        a span relocation changes is a read-only copy, cut from the image
+        laid out and relocated whole; a bad fixup raises.  Kept in
+        ``plan.layouts`` if it fits, so every later such map reads the same."""
+        image, preferred = plan.image, plan.preferred
+        layout = assemble_mapped(image)
+        apply_relocations(layout, preferred + delta, preferred, image.relocations)
+        views = []
+        for (rva, _), view in zip(plan.spans, plan.views):
+            span = layout[rva:rva + len(view)]
+            views.append(view if span == view else memoryview(span).toreadonly())
         nbytes = sum(len(view) for view, own in zip(views, plan.views) if view is not own)
-        if self.nbytes + nbytes <= IMAGE_CACHE_BYTES and self.plans.get(plan.image.raw) is plan:
+        if self.nbytes + nbytes <= IMAGE_CACHE_BYTES and self.plans.get(image.raw) is plan:
             plan.layouts[delta] = views
             plan.nbytes += nbytes
             self.nbytes += nbytes
@@ -609,12 +600,7 @@ class SimKernel:
         read modules piecewise through :meth:`read_memory`.
         """
         proc = self.process(pid)
-        header_region = proc.region_at(base)
-        if header_region is None:
-            raise UnmappedAddress(base)
-        header = bytes(header_region.data[base - header_region.base:])
-        parsed = parse_headers(header)
-        size = parsed.nt.size_of_image
+        size = read_headers(self.image_reader(pid, base)).nt.size_of_image
         buf = bytearray(size)
         for r in proc.regions:
             lo = max(r.base, base)

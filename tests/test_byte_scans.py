@@ -12,7 +12,9 @@ timing it.
 """
 
 import random
+import re
 import struct
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -21,6 +23,7 @@ from duqusim import peformat, scan
 from duqusim.duqu import PatternNotFound, decrypt_blob, scan_call_push_call
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import (
+    HOOK_LEN,
     SIG_XOR_EXPECT,
     SIG_XOR_KEY,
     find_export_by_name,
@@ -28,7 +31,7 @@ from duqusim.peformat import (
     resolve_near_call,
     section_data,
 )
-from duqusim.scan import OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_pe
+from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_pe
 
 from conftest import encode_near_call
 from oracles import xor_stream_oracle
@@ -191,19 +194,141 @@ class TestPeConstEquivalence:
 
 
 class TestOneReadPerCodeSection:
-    """``scan_pe`` builds each executable section's bytes once and runs
-    both code searches over them, with an anchor or without."""
+    """``scan_pe`` reads the entrypoint bytes, then each executable
+    section's bytes once, its file bytes and at most 4 bytes of its zero
+    tail, and runs both code searches over them, with an anchor or
+    without."""
 
     @pytest.mark.parametrize("anchor, trains", [(None, 0), (ANCHOR, 1)])
     def test_ntoskrnl(self, fixture_bytes, monkeypatch, anchor, trains):
         data = fixture_bytes("ntoskrnl.exe")
         reads = []
-        for module in (scan, peformat):
-            monkeypatch.setattr(module, "section_data", lambda image, section: (
-                reads.append(section.name), section_data(image, section))[1])
+        monkeypatch.setattr(scan, "mapped_bytes", lambda image, rva, n: (
+            reads.append((rva, n)), peformat.mapped_bytes(image, rva, n))[1])
         report = scan.scan_pe(data, anchor_export=anchor)
-        assert reads == [s.name for s in parse_pe(data).sections if s.executable]
+        image = parse_pe(data)
+        assert reads == [(image.nt.entry_point_rva, HOOK_LEN)] + [
+            (s.virtual_address, min(s.virtual_span, s.raw_size + 4))
+            for s in image.sections if s.executable]
         assert [f.kind for f in report.findings].count(ZWPROTECT_PATTERN) == trains
+
+
+def tailed(text: bytes, tail: int, page: bytes = b"\x90", page_tail: int = 0) -> bytes:
+    """:func:`build`, with ``tail`` zero bytes mapped past ``.text``'s file
+    bytes and ``page_tail`` past ``PAGE``'s."""
+    return build_pe32(PeSpec(
+        image_base=IMAGE_BASE, entry_rva=TEXT_VA,
+        sections=[SectionDef(".text", TEXT_VA, text, CODE_SECTION,
+                             virtual_size=len(text) + tail),
+                  SectionDef(".data", DATA_VA, b"\x90", DATA_SECTION),
+                  SectionDef("PAGE", PAGE_VA, page, CODE_SECTION,
+                             virtual_size=len(page) + page_tail)],
+        exports=[(ANCHOR, ANCHOR_RVA)], export_va=EXPORT_VA))
+
+
+def code_findings(data: bytes) -> list[tuple[str, int, str]]:
+    """``scan_pe``'s code-section findings with the anchor."""
+    return [(f.kind, f.address, f.detail)
+            for f in scan_pe(data, anchor_export=ANCHOR).findings if f.kind != ENTRY_HOOK]
+
+
+def full_span_findings(data: bytes) -> list[tuple[str, int, str]]:
+    """The same findings, searched over each code section's whole mapped
+    span, zero tail and all, as ``section_data`` builds it."""
+    image = parse_pe(data)
+    found = []
+    try:
+        site, target = scan_call_push_call(image, ANCHOR)
+        found.append((ZWPROTECT_PATTERN, site, f"near call resolves to unexported "
+                                               f"{target:#010x} (anchor {ANCHOR})"))
+    except PatternNotFound:
+        pass
+    for section in image.sections:
+        if section.executable:
+            found += [(OBFUSCATED_PE_CONST, IMAGE_BASE + section.virtual_address + m.start(),
+                       "code carries the de-obfuscated signature dword")
+                      for m in re.finditer(re.escape(PE_DWORD), section_data(image, section))]
+    return found
+
+
+class TestZeroTailReads:
+    """``scan_pe`` reads a code section's file bytes and at most 4 bytes of
+    its zero tail: no match starts at a zero byte, and each ends at most 4
+    bytes past its start.  It reports what a search of the whole mapped
+    span reports.  ``test_reader.py`` checks a ``PE`` in the last two raw
+    bytes against the mapped module."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tails(self, seed):
+        rng = random.Random(f"zero-tail:{seed}")
+        text = bytearray(random_code(rng, rng.randrange(24, 0x400), TEXT_VA, IMAGE_BASE))
+        if rng.random() < 0.5:  # a train whose last call may run into the tail
+            trains_at_end(text)
+            del text[len(text) - rng.randrange(5):]
+        elif rng.random() < 0.5:  # a dword the tail may complete
+            text[-2:] = b"PE"
+        page = random_code(rng, rng.randrange(1, 0x200), PAGE_VA, IMAGE_BASE)
+        data = tailed(bytes(text), rng.randrange(257), page, rng.randrange(257))
+        found = code_findings(data)
+        assert found == full_span_findings(data)
+        assert [f[1] for f in found if f[0] == OBFUSCATED_PE_CONST] == pe_const_reference(data)
+
+    @pytest.mark.parametrize("tail", [0, 1, 2, 0x100])
+    def test_push_completed_by_the_tail(self, monkeypatch, tail):
+        # The push's 00 00 are zero-tail bytes: once both are mapped it is a
+        # push, so the anchor call before it is decoded, but no call can
+        # follow it there.
+        text = bytearray(b"\x90" * 0x100)
+        put(text, 0xC0, anchor_call(TEXT_VA, 0xC0))
+        text[-3:] = PUSH_104H[:3]
+        data = tailed(bytes(text), tail)
+        assert code_findings(data) == full_span_findings(data) == []
+        sites, real = [], peformat.resolve_near_call
+        monkeypatch.setattr(peformat, "resolve_near_call", lambda site, data: (
+            sites.append(site), real(site, data))[1])
+        code_findings(data)
+        assert sites == ([IMAGE_BASE + TEXT_VA + 0xC0] if tail >= 2 else [])
+
+    @pytest.mark.parametrize("tail", [0, 1, 2, 3, 4, 0x100])
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4, 5])
+    def test_second_call_displacement_runs_into_the_tail(self, cut, tail):
+        # The second call's last 5 - cut bytes are zero-tail bytes; its
+        # displacement, 0x10, reads the same from them once its low byte
+        # is a file byte.
+        text = bytearray(b"\x90" * 0x100)
+        put(text, 0xC0, anchor_call(TEXT_VA, 0xC0))
+        put(text, 0xD0, PUSH_104H)
+        site = 0x100 - cut
+        text[site:] = (b"\xE8" + struct.pack("<I", 0x10))[:cut]
+        data = tailed(bytes(text), tail)
+        found = code_findings(data)
+        assert found == full_span_findings(data)
+        target = IMAGE_BASE + TEXT_VA + site + 5 + (0x10 if cut > 1 else 0)
+        assert found == ([(ZWPROTECT_PATTERN, IMAGE_BASE + TEXT_VA + site,
+                           f"near call resolves to unexported {target:#010x} (anchor {ANCHOR})")]
+                         if tail >= 5 - cut else [])
+
+    def test_huge_tail_is_not_built(self):
+        # .text maps 0x1FE file bytes and a 16 MiB zero tail; its last call
+        # is two bytes short of the raw end.
+        text = bytearray(b"\x90" * 0x200)
+        put(text, 0x40, PE_DWORD)
+        trains_at_end(text)
+        data = build_pe32(PeSpec(
+            image_base=IMAGE_BASE, entry_rva=TEXT_VA,
+            sections=[SectionDef(".text", TEXT_VA, bytes(text[:-2]), CODE_SECTION,
+                                 virtual_size=16 << 20)],
+            exports=[(ANCHOR, ANCHOR_RVA)], export_va=0x800))
+        tracemalloc.start()
+        try:
+            found = code_findings(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+        assert found == full_span_findings(data)
+        assert [f[:2] for f in found] == [(ZWPROTECT_PATTERN, IMAGE_BASE + TEXT_VA + 0x1FB),
+                                          (OBFUSCATED_PE_CONST, IMAGE_BASE + TEXT_VA + 0x40)]
 
 
 class TestCallPushCallEquivalence:

@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from duqusim.duqu import (
+    CONFIG_MAGIC,
     CONTROL_DEVICE,
     DEVICE_GPD0,
     DEVICE_GPD1,
@@ -32,7 +33,7 @@ from duqusim.fixtures import (
     STUB1_EXPECTED_REGION,
 )
 from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
-from duqusim.peformat import parse_pe
+from duqusim.peformat import encode_entry_hook, parse_pe
 from duqusim.simkernel import (
     PERM_RWX,
     PERM_RX,
@@ -86,6 +87,24 @@ class TestConfigBlob:
         blob = encode_config(config, 7)
         with pytest.raises(ConfigDecryptFailed):
             decode_config(blob[:-3])
+
+    @staticmethod
+    def blob(fields: bytes) -> bytes:
+        """A config blob over the plain ``fields`` bytes, with key 7."""
+        return CONFIG_MAGIC + bytes([7]) + decrypt_blob(fields, 7)
+
+    def test_length_past_the_blob(self):
+        # The second field's length, 100, runs past the 10 bytes after it.
+        fields = struct.pack("<I", 1) + b"a" + struct.pack("<I", 100) + b"b" * 10
+        with pytest.raises(ConfigDecryptFailed, match="^truncated config field$"):
+            decode_config(self.blob(fields))
+
+    @pytest.mark.parametrize("target, registry", [(b"\xE9", b"b"), (b"a", b"\x80")])
+    def test_fields_not_ascii(self, target, registry):
+        fields = b"".join(struct.pack("<I", len(part)) + part
+                          for part in (target, registry, b"payload"))
+        with pytest.raises(ConfigDecryptFailed, match="^config fields not ASCII$"):
+            decode_config(self.blob(fields))
 
 
 def kernel_image_with_train(filler: bytes = b"\x90", train_offset: int = 0x1BC) -> bytes:
@@ -543,6 +562,28 @@ class TestDeviceChannel:
             DeviceRequest(CONTROL_DEVICE, RESTORE_PROTECTION, pid_blob))
         assert out == b"RX"
         assert services.region_at(st.entry_va).perms == PERM_RX
+
+    @pytest.mark.parametrize("code", [RESTORE_ENTRYPOINT, RESTORE_PROTECTION])
+    def test_restore_before_anything_was_saved(self, fixture_dir, code):
+        from duqusim.simkernel import DeviceRequest
+        kernel, _ = boot_kernel(fixture_dir, with_sentinel=False)
+        lines = len(kernel.log)
+        out = kernel.send_device_request(
+            DeviceRequest(CONTROL_DEVICE, code, struct.pack("<I", 0x910)))
+        assert out == b"" and len(kernel.log) == lines
+
+    @pytest.mark.parametrize("code", [RESTORE_ENTRYPOINT, RESTORE_PROTECTION])
+    def test_restore_for_another_pid_changes_nothing(self, fixture_dir, code):
+        from duqusim.simkernel import DeviceRequest
+        kernel, duqu, services = TestRunStub().full_chain(fixture_dir)
+        st = duqu.state
+        lines = len(kernel.log)
+        out = kernel.send_device_request(
+            DeviceRequest(CONTROL_DEVICE, code, struct.pack("<I", services.pid + 4)))
+        assert out == b"" and len(kernel.log) == lines
+        hook = encode_entry_hook(st.stub1_base)
+        assert kernel.read_memory(services.pid, st.entry_va, len(hook)) == hook
+        assert services.region_at(st.entry_va).perms == PERM_RWX
 
     def test_unknown_code_is_ignored(self, fixture_dir):
         from duqusim.simkernel import DeviceRequest

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from duqusim import peformat
+from duqusim.cli import main
 from duqusim.peformat import (
     MAX_IMAGE_SIZE,
     RELOC_HIGHLOW,
@@ -218,6 +219,35 @@ class TestUnencodable:
     def test_fixture_recipe(self, overrides, message):
         with pytest.raises(Unencodable, match=message):
             minimal_fixture(**overrides)
+
+
+def relocatable_image(page_rva: int = 0x1000, word: int | None = None) -> bytes:
+    """One relocation block at ``page_rva``; ``word``, if given, overwrites
+    its first fixup entry."""
+    data = bytearray(minimal_fixture(relocations=[reloc_block(page_rva, [0x10])],
+                                     reloc_va=0x3000))
+    if word is not None:
+        reloc = next(s for s in parse_pe(bytes(data)).sections if s.name == ".reloc")
+        struct.pack_into("<H", data, reloc.raw_offset + 8, word)
+    return bytes(data)
+
+
+class TestRelocationDirectory:
+    REFUSED = [
+        (relocatable_image(page_rva=0x1004), "relocation page 0x1004 not 4KiB-aligned"),
+        (relocatable_image(word=(10 << 12) | 0x10), "unsupported relocation type 10"),
+    ]
+
+    @pytest.mark.parametrize("data, message", REFUSED)
+    def test_refused_by_parse_pe(self, data, message):
+        with pytest.raises(NotPe, match=f"^{message}$"):
+            parse_pe(data)
+
+    @pytest.mark.parametrize("data, message", REFUSED)
+    def test_scan_exits_2_with_one_line(self, tmp_path, capsys, data, message):
+        (tmp_path / "bad.dll").write_bytes(data)
+        assert main(["scan", str(tmp_path / "bad.dll")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def oversized_image() -> bytes:

@@ -92,7 +92,7 @@ class TestReaderMatchesFileParse:
         assert image.nt == expected.nt
         assert image.sections == expected.sections
         assert image.exports == expected.exports
-        assert image.relocations == expected.relocations
+        assert image.relocations == []  # only file bytes are relocated
         assert image.layout == "mapped"
         table_end = (expected.dos.e_lfanew + 24 + 0xE0
                      + 40 * expected.nt.number_of_sections)

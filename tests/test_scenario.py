@@ -151,6 +151,12 @@ class TestRunner:
                               "expect ! error: NoSuchProcess\n")
         assert run_scenario(path).ok
 
+    def test_bad_hex_pid_ref(self, fixture_dir):
+        path = write_scenario(fixture_dir, "badref.scenario",
+                              "process a.exe services.exe\nrun 0xZZ\n")
+        with pytest.raises(ScenarioError, match="^line 2: bad pid '0xZZ'$"):
+            run_scenario(path)
+
     def test_pid_ref_hex_literal(self, fixture_dir):
         path = write_scenario(fixture_dir, "hexref.scenario",
                               "process a.exe services.exe\n"

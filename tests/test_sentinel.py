@@ -148,6 +148,31 @@ class TestVerification:
         assert sentinel.verdicts[-1] == ("ghost.dll", "MISMATCH")
         assert not proc.alive
 
+    def test_process_ended_by_an_earlier_driver_is_not_verified(self, fixture_dir):
+        # A driver registered first ends the process on the kernel32 load:
+        # the monitor has nothing left to protect, so no verdict, no fault.
+        kernel = SimKernel()
+        killer = Driver("killer")
+        killer.handlers[EventKind.IMAGE_LOAD] = lambda event: (
+            kernel.terminate_process(event.pid) if event.module_name == "kernel32.dll"
+            else None)
+        kernel.register_driver(killer)
+        sentinel = SentinelDriver(kernel)
+        proc = kernel.create_process("services.exe",
+                                     (fixture_dir / "services.exe").read_bytes(),
+                                     base=0x01000000)
+        start = len(kernel.log)
+        kernel.load_module(proc.pid, "kernel32.dll",
+                           (fixture_dir / "kernel32.dll").read_bytes(), base=0x7C800000)
+        assert kernel.log[start:] == [
+            ("loader", "* Loaded module kernel32.dll *"),
+            ("loader", "* Process services.exe pid=0x910 exited *"),
+            ("sentinel", "LoadImageNotifyRoutine: ImageBaseAddress=0x7c800000 "
+                         "ProcessId=0x910"),
+        ]
+        assert sentinel.verdicts == [("services.exe", "OK")]
+        assert sentinel.records == {}
+
     def test_termination_finality(self, fixture_dir):
         kernel, sentinel, proc = watched_process(fixture_dir)
         entry = sentinel.records[proc.pid].entrypoint

@@ -351,6 +351,25 @@ class TestReentrancy:
         kernel.create_process("a.exe", exe_fixture())
         assert len(failures) == 1
 
+    def test_handler_cannot_load_modules(self):
+        from duqusim.simkernel import ReentrantCall
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        failures = []
+
+        def load(event):
+            try:
+                kernel.load_module(event.pid, "b.dll", exe_fixture(base=0x03000000))
+            except ReentrantCall as exc:
+                failures.append(str(exc))
+
+        driver = Driver("rogue")
+        driver.handlers[EventKind.IMAGE_LOAD] = load
+        kernel.register_driver(driver)
+        kernel.load_module(proc.pid, "c.dll", exe_fixture(base=0x02000000))
+        assert failures == ["load_module called from a notification handler"]
+        assert [name for name, _ in proc.modules] == ["a.exe", "c.dll"]
+
 
 class TestPermissionFuzz:
     def test_against_shadow_model(self):
@@ -486,6 +505,12 @@ class TestReadImage:
         from duqusim.peformat import assemble_mapped
         image = parse_pe(fixture_bytes("services.exe"))
         assert kernel.read_image(proc.pid, proc.image_base) == bytes(assemble_mapped(image))
+
+    def test_unmapped_base(self):
+        kernel = SimKernel()
+        proc = kernel.create_process("a.exe", exe_fixture())
+        with pytest.raises(UnmappedAddress, match="^address 0x7ff00000 is not mapped$"):
+            kernel.read_image(proc.pid, 0x7FF00000)
 
 
 def linear_region_at(regions, addr):
