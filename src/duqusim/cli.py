@@ -47,6 +47,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     from .scan import scan_file
 
+    if args.anchor_export and not args.anchor_export.isascii():
+        sys.stderr.write(f"error: anchor export {args.anchor_export!r} is not ASCII\n")
+        return 2
     report = scan_file(args.pe, anchor_export=args.anchor_export)
     sys.stdout.write(report.render())
     return 0 if report.clean else 1

@@ -25,13 +25,13 @@ from __future__ import annotations
 import json
 import struct
 import weakref
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import simkernel
 from .peformat import (
     PatternNotFound,
     PeError,
+    Record,
     apply_relocations,
     assemble_mapped,
     encode_entry_hook,
@@ -135,11 +135,14 @@ def decrypt_blob(blob: bytes, key: int) -> bytes:
             ^ int.from_bytes(keystream[:n], "little")).to_bytes(n, "little")
 
 
-@dataclass
-class InjectionConfig:
-    target_process: str
-    payload: bytes          # encrypted DLL, decrypted only at injection time
-    registry_key: str
+class InjectionConfig(Record):
+    """``payload`` is the encrypted DLL, decrypted only at injection time."""
+    _compared = ("target_process", "payload", "registry_key")
+
+    def __init__(self, target_process: str, payload: bytes, registry_key: str):
+        self.target_process = target_process
+        self.payload = payload
+        self.registry_key = registry_key
 
 
 def encode_config(config: InjectionConfig, key: int) -> bytes:
@@ -178,15 +181,15 @@ def decode_config(blob: bytes) -> tuple[InjectionConfig, int]:
                            registry_key=registry), key
 
 
-@dataclass
-class IntegrityMask:
+class IntegrityMask(Record):
     """AND-mask plus reference bytes checked over a function prologue."""
-    mask: bytes
-    reference: bytes
+    _compared = ("mask", "reference")
 
-    def __post_init__(self):
-        if len(self.mask) != MASK_LEN or len(self.reference) != MASK_LEN:
+    def __init__(self, mask: bytes, reference: bytes):
+        if len(mask) != MASK_LEN or len(reference) != MASK_LEN:
             raise ValueError("mask and reference must be exactly 32 bytes")
+        self.mask = mask
+        self.reference = reference
 
     def to_json(self) -> str:
         return json.dumps({"mask": self.mask.hex(), "reference": self.reference.hex()},
@@ -195,7 +198,10 @@ class IntegrityMask:
     @classmethod
     def from_json(cls, text: str) -> "IntegrityMask":
         """Parse ``to_json`` output; anything malformed raises ValueError."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not (isinstance(doc, dict)
                 and all(isinstance(doc.get(k), str) for k in ("mask", "reference"))):
             raise ValueError('expected a JSON object with hex strings '
@@ -236,23 +242,32 @@ def validate_function(addr: int, first_bytes: bytes, mask: IntegrityMask,
     return True, None
 
 
-@dataclass
 class SharedState:
     """What the driver shares with its injected code."""
-    function_table: bytearray = field(default_factory=lambda: bytearray(FUNCTION_TABLE_SIZE))
-    config: Optional[InjectionConfig] = None
-    kernel32_imports: list[tuple[int, int]] = field(default_factory=list)
-    saved_entry_bytes: Optional[bytes] = None
-    saved_perms: Optional[simkernel.Perm] = None
-    target_pid: Optional[int] = None
-    entry_va: int = 0
-    stub1_base: int = 0
-    stub2_base: int = 0
-    payload_base: int = 0
-    payload_len: int = 0
-    ntdll_handle: int = 0
-    payload_image_base: int = 0
-    hooked: bool = False
+
+    def __init__(self, function_table: bytearray | None = None,
+                 config: Optional[InjectionConfig] = None,
+                 kernel32_imports: list[tuple[int, int]] | None = None,
+                 saved_entry_bytes: Optional[bytes] = None,
+                 saved_perms: Optional[simkernel.Perm] = None,
+                 target_pid: Optional[int] = None, entry_va: int = 0, stub1_base: int = 0,
+                 stub2_base: int = 0, payload_base: int = 0, payload_len: int = 0,
+                 ntdll_handle: int = 0, payload_image_base: int = 0, hooked: bool = False):
+        self.function_table = (bytearray(FUNCTION_TABLE_SIZE) if function_table is None
+                               else function_table)
+        self.config = config
+        self.kernel32_imports = [] if kernel32_imports is None else kernel32_imports
+        self.saved_entry_bytes = saved_entry_bytes
+        self.saved_perms = saved_perms
+        self.target_pid = target_pid
+        self.entry_va = entry_va
+        self.stub1_base = stub1_base
+        self.stub2_base = stub2_base
+        self.payload_base = payload_base
+        self.payload_len = payload_len
+        self.ntdll_handle = ntdll_handle
+        self.payload_image_base = payload_image_base
+        self.hooked = hooked
 
 
 class DuquDriver(Driver):

@@ -9,7 +9,6 @@ timestamps, no randomness; identical inputs produce identical bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 from .peformat import (
     DIR_BASERELOC,
@@ -44,33 +43,41 @@ def _align(value: int, boundary: int) -> int:
     return (value + boundary - 1) & ~(boundary - 1)
 
 
-@dataclass
 class SectionDef:
-    """One section to place: its name, RVA, content and protection."""
-    name: str
-    va: int
-    data: bytes
-    characteristics: int = CODE_SECTION
-    virtual_size: int | None = None  # defaults to len(data)
+    """One section to place: its name, RVA, content and protection.
+    ``virtual_size`` defaults to ``len(data)``."""
+
+    def __init__(self, name: str, va: int, data: bytes, characteristics: int = CODE_SECTION,
+                 virtual_size: int | None = None):
+        self.name = name
+        self.va = va
+        self.data = data
+        self.characteristics = characteristics
+        self.virtual_size = virtual_size
 
     @property
     def vsize(self) -> int:
         return self.virtual_size if self.virtual_size is not None else len(self.data)
 
 
-@dataclass
 class PeSpec:
     """Recipe for :func:`build_pe32`."""
-    image_base: int
-    entry_rva: int
-    sections: list[SectionDef]
-    exports: list[tuple[bytes | str, int]] | None = None
-    export_va: int = 0
-    relocations: list[RelocationBlock] = field(default_factory=list)
-    reloc_va: int = 0
-    size_of_image: int | None = None
-    dll: bool = False
-    section_align: int = SECTION_ALIGN
+
+    def __init__(self, image_base: int, entry_rva: int, sections: list[SectionDef],
+                 exports: list[tuple[bytes | str, int]] | None = None, export_va: int = 0,
+                 relocations: list[RelocationBlock] | None = None, reloc_va: int = 0,
+                 size_of_image: int | None = None, dll: bool = False,
+                 section_align: int = SECTION_ALIGN):
+        self.image_base = image_base
+        self.entry_rva = entry_rva
+        self.sections = sections
+        self.exports = exports
+        self.export_va = export_va
+        self.relocations = [] if relocations is None else relocations
+        self.reloc_va = reloc_va
+        self.size_of_image = size_of_image
+        self.dll = dll
+        self.section_align = section_align
 
 
 def build_pe32(spec: PeSpec) -> bytes:

@@ -58,7 +58,6 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
@@ -221,39 +220,61 @@ class Section(NamedTuple):
         return bool(self.characteristics & SCN_MEM_EXECUTE)
 
 
-@dataclass
-class ExportTable:
+class Record:
+    """A plain record class: ``==`` compares, and repr shows, the fields
+    its ``_compared`` names, in order; a record of another class is never
+    equal.  Records are mutable, so they are unhashable."""
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = attrgetter(*self._compared)
+        return get(self) == get(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
+class ExportTable(Record):
     """An export directory's (name, rva) entries.  A table that
     :func:`read_module` keeps is shared by every image of equal directory
-    bytes, so no caller changes it."""
-    entries: list[tuple[bytes, int]] = field(default_factory=list)
-    # ror13 hash -> the entries with that hash; built by the first hash lookup.
-    by_hash: dict[int, list[tuple[bytes, int]]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    bytes, so no caller changes it.  ``by_hash`` maps a ror13 hash to the
+    entries with that hash; the first hash lookup builds it."""
+    _compared = ("entries",)
+
+    def __init__(self, entries: list[tuple[bytes, int]] | None = None):
+        self.entries = [] if entries is None else entries
+        self.by_hash: dict[int, list[tuple[bytes, int]]] | None = None
 
 
-@dataclass
-class RelocationBlock:
-    page_rva: int
-    fixups: list[tuple[int, int]] = field(default_factory=list)
+class RelocationBlock(Record):
+    __slots__ = _compared = ("page_rva", "fixups")
+
+    def __init__(self, page_rva: int, fixups: list[tuple[int, int]] | None = None):
+        self.page_rva = page_rva
+        self.fixups = [] if fixups is None else fixups
 
 
-@dataclass
-class PeImage:
-    dos: DosHeader
-    nt: NtHeaders
-    sections: tuple[Section, ...]
-    exports: ExportTable | None
-    relocations: list[RelocationBlock]
-    raw: bytes  # the whole file, or only the headers of a mapped module
-    layout: str = "file"
-    # A mapped module's read(rva, n); section bytes are read through it.
-    read: Reader | None = field(default=None, repr=False, compare=False)
-    # Offset just past the section table: where the headers end.
-    headers_end: int = 0
-    # A file image's loader layout; built by the first mapped_spans call.
-    spans: list[MapSpan] | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+class PeImage(Record):
+    """A decoded image.  ``raw`` is the whole file, or only the headers of
+    a mapped module; ``headers_end`` is the offset just past the section
+    table, where the headers end.  ``read`` is a mapped module's
+    read(rva, n), through which its section bytes are read, and ``spans``
+    a file image's loader layout, built by the first :func:`mapped_spans`
+    call; ``==`` and repr leave both out."""
+    _compared = ("dos", "nt", "sections", "exports", "relocations", "raw", "layout",
+                 "headers_end")
+
+    def __init__(self, dos: DosHeader, nt: NtHeaders, sections: tuple[Section, ...],
+                 exports: ExportTable | None, relocations: list[RelocationBlock],
+                 raw: bytes, layout: str = "file", read: Reader | None = None,
+                 headers_end: int = 0):
+        self.dos, self.nt, self.sections, self.exports = dos, nt, sections, exports
+        self.relocations, self.raw, self.layout, self.read = relocations, raw, layout, read
+        self.headers_end = headers_end
+        self.spans: list[MapSpan] | None = None
 
 
 class MapSpan(NamedTuple):

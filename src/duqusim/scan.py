@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .peformat import (
@@ -30,6 +29,7 @@ from .peformat import (
     SIG_XOR_EXPECT,
     SIG_XOR_KEY,
     PeError,
+    Record,
     decode_entry_hook,
     find_call_push_call,
     find_export_by_name,
@@ -49,17 +49,21 @@ PE_CONST = struct.pack("<I", SIG_XOR_KEY ^ SIG_XOR_EXPECT)
 _find_pe_consts = re.compile(re.escape(PE_CONST)).finditer
 
 
-@dataclass
-class Finding:
-    kind: str
-    address: int
-    detail: str
+class Finding(Record):
+    __slots__ = _compared = ("kind", "address", "detail")
+
+    def __init__(self, kind: str, address: int, detail: str):
+        self.kind = kind
+        self.address = address
+        self.detail = detail
 
 
-@dataclass
-class ScanReport:
-    path: str
-    findings: list[Finding] = field(default_factory=list)
+class ScanReport(Record):
+    _compared = ("path", "findings")
+
+    def __init__(self, path: str, findings: list[Finding] | None = None):
+        self.path = path
+        self.findings = [] if findings is None else findings
 
     @property
     def clean(self) -> bool:

@@ -25,7 +25,6 @@ raises one when its line runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,7 +36,7 @@ from .duqu import (
     Halted,
     IntegrityMask,
 )
-from .peformat import PeError, read_regular_file
+from .peformat import PeError, Record, read_regular_file
 from .sentinel import SentinelDriver
 from .simkernel import SimError, SimKernel
 
@@ -53,19 +52,22 @@ class ScenarioError(Exception):
         self.line_no = line_no
 
 
-@dataclass
-class Command:
-    op: str
-    args: list[str]
-    options: dict[str, str]
-    line_no: int
+class Command(Record):
+    _compared = ("op", "args", "options", "line_no")
+
+    def __init__(self, op: str, args: list[str], options: dict[str, str], line_no: int):
+        self.op = op
+        self.args = args
+        self.options = options
+        self.line_no = line_no
 
 
-@dataclass
 class ScenarioResult:
-    lines: list[tuple[str, str]] = field(default_factory=list)
-    unmet: list[str] = field(default_factory=list)
-    kernel: SimKernel | None = None
+    def __init__(self, lines: list[tuple[str, str]] | None = None,
+                 unmet: list[str] | None = None, kernel: SimKernel | None = None):
+        self.lines = [] if lines is None else lines
+        self.unmet = [] if unmet is None else unmet
+        self.kernel = kernel
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,6 @@ rather than let tampering hide behind a fault.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 from .peformat import PeError, read_headers, ror13_hash
 from .simkernel import (
@@ -32,11 +31,15 @@ DISPLAY_SPAN = 8    # bytes echoed in log lines
 DEFAULT_WATCH = ("services.exe",)
 
 
-@dataclass
 class IntegrityRecord:
-    entrypoint: int
-    hashed: bytes  # the HASH_SPAN entrypoint bytes the checksum was taken over
-    line: str      # their "Entrypoint bytes" log line, logged again while they match
+    """``hashed`` is the HASH_SPAN entrypoint bytes the checksum was taken
+    over, and ``line`` their "Entrypoint bytes" log line, logged again
+    while they match."""
+
+    def __init__(self, entrypoint: int, hashed: bytes, line: str):
+        self.entrypoint = entrypoint
+        self.hashed = hashed
+        self.line = line
 
 
 def _hex_bytes(data: bytes) -> str:

@@ -51,7 +51,6 @@ from __future__ import annotations
 import bisect
 import enum
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .peformat import (
@@ -60,6 +59,7 @@ from .peformat import (
     NotPe,
     PeImage,
     Reader,
+    Record,
     _laid_out,
     apply_relocations,
     assemble_mapped,
@@ -119,19 +119,22 @@ class EventKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(slots=True)
-class NotificationEvent:
-    kind: EventKind
-    pid: int
-    module_name: Optional[str] = None
-    base: int = 0
+class NotificationEvent(Record):
+    __slots__ = _compared = ("kind", "pid", "module_name", "base")
+
+    def __init__(self, kind: EventKind, pid: int, module_name: Optional[str] = None,
+                 base: int = 0):
+        self.kind = kind
+        self.pid = pid
+        self.module_name = module_name
+        self.base = base
 
 
-@dataclass
 class DeviceRequest:
-    device: str
-    code: int
-    payload: bytes = b""
+    def __init__(self, device: str, code: int, payload: bytes = b""):
+        self.device = device
+        self.code = code
+        self.payload = payload
 
 
 class SimError(Exception):
@@ -191,28 +194,25 @@ class NotSimulated(SimError):
     """Control reached a region that has no simulated code."""
 
 
-class _WeakReferable:
-    # dataclass(weakref_slot=True) needs Python 3.11.
-    __slots__ = ("__weakref__",)
-
-
-@dataclass(slots=True)
-class MemoryRegion(_WeakReferable):
+class MemoryRegion(Record):
     """A mapped span.  Slotted, as a run makes thousands of them; a weak
     reference shows when one is freed.  ``data`` is a bytearray of its
     own, or an image span's shared read-only view until the first write
     goes through :meth:`writable`; a write that skips it raises
-    ``TypeError`` and so reaches no other mapping."""
-    base: int
-    data: bytearray | memoryview
-    perms: Perm
-    tag: str
-    code: Optional[Callable[[int], None]] = None  # run with the pid on entry
-    # A region's length never changes, so its end is set once.
-    end: int = field(init=False, repr=False, compare=False)
+    ``TypeError`` and so reaches no other mapping.  ``code`` is run with
+    the pid on entry.  A region's length never changes, so its ``end`` is
+    set once; ``==`` and repr leave it out."""
+    _compared = ("base", "data", "perms", "tag", "code")
+    __slots__ = _compared + ("end", "__weakref__")
 
-    def __post_init__(self) -> None:
-        self.end = self.base + len(self.data)
+    def __init__(self, base: int, data: bytearray | memoryview, perms: Perm, tag: str,
+                 code: Optional[Callable[[int], None]] = None):
+        self.base = base
+        self.data = data
+        self.perms = perms
+        self.tag = tag
+        self.code = code
+        self.end = base + len(data)
 
     def writable(self) -> bytearray:
         """The region's bytes, made its own on the first call."""
@@ -221,9 +221,9 @@ class MemoryRegion(_WeakReferable):
         return self.data
 
 
-@dataclass
 class Peb:
-    image_base_address: int
+    def __init__(self, image_base_address: int):
+        self.image_base_address = image_base_address
 
 
 class SimProcess:
@@ -284,7 +284,6 @@ class Driver:
         self.handlers: dict[EventKind, Callable[[NotificationEvent], None]] = {}
 
 
-@dataclass
 class LoadPlan:
     """What every map of one file image repeats, worked out once.
 
@@ -299,15 +298,15 @@ class LoadPlan:
     to the views :meth:`ImageCache.layout` made for it.  ``nbytes`` is the
     length of every copy, span and layout.  A plan holds no kernel.
     """
-    image: PeImage
-    spans: list[tuple[int, Perm]] = field(repr=False)
-    views: list[memoryview] = field(repr=False)
-    nbytes: int
-    size: int
-    preferred: int
-    headers_past: bool
-    relocatable: bool
-    layouts: dict[int, list[memoryview]] = field(default_factory=dict, repr=False)
+
+    def __init__(self, image: PeImage, spans: list[tuple[int, Perm]],
+                 views: list[memoryview], nbytes: int, size: int, preferred: int,
+                 headers_past: bool, relocatable: bool,
+                 layouts: dict[int, list[memoryview]] | None = None):
+        self.image, self.spans, self.views, self.nbytes = image, spans, views, nbytes
+        self.size, self.preferred = size, preferred
+        self.headers_past, self.relocatable = headers_past, relocatable
+        self.layouts = {} if layouts is None else layouts
 
     @classmethod
     def build(cls, image: PeImage) -> LoadPlan:
@@ -334,7 +333,6 @@ class LoadPlan:
                    image.headers_end > len(views[0]), bool(image.relocations))
 
 
-@dataclass
 class ImageCache:
     """File bytes -> load plan for every kernel, evicting the oldest first.
     A lookup takes the plans of its image's length from ``by_length``, in
@@ -345,9 +343,12 @@ class ImageCache:
     plan over the bound, which is built again on each load; a relocated
     layout that does not fit, or of a plan not stored, serves its one
     mapping."""
-    plans: dict[bytes, LoadPlan] = field(default_factory=dict, repr=False)
-    by_length: dict[int, list[LoadPlan]] = field(default_factory=dict, repr=False)
-    nbytes: int = 0
+
+    def __init__(self, plans: dict[bytes, LoadPlan] | None = None,
+                 by_length: dict[int, list[LoadPlan]] | None = None, nbytes: int = 0):
+        self.plans = {} if plans is None else plans
+        self.by_length = {} if by_length is None else by_length
+        self.nbytes = nbytes
 
     def plan(self, image: bytes) -> LoadPlan:
         for plan in self.by_length.get(len(image), ()):

@@ -4,7 +4,7 @@ Everything here is written against the raw formats, not against the
 package's own code paths, so a bug in the implementation cannot hide in
 its tests.  The one exception is the step-by-step decoder at the end: the
 package's decoder must match it exactly, so it builds the package's own
-dataclasses, raises its exception classes with the same messages, checks
+record classes, raises its exception classes with the same messages, checks
 the same ``MAX_IMAGE_SIZE`` and shares its relocation decoder,
 ``_parse_relocations``.  It reads a file image through its own reader, a
 byte at a time, and export names through its own byte walk.  The scenario

@@ -266,6 +266,24 @@ class TestCliCommands:
         assert code == 1
         assert "ZWPROTECT_PATTERN 0x004ed1ea" in out
 
+    @pytest.mark.parametrize("anchor", ["Zw\u20ac", "Zw\udcff"])
+    def test_scan_non_ascii_anchor_exit_two(self, fixture_dir, capsys, anchor):
+        code = main(["scan", "--anchor-export", anchor, str(fixture_dir / "ntoskrnl.exe")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: anchor export {anchor!r} is not ASCII\n"
+
+    def test_run_deeply_nested_mask_exit_two(self, tmp_path):
+        # json.loads raises RecursionError here: a bad mask, not a traceback.
+        write_fixture_set(tmp_path)
+        (tmp_path / "maskspec.json").write_bytes(b"[" * 200_000)
+        proc = subprocess.run([sys.executable, "-m", "duqusim", "run",
+                               str(tmp_path / "poc_duqu_attack.scenario")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+        assert "bad mask 'maskspec.json': JSON nested too deeply" in proc.stderr
+
     def test_scan_garbage_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a pe at all")
@@ -287,18 +305,38 @@ class TestCliCommands:
         assert "-> Terminating services.exe" in proc.stdout
 
 
+def imported_modules(fixture_dir, argv: list[str]) -> set[str]:
+    """Every module a child ``python argv`` imports, as ``-X importtime``
+    lists them; a fixture name in ``argv`` becomes its path."""
+    argv = [str(fixture_dir / arg) if arg.endswith((".exe", ".scenario")) else arg
+            for arg in argv]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv, loads", [
     (["-c", "import duqusim.scan, duqusim.sentinel"], "duqusim.sentinel"),
     (["-m", "duqusim", "scan", "ntoskrnl.exe"], "duqusim.scan"),
 ])
 def test_defensive_tooling_never_imports_the_attacker(fixture_dir, argv, loads):
     """The monitor and the scanner, and ``duqusim scan``, load no
-    ``duqusim.duqu``: ``-X importtime`` lists every module a run imports."""
-    argv = [str(fixture_dir / arg) if arg.endswith(".exe") else arg for arg in argv]
-    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    ``duqusim.duqu``."""
+    imported = imported_modules(fixture_dir, argv)
     assert loads in imported and "duqusim.peformat" in imported
     assert "duqusim.duqu" not in imported
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["-m", "duqusim", "run", "poc_duqu_attack.scenario"], "duqusim.scenario"),
+    (["-m", "duqusim", "scan", "ntoskrnl.exe"], "duqusim.scan"),
+    (["-m", "duqusim", "hash", "services.exe"], "duqusim.cli"),
+    (["-c", "import duqusim.scenario, duqusim.scan, duqusim.fixtures"], "duqusim.fixtures"),
+])
+def test_no_module_loads_dataclasses(fixture_dir, argv, loads):
+    """Every record class is written out by hand: building one with
+    ``dataclasses`` generates and compiles its methods at import."""
+    imported = imported_modules(fixture_dir, argv)
+    assert loads in imported and "dataclasses" not in imported

@@ -34,10 +34,13 @@ from duqusim.peformat import (
     _read_cstring,
     _read_file,
     assemble_mapped,
+    find_export_by_hash,
+    mapped_spans,
     parse_headers,
     parse_pe,
     read_headers,
     read_module,
+    ror13_hash,
 )
 from duqusim.scan import scan_pe
 
@@ -119,6 +122,22 @@ class TestAgainstOracle:
         assert_decoders_agree(data)
         # The module as it lies in memory: names are read through chunks.
         assert_decoders_agree(data, buffer_reader(bytes(assemble_mapped(image))))
+
+    @pytest.mark.parametrize("fill", ["read", "spans", "by_hash"])
+    def test_equality_leaves_out_what_use_fills_in(self, fixture_bytes, fill):
+        # A reader, the loader layout and the hash index are set after the
+        # decode, on one side only; the image still equals its oracle.
+        data = fixture_bytes("kernel32.dll")
+        image, oracle = parse_pe(data), parse_pe_oracle(data)
+        if fill == "read":
+            image.read = file_reader_oracle(image)
+        elif fill == "spans":
+            assert mapped_spans(image) and image.spans
+        else:
+            find_export_by_hash(image, ror13_hash(image.exports.entries[0][0]))
+            assert image.exports.by_hash
+        assert oracle.read is None and oracle.spans is None and oracle.exports.by_hash is None
+        assert image == oracle and oracle == image
 
     @pytest.mark.parametrize("name", PE_FIXTURES)
     def test_every_cut_of_the_headers(self, fixture_bytes, name):

@@ -215,6 +215,7 @@ class TestDriverOptions:
         ("number.json", json.dumps({"mask": 7, "reference": "00" * 32}).encode()),
         ("badhex.json", json.dumps({"mask": "zz" * 32, "reference": "00" * 32}).encode()),
         ("short.json", json.dumps({"mask": "00" * 31, "reference": "00" * 32}).encode()),
+        ("deep.json", b"[" * 200_000),
     ])
     def test_bad_mask_file(self, fixture_dir, tmp_path, name, content):
         (tmp_path / name).write_bytes(content)
