@@ -245,29 +245,21 @@ def validate_function(addr: int, first_bytes: bytes, mask: IntegrityMask,
 class SharedState:
     """What the driver shares with its injected code."""
 
-    def __init__(self, function_table: bytearray | None = None,
-                 config: Optional[InjectionConfig] = None,
-                 kernel32_imports: list[tuple[int, int]] | None = None,
-                 saved_entry_bytes: Optional[bytes] = None,
-                 saved_perms: Optional[simkernel.Perm] = None,
-                 target_pid: Optional[int] = None, entry_va: int = 0, stub1_base: int = 0,
-                 stub2_base: int = 0, payload_base: int = 0, payload_len: int = 0,
-                 ntdll_handle: int = 0, payload_image_base: int = 0, hooked: bool = False):
-        self.function_table = (bytearray(FUNCTION_TABLE_SIZE) if function_table is None
-                               else function_table)
-        self.config = config
-        self.kernel32_imports = [] if kernel32_imports is None else kernel32_imports
-        self.saved_entry_bytes = saved_entry_bytes
-        self.saved_perms = saved_perms
-        self.target_pid = target_pid
-        self.entry_va = entry_va
-        self.stub1_base = stub1_base
-        self.stub2_base = stub2_base
-        self.payload_base = payload_base
-        self.payload_len = payload_len
-        self.ntdll_handle = ntdll_handle
-        self.payload_image_base = payload_image_base
-        self.hooked = hooked
+    def __init__(self):
+        self.function_table = bytearray(FUNCTION_TABLE_SIZE)
+        self.config: Optional[InjectionConfig] = None
+        self.kernel32_imports: list[tuple[int, int]] = []
+        self.saved_entry_bytes: Optional[bytes] = None
+        self.saved_perms: Optional[simkernel.Perm] = None
+        self.target_pid: Optional[int] = None
+        self.entry_va = 0
+        self.stub1_base = 0
+        self.stub2_base = 0
+        self.payload_base = 0
+        self.payload_len = 0
+        self.ntdll_handle = 0
+        self.payload_image_base = 0
+        self.hooked = False
 
 
 class DuquDriver(Driver):
@@ -309,12 +301,11 @@ class DuquDriver(Driver):
     # ------------------------------------------------------------------
 
     def boot_init(self) -> None:
-        """Driver entry: shared table, config decrypt, devices, hal wait.
+        """Driver entry: config decrypt, devices, hal wait.
 
         In debug or fail-safe mode the driver halts before creating any
         device or registering any notification.
         """
-        self.state = SharedState()
         config, key = decode_config(self.config_blob)
         self.state.config = config
         self._key = key
@@ -325,7 +316,6 @@ class DuquDriver(Driver):
         kernel.create_device(CONTROL_DEVICE, self._on_device_request)
         kernel.create_device(DEVICE_GPD0, self._on_access_point)
         kernel.create_device(DOSDEVICE_GPDDEV, self._on_access_point)
-        self._hal_retries = 0
         if self._hal_present():
             self._finish_init()
         else:

@@ -244,24 +244,24 @@ class ExportTable(Record):
     entries with that hash; the first hash lookup builds it."""
     _compared = ("entries",)
 
-    def __init__(self, entries: list[tuple[bytes, int]] | None = None):
-        self.entries = [] if entries is None else entries
+    def __init__(self, entries: list[tuple[bytes, int]]):
+        self.entries = entries
         self.by_hash: dict[int, list[tuple[bytes, int]]] | None = None
 
 
 class RelocationBlock(Record):
     __slots__ = _compared = ("page_rva", "fixups")
 
-    def __init__(self, page_rva: int, fixups: list[tuple[int, int]] | None = None):
+    def __init__(self, page_rva: int, fixups: list[tuple[int, int]]):
         self.page_rva = page_rva
-        self.fixups = [] if fixups is None else fixups
+        self.fixups = fixups
 
 
 class PeImage(Record):
     """A decoded image.  ``raw`` is the whole file, or only the headers of
     a mapped module; ``headers_end`` is the offset just past the section
-    table, where the headers end.  ``read`` is a mapped module's
-    read(rva, n), through which its section bytes are read, and ``spans``
+    table, where the headers end.  ``read`` is the read(rva, n) that
+    :func:`read_headers` read a mapped module through, and ``spans``
     a file image's loader layout, built by the first :func:`mapped_spans`
     call; ``==`` and repr leave both out."""
     _compared = ("dos", "nt", "sections", "exports", "relocations", "raw", "layout",
@@ -269,11 +269,11 @@ class PeImage(Record):
 
     def __init__(self, dos: DosHeader, nt: NtHeaders, sections: tuple[Section, ...],
                  exports: ExportTable | None, relocations: list[RelocationBlock],
-                 raw: bytes, layout: str = "file", read: Reader | None = None,
-                 headers_end: int = 0):
+                 raw: bytes, layout: str, headers_end: int):
         self.dos, self.nt, self.sections, self.exports = dos, nt, sections, exports
-        self.relocations, self.raw, self.layout, self.read = relocations, raw, layout, read
+        self.relocations, self.raw, self.layout = relocations, raw, layout
         self.headers_end = headers_end
+        self.read: Reader | None = None
         self.spans: list[MapSpan] | None = None
 
 
@@ -629,7 +629,7 @@ def parse_headers(data: bytes) -> PeImage:
                       (image.dos, image.nt, image.sections, image.headers_end))
         return image
     dos, nt, sections, headers_end = decoded
-    return PeImage(dos, nt, sections, None, [], key, "mapped", headers_end=headers_end)
+    return PeImage(dos, nt, sections, None, [], key, "mapped", headers_end)
 
 
 def read_headers(read: Reader) -> PeImage:
@@ -768,7 +768,10 @@ def find_export_by_name(image: PeImage, name: bytes | str) -> int:
     """Virtual address (image_base + rva) of a named export."""
     if image.exports is None:
         raise NoExportTable("image has no export directory")
-    wanted = name.encode("ascii") if isinstance(name, str) else bytes(name)
+    try:
+        wanted = name.encode("ascii") if isinstance(name, str) else bytes(name)
+    except UnicodeEncodeError:  # a str is looked up by its ASCII bytes: this has none
+        raise NameNotFound(f"export {name!r} not found") from None
     for ename, rva in image.exports.entries:
         if ename == wanted:
             return image.nt.image_base + rva

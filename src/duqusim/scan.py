@@ -61,9 +61,9 @@ class Finding(Record):
 class ScanReport(Record):
     _compared = ("path", "findings")
 
-    def __init__(self, path: str, findings: list[Finding] | None = None):
+    def __init__(self, path: str):
         self.path = path
-        self.findings = [] if findings is None else findings
+        self.findings: list[Finding] = []
 
     @property
     def clean(self) -> bool:

@@ -63,10 +63,9 @@ class Command(Record):
 
 
 class ScenarioResult:
-    def __init__(self, lines: list[tuple[str, str]] | None = None,
-                 unmet: list[str] | None = None, kernel: SimKernel | None = None):
-        self.lines = [] if lines is None else lines
-        self.unmet = [] if unmet is None else unmet
+    def __init__(self, lines: list[tuple[str, str]], unmet: list[str], kernel: SimKernel):
+        self.lines = lines
+        self.unmet = unmet
         self.kernel = kernel
 
     @property
@@ -158,7 +157,7 @@ class ScenarioRunner:
         if "mask" in opts:
             mask_bytes = self._read_fixture(opts["mask"], line_no)
             try:
-                mask = IntegrityMask.from_json(mask_bytes.decode("utf-8"))
+                mask = IntegrityMask.from_json(mask_bytes.decode("utf-8").removeprefix("\ufeff"))
             except ValueError as exc:
                 raise ScenarioError(f"bad mask {opts['mask']!r}: {exc}", line_no) from exc
         driver = DuquDriver(
@@ -201,9 +200,9 @@ class ScenarioRunner:
             except (SimError, PeError, DuquError) as exc:
                 # Runtime faults are part of the observable transcript.
                 self.kernel.log_line("runner", f"! error: {type(exc).__name__}: {exc}")
-        result = ScenarioResult(list(self.kernel.log), kernel=self.kernel)
-        result.unmet = match_expectations(expectations, result.text_lines())
-        return result
+        lines = list(self.kernel.log)
+        unmet = match_expectations(expectations, [text for _, text in lines])
+        return ScenarioResult(lines, unmet, self.kernel)
 
 
 class Syntax(NamedTuple):
@@ -300,7 +299,7 @@ def run_scenario(path: str | Path) -> ScenarioResult:
     if data is None:
         raise ScenarioError(f"scenario {str(Path(path))!r} not found")
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario {str(Path(path))!r} is not UTF-8: {exc}") from exc
     return ScenarioRunner(os.path.dirname(path)).execute(parse_scenario(text))

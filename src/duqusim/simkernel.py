@@ -131,7 +131,7 @@ class NotificationEvent(Record):
 
 
 class DeviceRequest:
-    def __init__(self, device: str, code: int, payload: bytes = b""):
+    def __init__(self, device: str, code: int, payload: bytes):
         self.device = device
         self.code = code
         self.payload = payload
@@ -222,8 +222,8 @@ class MemoryRegion(Record):
 
 
 class Peb:
-    def __init__(self, image_base_address: int):
-        self.image_base_address = image_base_address
+    def __init__(self):
+        self.image_base_address = 0
 
 
 class SimProcess:
@@ -232,7 +232,7 @@ class SimProcess:
         self.name = name
         self.image_base = 0
         self.entry_point = 0
-        self.peb = Peb(image_base_address=0)
+        self.peb = Peb()
         self.peb_address = peb_address
         # Sorted by base and pairwise disjoint, so their ends are sorted
         # too: ``ends[i]`` is ``regions[i].end``, and the region holding an
@@ -299,18 +299,11 @@ class LoadPlan:
     length of every copy, span and layout.  A plan holds no kernel.
     """
 
-    def __init__(self, image: PeImage, spans: list[tuple[int, Perm]],
-                 views: list[memoryview], nbytes: int, size: int, preferred: int,
-                 headers_past: bool, relocatable: bool,
-                 layouts: dict[int, list[memoryview]] | None = None):
-        self.image, self.spans, self.views, self.nbytes = image, spans, views, nbytes
-        self.size, self.preferred = size, preferred
-        self.headers_past, self.relocatable = headers_past, relocatable
-        self.layouts = {} if layouts is None else layouts
-
-    @classmethod
-    def build(cls, image: PeImage) -> LoadPlan:
-        spans, views, nbytes = [], [], 0
+    def __init__(self, image: PeImage):
+        self.image = image
+        self.spans: list[tuple[int, Perm]] = []
+        self.views: list[memoryview] = []
+        self.nbytes = 0
         raw = memoryview(image.raw)
         end = 0  # the end of the last span checked
         for rva, span, offset, copy, section in mapped_spans(image):
@@ -319,18 +312,21 @@ class LoadPlan:
             view = raw[offset:offset + copy]
             if copy < span:  # one allocation: the file bytes, then the zero tail
                 view = memoryview(_laid_out(image, rva, span)).toreadonly()
-                nbytes += span
+                self.nbytes += span
             if section is not None and section.executable:
                 perms = PERM_RX
             elif section is not None and section.characteristics & SCN_MEM_WRITE:
                 perms = PERM_RW
             else:  # the headers, or a section neither executable nor writable
                 perms = PERM_R
-            spans.append((rva, perms))
-            views.append(view)
-        assert end <= image.nt.size_of_image, "span past the image"
-        return cls(image, spans, views, nbytes, image.nt.size_of_image, image.nt.image_base,
-                   image.headers_end > len(views[0]), bool(image.relocations))
+            self.spans.append((rva, perms))
+            self.views.append(view)
+        self.size = image.nt.size_of_image
+        assert end <= self.size, "span past the image"
+        self.preferred = image.nt.image_base
+        self.headers_past = image.headers_end > len(self.views[0])
+        self.relocatable = bool(image.relocations)
+        self.layouts: dict[int, list[memoryview]] = {}
 
 
 class ImageCache:
@@ -344,11 +340,10 @@ class ImageCache:
     layout that does not fit, or of a plan not stored, serves its one
     mapping."""
 
-    def __init__(self, plans: dict[bytes, LoadPlan] | None = None,
-                 by_length: dict[int, list[LoadPlan]] | None = None, nbytes: int = 0):
-        self.plans = {} if plans is None else plans
-        self.by_length = {} if by_length is None else by_length
-        self.nbytes = nbytes
+    def __init__(self):
+        self.plans: dict[bytes, LoadPlan] = {}
+        self.by_length: dict[int, list[LoadPlan]] = {}
+        self.nbytes = 0
 
     def plan(self, image: bytes) -> LoadPlan:
         for plan in self.by_length.get(len(image), ()):
@@ -356,7 +351,7 @@ class ImageCache:
             if raw is image or raw == image:
                 return plan
         key = bytes(image)
-        plan = LoadPlan.build(parse_pe(key))
+        plan = LoadPlan(parse_pe(key))
         if len(key) + plan.nbytes <= IMAGE_CACHE_BYTES:
             self.plans[key] = plan
             self.by_length.setdefault(len(key), []).append(plan)

@@ -180,7 +180,7 @@ def check_image_cache() -> None:
         assert [bytes(view) for view in plan.views] == [
             peformat.mapped_bytes(image, span.rva, span.span)
             for span in spans], "cached view is not the mapped span"
-        assert plan.spans == simkernel.LoadPlan.build(image).spans, "cached plan drifted"
+        assert plan.spans == simkernel.LoadPlan(image).spans, "cached plan drifted"
         assert _facts(plan) == (image.nt.size_of_image, image.nt.image_base,
                                 image.headers_end > spans[0].span, bool(image.relocations)), \
             "cached plan facts are not its image's"

@@ -81,6 +81,13 @@ class TestScan:
         assert kinds[ZWPROTECT_PATTERN].address == 0x004ED1EA
         assert "0x00406882" in kinds[ZWPROTECT_PATTERN].detail
 
+    @pytest.mark.parametrize("anchor", ["Zw\u20ac", "Zw\udcff"])
+    def test_non_ascii_anchor_scans_as_one_not_exported(self, fixture_bytes, anchor):
+        data = fixture_bytes("ntoskrnl.exe")
+        report = scan_pe(data, anchor_export=anchor)
+        assert report == scan_pe(data, anchor_export="ZwNotExported")
+        assert report == scan_pe(data)
+
     def test_no_anchor_no_pattern_finding(self, fixture_bytes):
         report = scan_pe(fixture_bytes("ntoskrnl.exe"))
         assert all(f.kind != ZWPROTECT_PATTERN for f in report.findings)

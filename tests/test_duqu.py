@@ -31,9 +31,11 @@ from duqusim.fixtures import (
     PROTECT_CALL_SITE,
     SERVICES_ENTRY_BYTES,
     STUB1_EXPECTED_REGION,
+    write_fixture_set,
 )
 from duqusim.pebuild import CODE_SECTION, PeSpec, SectionDef, build_pe32
 from duqusim.peformat import encode_entry_hook, parse_pe
+from duqusim.scenario import run_scenario
 from duqusim.simkernel import (
     PERM_RWX,
     PERM_RX,
@@ -42,7 +44,7 @@ from duqusim.simkernel import (
     SimKernel,
 )
 
-from conftest import boot_kernel, encode_near_call
+from conftest import boot_kernel, driver_named, encode_near_call
 from oracles import xor_stream_oracle
 
 
@@ -474,6 +476,21 @@ class TestSecondNotification:
         assert any(t.startswith("! fault: duqu: HashNotFound: ") for _, t in kernel.log)
         assert not duqu.state.hooked
         assert kernel.read_memory(services.pid, duqu.state.entry_va, 12) == before
+
+    def test_kernel32_without_exports_faults_and_writes_no_hook(self, tmp_path):
+        write_fixture_set(tmp_path)
+        (tmp_path / "kernel32.dll").write_bytes(build_pe32(PeSpec(
+            image_base=0x7C800000, entry_rva=0x1000,
+            sections=[SectionDef(".text", 0x1000, b"\x90" * 0x100, CODE_SECTION,
+                                 virtual_size=0x1000)])))
+        result = run_scenario(tmp_path / "duqu_unopposed.scenario")
+        lines = result.text_lines()
+        assert lines[lines.index("* Loaded module kernel32.dll *"):] == [
+            "* Loaded module kernel32.dll *",
+            "! fault: duqu: NoExportTable: image has no export directory",
+            "* Loaded module ntdll.dll *",
+            "* Process services.exe pid=0x914 runs its entrypoint *"]
+        assert not driver_named(result, "duqu").state.hooked
 
     def test_direct_call_without_staging(self, fixture_dir):
         kernel, drivers = boot_kernel(fixture_dir, with_sentinel=False)

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 from duqusim.duqu import IntegrityMask, decode_config, default_mask
 from duqusim.fixtures import (
     FIXTURE_BUILDERS,
@@ -6,12 +9,23 @@ from duqusim.fixtures import (
     build_stub2,
     poc_scenario_text,
     unopposed_scenario_text,
+    write_fixture_set,
 )
 from duqusim.peformat import parse_pe
 from duqusim.scan import scan_pe
 from duqusim.scenario import parse_scenario
 
 from oracles import xor_stream_oracle
+
+# sha256sum of every file make-fixtures writes, in LC_ALL=C name order.
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "fixtures.sha256"
+
+
+def test_fixture_set_bytes_match_golden_digests(tmp_path):
+    write_fixture_set(tmp_path)
+    sums = "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                   for path in sorted(tmp_path.iterdir()))
+    assert sums == GOLDEN_DIGESTS.read_text(encoding="ascii")
 
 
 def test_services_fixture_entrypoint(fixture_bytes):

@@ -569,10 +569,10 @@ class TestSplice:
             MapSpan(rva, span, 0, 0, None) for rva, span in spans]
         monkeypatch.setattr(simkernel, "mapped_spans", lambda _: spans)
         if error is None:
-            assert [rva for rva, _ in simkernel.LoadPlan.build(image).spans] == [0, 0x200]
+            assert [rva for rva, _ in simkernel.LoadPlan(image).spans] == [0, 0x200]
         else:
             with pytest.raises(AssertionError, match=error):
-                simkernel.LoadPlan.build(image)
+                simkernel.LoadPlan(image)
 
 
 class TestMappingsShareNoBytes:
@@ -873,7 +873,7 @@ class TestRelocatedLayouts:
         monkeypatch.setattr(simkernel, "image_cache", simkernel.ImageCache())
         data = fleet_dll()
         image = parse_pe(data)
-        assert simkernel.LoadPlan.build(image).nbytes == 0  # only layouts copy
+        assert simkernel.LoadPlan(image).nbytes == 0  # only layouts copy
         bound = len(data) + 3 * 0x1800
         monkeypatch.setattr(simkernel, "IMAGE_CACHE_BYTES", bound)
         kernel = SimKernel()

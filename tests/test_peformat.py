@@ -17,6 +17,7 @@ from duqusim.peformat import (
     NotMz,
     NotNearCall,
     NotPe,
+    Record,
     RelocationBlock,
     Truncated,
     Unencodable,
@@ -29,6 +30,7 @@ from duqusim.peformat import (
     resolve_near_call,
     restore_headers,
     ror13_hash,
+    scan_call_push_call,
     strip_headers,
 )
 from duqusim.pebuild import (
@@ -38,7 +40,7 @@ from duqusim.pebuild import (
     build_pe32,
     reloc_block,
 )
-from duqusim.scan import scan_pe
+from duqusim.scan import Finding, scan_pe
 from duqusim.scenario import run_scenario
 
 from conftest import encode_near_call, random_pe32
@@ -403,6 +405,14 @@ class TestExports:
         with pytest.raises(NameNotFound):
             find_export_by_name(image, b"ZwOpenKey")
 
+    @pytest.mark.parametrize("name", ["Zw\u20ac", "Zw\udcff"])
+    def test_name_not_ascii_names_no_export(self, name):
+        image = parse_pe(self.kernel_like())
+        with pytest.raises(NameNotFound):
+            find_export_by_name(image, name)
+        with pytest.raises(NameNotFound):
+            scan_call_push_call(image, name)
+
     def test_empty_export_table(self):
         data = minimal_fixture(exports=[], export_va=0x2000)
         image = parse_pe(data)
@@ -448,3 +458,22 @@ class TestExports:
                                export_va=0x2000)
         with pytest.raises(AmbiguousHash):
             find_export_by_hash(parse_pe(data), h)
+
+
+def test_record_never_equals_another_class():
+    assert Finding("a", 1, "b") != ("a", 1, "b")
+    assert ("a", 1, "b") != Finding("a", 1, "b")
+
+    class Pair(Record):
+        __slots__ = _compared = ("first", "second")
+
+        def __init__(self, first, second):
+            self.first = first
+            self.second = second
+
+    class Twin(Pair):
+        __slots__ = ()
+
+    assert Pair(1, 2) == Pair(1, 2)
+    assert Pair(1, 2) != Twin(1, 2)
+    assert Twin(1, 2) != Pair(1, 2)

@@ -1,6 +1,8 @@
+import codecs
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -15,6 +17,7 @@ from duqusim.scenario import (
     parse_scenario,
     run_scenario,
 )
+from duqusim.simkernel import SimKernel
 
 from conftest import driver_named
 
@@ -294,6 +297,25 @@ class TestDriverOptions:
             IntegrityMask.from_json(mask.read_text())
 
 
+def test_byte_order_mark_is_skipped(fixture_dir, tmp_path):
+    shutil.copytree(fixture_dir, tmp_path, dirs_exist_ok=True)
+    for name in ("poc_duqu_attack.scenario", "maskspec.json"):
+        (tmp_path / name).write_bytes(codecs.BOM_UTF8 + (fixture_dir / name).read_bytes())
+    plain = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
+    marked = run_scenario(tmp_path / "poc_duqu_attack.scenario")
+    assert marked.ok
+    assert driver_named(marked, "duqu").mask == driver_named(plain, "duqu").mask
+    assert marked.render() == plain.render()
+    assert marked.render("json") == plain.render("json")
+
+
+def test_byte_order_mark_then_bad_byte_names_its_file_offset(tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(codecs.BOM_UTF8 + b"\xff")
+    with pytest.raises(ScenarioError, match="byte 0xff in position 3: invalid start byte$"):
+        run_scenario(path)
+
+
 class RecordingOptions(dict):
     """Option mapping that records every key looked up in it."""
 
@@ -395,8 +417,8 @@ class TestDeterminism:
     def test_json_render_equals_json_dumps(self):
         texts = ["plain", "caf\u00e9 \u2603 \U0001f600", 'say "hi"', "back\\slash",
                  "tab\tnew\nline\rcr\x00nul\x1f\x7f", "</script> \u2028 \ud800", ""]
-        result = ScenarioResult(lines=[(f"src{i} \u00e9\"\\", text)
-                                       for i, text in enumerate(texts)])
+        result = ScenarioResult([(f"src{i} \u00e9\"\\", text) for i, text in enumerate(texts)],
+                                [], SimKernel())
         rendered = result.render("json")
         assert rendered.endswith("\n")
         assert rendered.split("\n")[:-1] == [

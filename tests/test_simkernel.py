@@ -730,7 +730,7 @@ def image_regions(proc):
 def cached_size(image: bytes) -> int:
     """What an image counts against ``IMAGE_CACHE_BYTES``: its file bytes
     and its plan's span copies."""
-    return len(image) + simkernel.LoadPlan.build(parse_pe(image)).nbytes
+    return len(image) + simkernel.LoadPlan(parse_pe(image)).nbytes
 
 
 @pytest.fixture
