@@ -899,18 +899,23 @@ def scan_call_push_call(image: PeImage, anchor_name: bytes | str,
 
 
 def find_call_push_call(data: bytes, section_va: int, anchor_va: int,
-                        window: int = DEFAULT_SCAN_WINDOW) -> tuple[int, int] | None:
-    """:func:`scan_call_push_call` over one section's bytes, mapped at
-    ``section_va``: (call site, target), or None.
+                        window: int = DEFAULT_SCAN_WINDOW, start: int = 0,
+                        end: int | None = None) -> tuple[int, int] | None:
+    """:func:`scan_call_push_call` over one section's bytes, ``data[start:end]``
+    as ``bytes.find`` bounds them, mapped at ``section_va``: (call site,
+    target), or None.  No byte outside the bounds is read.
 
     A call is decoded only when the first push 104h after it is in reach,
     so the work is set by the calls and pushes walked, not by the window.
     """
-    # A near call is 5 bytes, so it can only start before len - 4.
-    call_end = max(len(data) - 4, 0)
-    off = -1
+    if end is None:
+        end = len(data)
+    # A near call is 5 bytes, so it can only start before end - 4.
+    call_end = max(end - 4, start)
+    origin = section_va - start  # the address data[0] would have
+    off = start - 1
     while (off := data.find(CALL_OPCODE, off + 1, call_end)) != -1:
-        if (push := _search_push_104h(data, off + 5)) is None:
+        if (push := _search_push_104h(data, off + 5, end)) is None:
             return None
         # Every call from off to calls_end has this push first after
         # it; those within window bytes of it reach it.
@@ -918,13 +923,13 @@ def find_call_push_call(data: bytes, section_va: int, anchor_va: int,
         calls_end = push_at - 4
         off = max(off, push_at - window) - 1
         while (off := data.find(CALL_OPCODE, off + 1, calls_end)) != -1:
-            site = section_va + off
+            site = origin + off
             if resolve_near_call(site, data[off:off + 5]) != anchor_va:
                 continue
             cursor = data.find(CALL_OPCODE, push_at + len(PUSH_104H),
                                min(off + 5 + window, call_end))
             if cursor != -1:
-                call_site = section_va + cursor
+                call_site = origin + cursor
                 return call_site, resolve_near_call(call_site, data[cursor:cursor + 5])
         off = calls_end - 1
     return None

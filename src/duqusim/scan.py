@@ -3,9 +3,10 @@
 Three signatures over file bytes read as the loader maps them, so a file
 scan finds what a scan of the mapped module finds.  No match starts at a
 zero byte or ends more than 4 bytes past its start, so a code section is
-read up to 4 bytes into its zero tail.  Both code searches run in C
-whatever the fill bytes; only a call with a push 104h in reach is decoded
-in Python:
+searched up to 4 bytes into its zero tail.  Both code searches run in C
+whatever the fill bytes, over the file bytes where they lie; only a span
+that reaches its zero tail is laid out first.  Only a call with a push
+104h in reach is decoded in Python:
 
 * ENTRY_HOOK          - entrypoint bytes, as the loader maps them (zero
                         past a section's raw data), decode as
@@ -100,11 +101,15 @@ def scan_pe(data: bytes, path: str = "<buffer>",
         if not section.executable:
             continue
         lo = section.virtual_address
-        n = min(section.virtual_span, image.nt.size_of_image - lo, section.raw_size + 4)
-        data = mapped_bytes(image, lo, max(n, 0))  # one read for both code searches
+        n = max(min(section.virtual_span, image.nt.size_of_image - lo, section.raw_size + 4), 0)
+        if n <= section.raw_size:  # all file bytes: searched where they lie
+            data, start = image.raw, section.raw_offset
+        else:  # up to 4 bytes of zero tail: laid out once for both searches
+            data, start = mapped_bytes(image, lo, n), 0
+        end = start + n
         section_va = image.nt.image_base + lo
         if anchor_va is not None:
-            found = find_call_push_call(data, section_va, anchor_va)
+            found = find_call_push_call(data, section_va, anchor_va, start=start, end=end)
             if found is not None:
                 site, target = found
                 report.findings.append(Finding(
@@ -112,9 +117,10 @@ def scan_pe(data: bytes, path: str = "<buffer>",
                     f"near call resolves to unexported {target:#010x} "
                     f"(anchor {anchor_export})"))
                 anchor_va = None
-        consts += [Finding(OBFUSCATED_PE_CONST, section_va + match.start(),
+        origin = section_va - start
+        consts += [Finding(OBFUSCATED_PE_CONST, origin + match.start(),
                            "code carries the de-obfuscated signature dword")
-                   for match in _find_pe_consts(data)]
+                   for match in _find_pe_consts(data, start, end)]
     report.findings += consts
     return report
 

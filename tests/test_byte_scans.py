@@ -194,23 +194,32 @@ class TestPeConstEquivalence:
 
 
 class TestOneReadPerCodeSection:
-    """``scan_pe`` reads the entrypoint bytes, then each executable
-    section's bytes once, its file bytes and at most 4 bytes of its zero
-    tail, and runs both code searches over them, with an anchor or
-    without."""
+    """``scan_pe`` reads the entrypoint bytes, then runs both code searches
+    over each executable section's file bytes where they lie in the file,
+    with an anchor or without.  Only a span that reaches its zero tail is
+    laid out, once, at most 4 bytes past its raw data."""
 
-    @pytest.mark.parametrize("anchor, trains", [(None, 0), (ANCHOR, 1)])
-    def test_ntoskrnl(self, fixture_bytes, monkeypatch, anchor, trains):
-        data = fixture_bytes("ntoskrnl.exe")
+    def reads(self, monkeypatch, data: bytes, anchor):
         reads = []
         monkeypatch.setattr(scan, "mapped_bytes", lambda image, rva, n: (
             reads.append((rva, n)), peformat.mapped_bytes(image, rva, n))[1])
         report = scan.scan_pe(data, anchor_export=anchor)
-        image = parse_pe(data)
-        assert reads == [(image.nt.entry_point_rva, HOOK_LEN)] + [
-            (s.virtual_address, min(s.virtual_span, s.raw_size + 4))
-            for s in image.sections if s.executable]
+        return reads, report, parse_pe(data)
+
+    @pytest.mark.parametrize("anchor, trains", [(None, 0), (ANCHOR, 1)])
+    def test_ntoskrnl(self, fixture_bytes, monkeypatch, anchor, trains):
+        # Both code sections are all file bytes: no copy of either.
+        reads, report, image = self.reads(monkeypatch, fixture_bytes("ntoskrnl.exe"), anchor)
+        assert reads == [(image.nt.entry_point_rva, HOOK_LEN)]
         assert [f.kind for f in report.findings].count(ZWPROTECT_PATTERN) == trains
+
+    @pytest.mark.parametrize("anchor", [None, ANCHOR])
+    def test_services(self, fixture_bytes, monkeypatch, anchor):
+        # .text maps 0x12000 bytes over 0x11600 raw: its span reaches the tail.
+        reads, _, image = self.reads(monkeypatch, fixture_bytes("services.exe"), anchor)
+        text, = [s for s in image.sections if s.executable]
+        assert (text.virtual_size, text.raw_size) == (0x12000, 0x11600)
+        assert reads == [(image.nt.entry_point_rva, HOOK_LEN), (text.virtual_address, 0x11604)]
 
 
 def tailed(text: bytes, tail: int, page: bytes = b"\x90", page_tail: int = 0) -> bytes:
@@ -251,15 +260,35 @@ def full_span_findings(data: bytes) -> list[tuple[str, int, str]]:
     return found
 
 
+def assert_full_span_agrees(monkeypatch, data: bytes) -> list[tuple[str, int, str]]:
+    """``code_findings`` equal ``full_span_findings``, and the scan decodes
+    the calls the full-span search decodes, in the same order."""
+    sites, real = [], peformat.resolve_near_call
+    monkeypatch.setattr(peformat, "resolve_near_call", lambda site, data: (
+        sites.append(site), real(site, data))[1])
+    found = code_findings(data)
+    decoded = sites[:]
+    del sites[:]
+    assert found == full_span_findings(data)
+    assert decoded == sites
+    return found
+
+
+# The bytes that would complete each match begun in a section's last bytes:
+# a PE dword, a push 104h after an anchor call, a second call after both.
+COMPLETED = {"pe_const": PE_DWORD, "push": PUSH_104H,
+             "second_call": b"\xE8" + struct.pack("<I", 0x10)}
+
+
 class TestZeroTailReads:
     """``scan_pe`` reads a code section's file bytes and at most 4 bytes of
     its zero tail: no match starts at a zero byte, and each ends at most 4
     bytes past its start.  It reports what a search of the whole mapped
-    span reports.  ``test_reader.py`` checks a ``PE`` in the last two raw
-    bytes against the mapped module."""
+    span reports, and decodes the same calls.  ``test_reader.py`` checks a
+    ``PE`` in the last two raw bytes against the mapped module."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_tails(self, seed):
+    def test_random_tails(self, monkeypatch, seed):
         rng = random.Random(f"zero-tail:{seed}")
         text = bytearray(random_code(rng, rng.randrange(24, 0x400), TEXT_VA, IMAGE_BASE))
         if rng.random() < 0.5:  # a train whose last call may run into the tail
@@ -269,9 +298,38 @@ class TestZeroTailReads:
             text[-2:] = b"PE"
         page = random_code(rng, rng.randrange(1, 0x200), PAGE_VA, IMAGE_BASE)
         data = tailed(bytes(text), rng.randrange(257), page, rng.randrange(257))
-        found = code_findings(data)
-        assert found == full_span_findings(data)
+        found = assert_full_span_agrees(monkeypatch, data)
         assert [f[1] for f in found if f[0] == OBFUSCATED_PE_CONST] == pe_const_reference(data)
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4])
+    @pytest.mark.parametrize("piece", COMPLETED)
+    @pytest.mark.parametrize("body", ["random", "nop"])
+    @pytest.mark.parametrize("kib", [4, 64, 256])
+    def test_next_section_after_a_span_without_tail(self, monkeypatch, kib, body, piece, cut):
+        # A code section of the scan workload's sizes and fills maps its
+        # raw data and nothing more, so the next section's raw data follows
+        # its span in the file.  .text ends with the first ``cut`` bytes of
+        # a match and .data starts with the rest: no search may read on.
+        size = kib << 10
+        rng = random.Random(f"no-tail:{kib}:{body}:{piece}:{cut}")
+        text = bytearray(rng.randbytes(size) if body == "random" else b"\x90" * size)
+        whole = COMPLETED[piece]
+        at = size - cut
+        if piece != "pe_const":  # an anchor call, then a push, in reach
+            push_at = at - 10 if piece == "second_call" else at
+            text[push_at - 20:at] = anchor_call(TEXT_VA, push_at - 20) + b"\x90" * 15 + (
+                PUSH_104H + b"\x90" * 5 if piece == "second_call" else b"")
+        text[at:] = whole[:cut]
+        data_va = TEXT_VA + size
+        data = build_pe32(PeSpec(
+            image_base=IMAGE_BASE, entry_rva=TEXT_VA,
+            sections=[SectionDef(".text", TEXT_VA, bytes(text), CODE_SECTION),
+                      SectionDef(".data", data_va, whole[cut:] + b"\x90" * 8, DATA_SECTION)],
+            exports=[(ANCHOR, ANCHOR_RVA)], export_va=data_va + 0x1000))
+        section = parse_pe(data).sections[0]
+        assert section.virtual_span == section.raw_size == size
+        assert data[section.raw_offset + at:].startswith(whole)
+        assert_full_span_agrees(monkeypatch, data)
 
     @pytest.mark.parametrize("tail", [0, 1, 2, 0x100])
     def test_push_completed_by_the_tail(self, monkeypatch, tail):
