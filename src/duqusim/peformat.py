@@ -409,14 +409,16 @@ def _parse_sections(data: bytes, table_off: int, count: int) -> tuple[Section, .
     end = table_off + SECTION_HEADER_SIZE * count
     if end > len(data):
         raise Truncated("section table past end of buffer")
-    sections = [Section(name.rstrip(b"\x00").decode("latin-1"), va, vsize, roff, rsize, flags)
-                for name, vsize, va, rsize, roff, flags
-                in _SECTION.iter_unpack(data[table_off:end])]
-    spans = sorted((s.virtual_address, s.virtual_address + s.virtual_span) for s in sections)
-    for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
-        if lo2 < hi1:
-            raise NotPe("section RVA ranges overlap")
-    return tuple(sections)
+    sections = tuple([Section(name.rstrip(b"\x00").decode("latin-1"), va, vsize, roff, rsize, flags)
+                      for name, vsize, va, rsize, roff, flags
+                      in _SECTION.iter_unpack(data[table_off:end])])
+    if count > 1:  # a lone section overlaps nothing
+        # Section.virtual_span, from the unpacked fields.
+        spans = sorted([(va, va + (vsize or rsize)) for _, va, vsize, _, rsize, _ in sections])
+        for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
+            if lo2 < hi1:
+                raise NotPe("section RVA ranges overlap")
+    return sections
 
 
 def _read_file(image: PeImage, rva: int, n: int) -> bytes:
@@ -940,6 +942,10 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
 
     One open, then one ``fstat``: a missing path, a directory, a FIFO or a
     device is None.  Any other error, a denied permission say, is raised.
+    Then one read, of one byte more than ``fstat`` reported: a file still
+    that size is all read, and the short read is its end, so no read is
+    made only to see end-of-file.  A file whose size changed since the
+    ``fstat`` is read on until a read returns nothing.
     """
     try:
         fd = os.open(path, _OPEN_FLAGS)
@@ -953,8 +959,12 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             return None
-        parts = []
-        while part := os.read(fd, st.st_size + 1):
+        size = st.st_size
+        data = os.read(fd, size + 1)
+        if len(data) == size:  # all fstat reported, and end-of-file
+            return data
+        parts = [data]
+        while part := os.read(fd, size + 1):
             parts.append(part)
         return b"".join(parts)
     finally:

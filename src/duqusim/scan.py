@@ -48,6 +48,8 @@ PE_CONST = struct.pack("<I", SIG_XOR_KEY ^ SIG_XOR_EXPECT)
 # One compiled literal search; PE\0\0 cannot overlap itself, so the
 # matches are every occurrence.
 _find_pe_consts = re.compile(re.escape(PE_CONST)).finditer
+# PosixPath or WindowsPath: for a path of this class, str(Path(p)) == str(p).
+_NATIVE_PATH = type(Path())
 
 
 class Finding(Record):
@@ -129,10 +131,12 @@ def scan_file(path: str | Path, anchor_export: str | None = None) -> ScanReport:
     """Scan the PE32 file at ``path``.
 
     A path naming no regular file (missing, a directory, a FIFO) raises
-    ``FileNotFoundError`` at once; a FIFO is not waited on.
+    ``FileNotFoundError`` at once; a FIFO is not waited on.  The report,
+    and the error, name the path as ``str(Path(path))`` renders it, and
+    that string is the path opened.
     """
-    path = Path(path)
-    data = read_regular_file(path)
+    name = str(path) if type(path) is _NATIVE_PATH else str(Path(path))
+    data = read_regular_file(name)
     if data is None:
-        raise FileNotFoundError(f"file {str(path)!r} not found")
-    return scan_pe(data, path=str(path), anchor_export=anchor_export)
+        raise FileNotFoundError(f"file {name!r} not found")
+    return scan_pe(data, path=name, anchor_export=anchor_export)

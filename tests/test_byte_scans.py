@@ -193,6 +193,41 @@ class TestPeConstEquivalence:
         assert pe_const_found(data) == pe_const_reference(data) == expected
 
 
+class TestPeConstInATrain:
+    """A near call whose displacement is ``0x00004550`` carries the file
+    bytes ``50 45 00 00`` at its site + 1: the scanner reports that dword
+    as an OBFUSCATED_PE_CONST beside the train, since every occurrence is
+    reported.  A corpus that plants such a call and expects the train
+    alone expects too little; the scanner is right."""
+
+    DISPLACEMENT = 0x00004550
+
+    @pytest.mark.parametrize("carrier", ["first", "second"])
+    def test_displacement_reported_beside_the_train(self, carrier):
+        size, anchor_off = 0x6000, 0x5000
+        code = IMAGE_BASE + TEXT_VA
+        first = anchor_off - 5 - self.DISPLACEMENT if carrier == "first" else 0x100
+        push = first + 5 + 3
+        second = push + len(PUSH_104H) + 2
+        target = second + 5 + self.DISPLACEMENT if carrier == "second" else 0x40
+        text = bytearray(b"\x90" * size)
+        text[first:first + 5] = encode_near_call(code + first, code + anchor_off)
+        text[push:push + 5] = PUSH_104H
+        text[second:second + 5] = encode_near_call(code + second, code + target)
+        site = first if carrier == "first" else second
+        assert text[site:site + 5] == b"\xE8" + PE_DWORD
+        data = build_pe32(PeSpec(
+            image_base=IMAGE_BASE, entry_rva=TEXT_VA,
+            sections=[SectionDef(".text", TEXT_VA, bytes(text), CODE_SECTION),
+                      SectionDef(".data", TEXT_VA + size, b"\x90", DATA_SECTION)],
+            exports=[(ANCHOR, TEXT_VA + anchor_off)], export_va=TEXT_VA + size + 0x1000))
+        findings = scan_pe(data, anchor_export=ANCHOR).findings
+        assert [(f.kind, f.address) for f in findings] == [
+            (ZWPROTECT_PATTERN, code + second), (OBFUSCATED_PE_CONST, code + site + 1)]
+        assert findings[0].detail.startswith(f"near call resolves to unexported {code + target:#010x}")
+        assert pe_const_reference(data) == [code + site + 1]
+
+
 class TestOneReadPerCodeSection:
     """``scan_pe`` reads the entrypoint bytes, then runs both code searches
     over each executable section's file bytes where they lie in the file,

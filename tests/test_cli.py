@@ -4,14 +4,17 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from duqusim import scan
 from duqusim.cli import main
 from duqusim.fixtures import write_fixture_set
 from duqusim.pebuild import CODE_SECTION, DATA_SECTION, PeSpec, SectionDef, build_pe32
-from duqusim.peformat import parse_pe
-from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_pe
+from duqusim.peformat import parse_pe, read_regular_file
+from duqusim.scan import ENTRY_HOOK, OBFUSCATED_PE_CONST, ZWPROTECT_PATTERN, scan_file, scan_pe
 
 from conftest import entry_file_offset
 from oracles import ror13_oracle
@@ -310,6 +313,106 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "-> Terminating services.exe" in proc.stdout
+
+
+class FsPath:
+    """The least an ``os.PathLike`` has: ``__fspath__``."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+class TestScanFilePath:
+    """``scan_file`` names, and opens, the path as ``str(Path(path))`` renders it."""
+
+    @pytest.fixture
+    def in_tree(self, tmp_path, fixture_bytes, monkeypatch):
+        """The working directory holds ``hal.dll`` and ``a/b``, a copy of it."""
+        (tmp_path / "hal.dll").write_bytes(fixture_bytes("hal.dll"))
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "b").write_bytes(fixture_bytes("hal.dll"))
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("path", ["./hal.dll", "a//b", "a/./b/", Path("hal.dll"),
+                                      FsPath("./hal.dll"), FsPath("a//b")])
+    def test_report_path(self, in_tree, path):
+        report = scan_file(path)
+        assert report.clean
+        assert report.path == str(Path(path))
+
+    def test_absolute_path(self, in_tree):
+        assert scan_file(in_tree / "hal.dll").path == str(in_tree / "hal.dll")
+
+    @pytest.mark.parametrize("path", ["./x", "a//x", "", ".", Path("x"), Path("a") / "x",
+                                      FsPath("./x"), FsPath("")])
+    def test_not_found_names_the_rendered_path(self, in_tree, path):
+        with pytest.raises(FileNotFoundError) as caught:
+            scan_file(path)
+        assert str(caught.value) == f"file {str(Path(path))!r} not found"
+
+    def test_bytes_path_is_a_type_error(self, in_tree):
+        with pytest.raises(TypeError):
+            scan_file(b"hal.dll")
+
+    def test_cli_renders_the_dot_slash_away(self, in_tree, capsys):
+        assert main(["scan", "./hal.dll"]) == 0
+        assert capsys.readouterr().out == "hal.dll: clean\n"
+
+    def test_a_path_builds_no_path(self, in_tree, monkeypatch):
+        def no_path(*args):
+            raise AssertionError("scan_file built a Path")
+
+        monkeypatch.setattr(scan, "Path", no_path)
+        assert scan_file(Path("hal.dll")).path == "hal.dll"
+        assert scan_file(in_tree / "a" / "b").path == str(in_tree / "a" / "b")
+        with pytest.raises(AssertionError):
+            scan_file("./hal.dll")
+
+
+class TestReadRegularFile:
+    """One open, one ``fstat`` and, unless the size changed, one read."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch) -> list[int]:
+        """The size each ``os.read`` asks for, in order."""
+        asked = []
+        real = os.read
+
+        def counting(fd, n):
+            asked.append(n)
+            return real(fd, n)
+
+        monkeypatch.setattr(os, "read", counting)
+        return asked
+
+    @pytest.mark.parametrize("size", [0, 1, 4096, 70000])
+    def test_unchanged_file_is_one_read(self, tmp_path, reads, size):
+        path = tmp_path / "f.bin"
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        path.write_bytes(data)
+        assert read_regular_file(path) == data
+        assert reads == [size + 1]
+
+    @pytest.mark.parametrize("reported", [0, 1, 299, 301, 1000])
+    def test_file_of_another_size_than_fstat_reports_is_read_whole(
+            self, tmp_path, monkeypatch, reads, reported):
+        path = tmp_path / "f.bin"
+        data = bytes(range(100)) * 3
+        path.write_bytes(data)
+        real = os.fstat
+
+        def misreported(fd):
+            return SimpleNamespace(st_mode=real(fd).st_mode, st_size=reported)
+
+        monkeypatch.setattr(os, "fstat", misreported)
+        assert read_regular_file(path) == data
+        # Read on, reported + 1 bytes at a time, until a read returns nothing.
+        assert len(reads) == -(-len(data) // (reported + 1)) + 1
+        assert set(reads) == {reported + 1}
 
 
 def imported_modules(fixture_dir, argv: list[str]) -> set[str]:
