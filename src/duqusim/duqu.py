@@ -265,15 +265,15 @@ class SharedState:
 class DuquDriver(Driver):
     """The reconstructed injector: a :class:`Driver` that registers itself
     with a :class:`SimKernel` as its last step of construction.  It has no
-    handler until its boot init completes.
+    handler until its boot init completes, which then adds
+    ``DuquDriver._on_image_load`` as it finds it on the class.
 
     The driver holds its kernel through a weak proxy.  The kernel holds
     the driver, its devices, its init waiter and the ``run_stub`` code of
-    the region it allocates, so a strong reference would make a cycle that
-    only the cyclic garbage collector could free; with the proxy, a
-    finished run is freed as soon as its result is dropped.  A driver
-    whose kernel nobody else holds raises ``ReferenceError``: it has no
-    kernel left to act on.
+    the region it allocates, and the driver holds no method bound to
+    itself, so a finished run is freed as soon as its result is dropped.
+    A driver whose kernel nobody else holds raises ``ReferenceError``: it
+    has no kernel left to act on.
     """
 
     def __init__(self, kernel: SimKernel, config_blob: bytes,
@@ -336,7 +336,7 @@ class DuquDriver(Driver):
 
     def _finish_init(self) -> None:
         self.kernel.create_device(DEVICE_GPD1, self._on_access_point)
-        self.handlers[EventKind.IMAGE_LOAD] = self._on_image_load
+        self.handlers[EventKind.IMAGE_LOAD] = DuquDriver._on_image_load
         self._log(f"boot init complete (hal.dll seen after {self._hal_retries} requeues)")
         self._resolve_kernel_functions()
 

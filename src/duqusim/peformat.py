@@ -945,7 +945,7 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
     Then one read, of one byte more than ``fstat`` reported: a file still
     that size is all read, and the short read is its end, so no read is
     made only to see end-of-file.  A file whose size changed since the
-    ``fstat`` is read on until a read returns nothing.
+    ``fstat`` is read on, 64 KiB or more a read, until one returns nothing.
     """
     try:
         fd = os.open(path, _OPEN_FLAGS)
@@ -964,7 +964,7 @@ def read_regular_file(path: str | os.PathLike) -> bytes | None:
         if len(data) == size:  # all fstat reported, and end-of-file
             return data
         parts = [data]
-        while part := os.read(fd, size + 1):
+        while part := os.read(fd, max(size + 1, 0x10000)):
             parts.append(part)
         return b"".join(parts)
     finally:

@@ -48,13 +48,13 @@ def _hex_bytes(data: bytes) -> str:
 
 class SentinelDriver(Driver):
     """Checksum monitor: a :class:`Driver` that registers itself with a
-    :class:`SimKernel` as its last step of construction.
+    :class:`SimKernel` as its last step of construction.  Its handlers
+    are its class's functions as they are when it is built.
 
-    The driver holds its kernel through a weak proxy.  The kernel holds
-    the driver, so a strong reference would make a cycle that only the
-    cyclic garbage collector could free; with the proxy, a finished run is
-    freed as soon as its result is dropped.  A driver whose kernel nobody
-    else holds raises ``ReferenceError``: it has no kernel left to act on.
+    The driver holds its kernel through a weak proxy, and the kernel holds
+    the driver, so a finished run is freed as soon as its result is
+    dropped.  A driver whose kernel nobody else holds raises
+    ``ReferenceError``: it has no kernel left to act on.
     """
 
     def __init__(self, kernel: SimKernel, watch: tuple[str, ...] = DEFAULT_WATCH,
@@ -65,9 +65,9 @@ class SentinelDriver(Driver):
         self.report_only = report_only
         self.records: dict[int, IntegrityRecord] = {}
         self.verdicts: list[tuple[str, str]] = []  # (module name, OK|MISMATCH)
-        self.handlers[EventKind.PROCESS_CREATE] = self.on_process_create
-        self.handlers[EventKind.IMAGE_LOAD] = self.on_image_load
-        self.handlers[EventKind.PROCESS_EXIT] = self._on_process_exit
+        self.handlers[EventKind.PROCESS_CREATE] = SentinelDriver.on_process_create
+        self.handlers[EventKind.IMAGE_LOAD] = SentinelDriver.on_image_load
+        self.handlers[EventKind.PROCESS_EXIT] = SentinelDriver._on_process_exit
         kernel.register_driver(self)
 
     def _log(self, text: str) -> None:

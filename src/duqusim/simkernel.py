@@ -41,9 +41,9 @@ no process.  Every address lookup is one bisect of those ends.
 A finished run is freed by reference counting.  The kernel holds its
 drivers, their devices, init waiters and region code, and nothing it
 holds refers back to it strongly: the drivers hold it through a weak
-proxy.  Dropping the last reference to a kernel frees its processes and
-regions at once, and the image cache holds no kernel; only a driver
-whose handlers are its own bound methods waits for the cyclic collector.
+proxy, and their handlers are plain functions, so none holds itself.
+Dropping the last reference to a kernel frees its processes, regions and
+drivers at once, and the image cache holds no kernel.
 """
 
 from __future__ import annotations
@@ -277,11 +277,11 @@ class SimProcess:
 
 
 class Driver:
-    """A registered driver: a name and its notification handlers."""
+    """A registered driver: a name and plain ``handler(driver, event)`` functions."""
 
     def __init__(self, name: str):
         self.name = name
-        self.handlers: dict[EventKind, Callable[[NotificationEvent], None]] = {}
+        self.handlers: dict[EventKind, Callable[[Driver, NotificationEvent], None]] = {}
 
 
 class LoadPlan:
@@ -654,7 +654,7 @@ class SimKernel:
                     handler = driver.handlers.get(event.kind)
                     try:
                         if handler is not None:
-                            handler(event)
+                            handler(driver, event)
                     except Exception as exc:  # one driver's fault stops no other
                         self._fault(driver, exc)
         finally:

@@ -48,7 +48,7 @@ class ImageLoadRecorder(Driver):
         super().__init__("invariants")
         self.kernel = weakref.proxy(kernel)
         self.dead_loads: list[tuple[int, str]] = []
-        self.handlers[EventKind.IMAGE_LOAD] = self._on_image_load
+        self.handlers[EventKind.IMAGE_LOAD] = ImageLoadRecorder._on_image_load
         kernel.register_driver(self)
 
     def _on_image_load(self, event) -> None:
@@ -327,9 +327,10 @@ def gc_disabled():
 
 
 def run_refs(kernel) -> list:
-    """Weak references to ``kernel`` and to every region it has mapped,
-    each with what it names."""
+    """Weak references to ``kernel``, to each of its drivers and to every
+    region it has mapped, each with what it names."""
     refs = [("kernel", weakref.ref(kernel))]
+    refs += [(f"driver {d.name}", weakref.ref(d)) for d in kernel.drivers]
     for pid, proc in kernel.processes.items():
         refs += [(f"pid {pid:#x} region {r.base:#010x} {r.tag}", weakref.ref(r))
                  for r in proc.regions]

@@ -397,11 +397,9 @@ class TestReadRegularFile:
         assert read_regular_file(path) == data
         assert reads == [size + 1]
 
-    @pytest.mark.parametrize("reported", [0, 1, 299, 301, 1000])
-    def test_file_of_another_size_than_fstat_reports_is_read_whole(
-            self, tmp_path, monkeypatch, reads, reported):
+    def read_misreported(self, tmp_path, monkeypatch, data: bytes, reported: int) -> bytes:
+        """``data`` read back from a file whose ``fstat`` reports ``reported`` bytes."""
         path = tmp_path / "f.bin"
-        data = bytes(range(100)) * 3
         path.write_bytes(data)
         real = os.fstat
 
@@ -409,10 +407,22 @@ class TestReadRegularFile:
             return SimpleNamespace(st_mode=real(fd).st_mode, st_size=reported)
 
         monkeypatch.setattr(os, "fstat", misreported)
-        assert read_regular_file(path) == data
-        # Read on, reported + 1 bytes at a time, until a read returns nothing.
-        assert len(reads) == -(-len(data) // (reported + 1)) + 1
-        assert set(reads) == {reported + 1}
+        return read_regular_file(path)
+
+    @pytest.mark.parametrize("reported", [0, 1, 299, 301, 1000])
+    def test_file_of_another_size_than_fstat_reports_is_read_whole(
+            self, tmp_path, monkeypatch, reads, reported):
+        data = bytes(range(100)) * 3
+        assert self.read_misreported(tmp_path, monkeypatch, data, reported) == data
+        # The first read, then 64 KiB or more a read, then one that returns nothing.
+        assert reads[0] == reported + 1
+        assert len(reads) <= 3
+
+    def test_file_fstat_reports_empty_is_read_in_64k_reads(self, tmp_path, monkeypatch, reads):
+        data = bytes(range(256)) * 800  # 200 KiB, as a /proc file reports size 0
+        assert self.read_misreported(tmp_path, monkeypatch, data, 0) == data
+        assert reads[0] == 1 and min(reads[1:]) >= 0x10000
+        assert len(reads) <= 6  # the first read, four asking 64 KiB, one that returns nothing
 
 
 def imported_modules(fixture_dir, argv: list[str]) -> set[str]:

@@ -1,18 +1,26 @@
 """A finished run is freed by reference counting alone.
 
-The kernel holds each driver's handlers, its devices, its init waiter and
-the injector's region code; the drivers reach the kernel only through a
-weak proxy.  So with the cyclic garbage collector off, dropping a run's
-result must free its kernel and every region the kernel mapped.  Each run
-is made with the parsed-image cache already holding its images, so the
-images every kernel shares keep no run alive.  ``test_fuzz.py`` checks the
-same after every mutated scenario.
+The kernel holds its drivers, their devices, their init waiters and the
+injector's region code; the drivers reach the kernel only through a weak
+proxy, and their handlers are plain functions, not methods bound to them.
+So with the cyclic garbage collector off, dropping a run's result must
+free its kernel, its drivers and every region the kernel mapped, and leave
+the collector nothing to find.  Each run is made with the parsed-image
+cache already holding its images, so the images every kernel shares keep
+no run alive.  ``test_fuzz.py`` checks the same after every mutated
+scenario.
 """
+
+import gc
+import inspect
 
 import pytest
 
+from duqusim.duqu import DuquDriver
 from duqusim.fixtures import poc_scenario_text, unopposed_scenario_text, write_fixture_set
 from duqusim.scenario import run_scenario
+from duqusim.sentinel import SentinelDriver
+from duqusim.simkernel import EventKind
 
 from conftest import FLEET_SHAPED_SCENARIO
 from invariants import gc_disabled, recorded_parses, run_refs, still_alive
@@ -71,13 +79,15 @@ def test_dropped_result_frees_its_run(tmp_path, monkeypatch, name):
     run_scenario(scenario)
     parsed = recorded_parses(monkeypatch)
     with gc_disabled():
+        gc.collect()
         result = run_scenario(scenario)
         assert result.ok and any(marker in line for line in result.text_lines())
         assert parsed == [], "the run parsed an image the cache should hold"
         refs = run_refs(result.kernel)
-        assert len(refs) > 10
+        assert len(refs) > 10 and any(what.startswith("driver ") for what, _ in refs)
         del result
         assert still_alive(refs) == []
+        assert gc.collect() == 0, "the run left cyclic garbage"
 
 
 def test_driver_outliving_its_kernel_has_none_to_act_on(fixture_dir):
@@ -87,3 +97,17 @@ def test_driver_outliving_its_kernel_has_none_to_act_on(fixture_dir):
     for driver in drivers:
         with pytest.raises(ReferenceError):
             driver.kernel.processes
+
+
+def test_no_handler_is_a_bound_method(fixture_dir):
+    """The monitor's handlers, and the injector's once its boot init has
+    run, are their classes' functions: no driver holds itself."""
+    result = run_scenario(fixture_dir / "poc_duqu_attack.scenario")
+    drivers = {type(driver): driver for driver in result.kernel.drivers}
+    sentinel, duqu = drivers[SentinelDriver], drivers[DuquDriver]
+    assert sentinel.handlers == {EventKind.PROCESS_CREATE: SentinelDriver.on_process_create,
+                                 EventKind.IMAGE_LOAD: SentinelDriver.on_image_load,
+                                 EventKind.PROCESS_EXIT: SentinelDriver._on_process_exit}
+    assert duqu.handlers == {EventKind.IMAGE_LOAD: DuquDriver._on_image_load}
+    assert not any(map(inspect.ismethod, [*sentinel.handlers.values(),
+                                          *duqu.handlers.values()]))

@@ -583,7 +583,7 @@ class TestUnreadableDirectories:
         data = fixture_bytes("kernel32.dll")
         tamper = Driver("tamper")
 
-        def grow_name_count(event):
+        def grow_name_count(_, event):
             if event.module_name == "kernel32.dll":
                 patch(kernel, event.pid, event.base + export_dir_rva(data) + 24,
                       struct.pack("<I", 0x00100000))

@@ -153,7 +153,7 @@ class TestVerification:
         # the monitor has nothing left to protect, so no verdict, no fault.
         kernel = SimKernel()
         killer = Driver("killer")
-        killer.handlers[EventKind.IMAGE_LOAD] = lambda event: (
+        killer.handlers[EventKind.IMAGE_LOAD] = lambda _, event: (
             kernel.terminate_process(event.pid) if event.module_name == "kernel32.dll"
             else None)
         kernel.register_driver(killer)
@@ -262,7 +262,7 @@ class TestFailClosedAtCreation:
         before the monitor's create handler runs."""
         kernel = SimKernel()
         hider = Driver("hider")
-        hider.handlers[EventKind.PROCESS_CREATE] = lambda e: kernel.protect_memory(
+        hider.handlers[EventKind.PROCESS_CREATE] = lambda _, e: kernel.protect_memory(
             e.pid, kernel.process(e.pid).image_base, 0x200, Perm(0))
         kernel.register_driver(hider)
         sentinel = SentinelDriver(kernel, watch=("tiny.exe",), **sentinel_kwargs)
@@ -313,7 +313,7 @@ class TestFailClosedAtCreation:
         kernel, _ = self.create_small()
         recorder, seen = Driver("recorder"), []
         for kind in EventKind:
-            recorder.handlers[kind] = lambda e: seen.append((e.kind, e.pid))
+            recorder.handlers[kind] = lambda _, e: seen.append((e.kind, e.pid))
         kernel.register_driver(recorder)
         proc = kernel.create_process("tiny.exe", small_image())
         assert kernel.log[-1] == ("loader", "* Process tiny.exe pid=0x910 exited *")

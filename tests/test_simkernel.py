@@ -69,7 +69,7 @@ class TestDriverRegistration:
         for name in ("sentinel", "duqu"):
             driver = Driver(name)
             driver.handlers[EventKind.PROCESS_CREATE] = (
-                lambda evt, n=name: seen.append(n))
+                lambda _, evt, n=name: seen.append(n))
             kernel.register_driver(driver)
         kernel.create_process("a.exe", exe_fixture())
         assert seen == ["sentinel", "duqu"]
@@ -109,8 +109,8 @@ class TestProcessLifecycle:
         kernel = SimKernel()
         events = []
         driver = Driver("watch")
-        driver.handlers[EventKind.PROCESS_CREATE] = events.append
-        driver.handlers[EventKind.IMAGE_LOAD] = events.append
+        driver.handlers[EventKind.PROCESS_CREATE] = lambda _, event: events.append(event)
+        driver.handlers[EventKind.IMAGE_LOAD] = lambda _, event: events.append(event)
         kernel.register_driver(driver)
         proc = kernel.create_process("a.exe", exe_fixture())
         assert events[0].kind == EventKind.PROCESS_CREATE
@@ -148,7 +148,7 @@ class TestProcessLifecycle:
         kernel = SimKernel()
         events = []
         driver = Driver("watch")
-        driver.handlers[EventKind.IMAGE_LOAD] = events.append
+        driver.handlers[EventKind.IMAGE_LOAD] = lambda _, event: events.append(event)
         kernel.register_driver(driver)
         proc = kernel.create_process("services.exe", fixture_bytes("services.exe"))
         kernel.load_module(proc.pid, "kernel32.dll", fixture_bytes("kernel32.dll"),
@@ -279,8 +279,8 @@ class TestDispatchSemantics:
         kernel = SimKernel()
         order = []
         first, second = Driver("first"), Driver("second")
-        first.handlers[EventKind.IMAGE_LOAD] = lambda e: order.append(("first", e.module_name))
-        second.handlers[EventKind.IMAGE_LOAD] = lambda e: order.append(("second", e.module_name))
+        first.handlers[EventKind.IMAGE_LOAD] = lambda _, e: order.append(("first", e.module_name))
+        second.handlers[EventKind.IMAGE_LOAD] = lambda _, e: order.append(("second", e.module_name))
         kernel.register_driver(first)
         kernel.register_driver(second)
         proc = kernel.create_process("a.exe", exe_fixture())
@@ -301,14 +301,14 @@ class TestDispatchSemantics:
 
         writer, reader = Driver("writer"), Driver("reader")
 
-        def write_marker(event):
+        def write_marker(_, event):
             base = kernel.allocate_memory(event.pid, 4, PERM_RW)
             kernel.write_memory(event.pid, base, b"MARK")
             write_marker.base = base
 
         writer.handlers[EventKind.IMAGE_LOAD] = write_marker
         reader.handlers[EventKind.IMAGE_LOAD] = (
-            lambda e: observed.append(kernel.read_memory(e.pid, write_marker.base, 4)))
+            lambda _, e: observed.append(kernel.read_memory(e.pid, write_marker.base, 4)))
         kernel.register_driver(writer)
         kernel.register_driver(reader)
         kernel.create_process("a.exe", exe_fixture())
@@ -319,13 +319,13 @@ class TestDispatchSemantics:
         order = []
         killer, tail = Driver("killer"), Driver("tail")
 
-        def kill(event):
+        def kill(_, event):
             order.append("killer")
             kernel.terminate_process(event.pid)
 
         killer.handlers[EventKind.IMAGE_LOAD] = kill
-        tail.handlers[EventKind.IMAGE_LOAD] = lambda e: order.append("tail")
-        tail.handlers[EventKind.PROCESS_EXIT] = lambda e: order.append("exit")
+        tail.handlers[EventKind.IMAGE_LOAD] = lambda _, e: order.append("tail")
+        tail.handlers[EventKind.PROCESS_EXIT] = lambda _, e: order.append("exit")
         kernel.register_driver(killer)
         kernel.register_driver(tail)
         kernel.create_process("a.exe", exe_fixture())
@@ -340,7 +340,7 @@ class TestReentrancy:
         failures = []
         driver = Driver("rogue")
 
-        def spawn(event):
+        def spawn(_, event):
             try:
                 kernel.create_process("child.exe", exe_fixture())
             except ReentrantCall as exc:
@@ -357,7 +357,7 @@ class TestReentrancy:
         proc = kernel.create_process("a.exe", exe_fixture())
         failures = []
 
-        def load(event):
+        def load(_, event):
             try:
                 kernel.load_module(event.pid, "b.dll", exe_fixture(base=0x03000000))
             except ReentrantCall as exc:
@@ -911,13 +911,13 @@ class TestFaultIsolation:
         seen = []
         faulty, killer, recorder = Driver("faulty"), Driver("killer"), Driver("recorder")
 
-        def boom(event):
+        def boom(_, event):
             raise ValueError(f"bad {event.kind.value}")
 
         for kind in EventKind:
             faulty.handlers[kind] = boom
-            recorder.handlers[kind] = lambda e: seen.append((e.kind, e.module_name))
-        killer.handlers[EventKind.IMAGE_LOAD] = lambda e: kernel.terminate_process(e.pid)
+            recorder.handlers[kind] = lambda _, e: seen.append((e.kind, e.module_name))
+        killer.handlers[EventKind.IMAGE_LOAD] = lambda _, e: kernel.terminate_process(e.pid)
         for driver in (faulty, killer, recorder):
             kernel.register_driver(driver)
         kernel.create_process("a.exe", exe_fixture())
@@ -940,7 +940,7 @@ class TestFaultIsolation:
             raise RuntimeError("init blew up")
 
         for kind in EventKind:
-            recorder.handlers[kind] = lambda e: seen.append((e.kind, e.module_name))
+            recorder.handlers[kind] = lambda _, e: seen.append((e.kind, e.module_name))
         kernel.register_driver(waiting)
         kernel.register_driver(recorder)
         kernel.defer_init(waiting, recheck)
